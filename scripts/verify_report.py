@@ -11,15 +11,11 @@ Usage: python3 scripts/verify_report.py [--max-p 600] [--jobs 8]
 """
 
 import argparse
-import multiprocessing
 import time
 
 from lenspoly.alexander import generate, is_alternating, is_flat, top_coefficient
-from lenspoly.sweep import enumerate_params
-
-
-def _torus2_coeffs(g):
-    return tuple((-1) ** (g - abs(i)) for i in range(-g, g + 1))
+from lenspoly.surgery import SurgeryParams
+from lenspoly.sweep import _canonical_ks, _map_over_p, _torus2_coeffs
 
 
 def summarize(params):
@@ -42,7 +38,7 @@ def summarize(params):
 
 
 def _rows_for_p(p):
-    return [summarize(params) for params in enumerate_params(p) if params.p == p]
+    return [summarize(SurgeryParams(p, k)) for k in _canonical_ks(p)]
 
 
 VARIANTS = [
@@ -63,12 +59,8 @@ def main():
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            chunks = pool.map(_rows_for_p, range(2, args.max_p + 1), chunksize=8)
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = [summarize(params) for params in enumerate_params(args.max_p)]
+    rows = [row for _, chunk in _map_over_p(_rows_for_p, 2, args.max_p, args.jobs)
+            for row in chunk]
     elapsed = time.perf_counter() - t0
 
     base = [r for r in rows if not r["trivial"] and r["a0"] == 1 and r["a1"] == -1 and r["a2"] != 0]

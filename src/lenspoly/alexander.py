@@ -89,31 +89,13 @@ class SymmetricLaurentPolynomial:
 
 @dataclass(frozen=True)
 class GeneratedPolynomial:
-    """Raw generator outcome: the symmetrized polynomial plus its t=1 value."""
+    """Raw generator outcome: the symmetrized polynomial plus its t=1 value,
+    with the invariants the generator derived on the way."""
 
     params: SurgeryParams
+    inv: DerivedInvariants
     poly: SymmetricLaurentPolynomial
     delta_one: int
-
-
-@dataclass(frozen=True)
-class PeriodicCoefficients:
-    """The p-periodic extension abar_i = a_{[i]_p} of a polynomial's coefficients."""
-
-    base: SymmetricLaurentPolynomial
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("period must be positive")
-        if 2 * self.base.g > self.p:
-            raise ValueError(
-                f"period {self.p} shorter than coefficient support 2g={2 * self.base.g}"
-            )
-
-
-def periodic_coefficient(pc: PeriodicCoefficients, i: int) -> int:
-    return pc.base.coefficient(reduce_mod(i, pc.p))
 
 
 def coefficient(params: SurgeryParams, inv: DerivedInvariants, i: int) -> int:
@@ -191,7 +173,7 @@ def generate(params: SurgeryParams) -> GeneratedPolynomial:
             break
     coeffs = tuple(table[i % p] for i in range(-g, g + 1))
     poly = SymmetricLaurentPolynomial(g=g, coeffs=coeffs)
-    return GeneratedPolynomial(params=params, poly=poly, delta_one=sum(coeffs))
+    return GeneratedPolynomial(params=params, inv=inv, poly=poly, delta_one=sum(coeffs))
 
 
 def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:

@@ -35,8 +35,7 @@ from .sweep import (
     CheckpointError,
     SweepConfig,
     run_sweep,
-    verify_corollary,
-    verify_theorem,
+    verify,
 )
 
 _MAX_PRINTED_VIOLATIONS = 25
@@ -174,8 +173,7 @@ def _print_violations(label: str, violations) -> None:
 
 
 def _cmd_verify(args) -> int:
-    theorem = verify_theorem(args.max_p, jobs=args.jobs)
-    corollary = verify_corollary(args.max_p, jobs=args.jobs)
+    theorem, corollary = verify(args.max_p, jobs=args.jobs)
     _print_violations("theorem", theorem)
     _print_violations("corollary", corollary)
     return 1 if theorem or corollary else 0

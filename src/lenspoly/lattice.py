@@ -1,4 +1,4 @@
-"""Lattice matrices, the non-zero region, curve tracing, and the dichotomy scan.
+"""Lattice matrices, the non-zero region, curve tracing, and the dichotomy check.
 
 The A-matrix spreads the periodic coefficients over Z^2 via
 ``A[i, j] = abar_{k2*(i + j*e*k - c)}`` and dA is its horizontal
@@ -109,8 +109,8 @@ def build_view(params: SurgeryParams, kind: str, window: Window) -> LatticeView:
     """
     if kind not in ("A", "dA"):
         raise ValueError(f"kind must be 'A' or 'dA', got {kind!r}")
-    inv = derive_invariants(params)
-    poly = generate(params).poly
+    gen = generate(params)
+    inv, poly = gen.inv, gen.poly
     rows = []
     for j in range(window.j0, window.j1 + 1):
         row = []
@@ -187,10 +187,9 @@ class NonZeroRegion:
 
 def non_zero_region(params: SurgeryParams) -> NonZeroRegion:
     gen = generate(params)
-    inv = derive_invariants(params)
     g = gen.poly.g
-    return NonZeroRegion(params=params, inv=inv, g=g,
-                         anchor=region_anchor(params, inv, g))
+    return NonZeroRegion(params=params, inv=gen.inv, g=g,
+                         anchor=region_anchor(params, gen.inv, g))
 
 
 def region_contains(region: NonZeroRegion, point: tuple[int, int]) -> bool:
@@ -230,7 +229,7 @@ def trace_curves(params: SurgeryParams, window: Window) -> list[NonZeroCurve]:
     g = gen.poly.g
     if g == 0:
         return []
-    inv = derive_invariants(params)
+    inv = gen.inv
     region = NonZeroRegion(params=params, inv=inv, g=g,
                            anchor=region_anchor(params, inv, g))
     poly = gen.poly
@@ -324,7 +323,7 @@ def window_for_translates(
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of the dichotomy scan over one vertical period.
+    """Outcome of the dichotomy check over one vertical period.
 
     hypothesis_found: some column i in {0, 1} shows dA = -1 directly
     below dA = +1.  When the hypothesis is absent, bound_ok and
@@ -339,53 +338,37 @@ class LemmaReport:
     no_adjacent_zeros: bool
 
 
-def _lemma_scan(p: int, k2: int, q2: int) -> tuple[bool, bool]:
-    """(hypothesis_found, adjacent_zeros_found) over columns i = 0, 1.
+def check_lemma(params: SurgeryParams, inv: DerivedInvariants | None = None) -> LemmaReport:
+    """Decide the (-1, +1) vertical pattern and its promised consequences in O(1).
 
-    Works on raw residues r = (q2*i + k2*j) mod p: dA is +1 when r = 0 or
-    r > p - k2, -1 when 1 <= r <= k2, else 0.  j steps add k2 mod p.
-    """
-    hypothesis = zeros = False
-    k2m = k2 % p
-    for i in (0, 1):
-        r = (q2 * i) % p
-        first = prev = _da_from_residue(r, p, k2)
-        for _ in range(p - 1):
-            r = (r + k2m) % p
-            cur = _da_from_residue(r, p, k2)
-            if prev == -1 and cur == 1:
-                hypothesis = True
-            if prev == 0 and cur == 0:
-                zeros = True
-            prev = cur
-        if prev == -1 and first == 1:  # wrap: the sequence is p-periodic in j
-            hypothesis = True
-        if prev == 0 and first == 0:
-            zeros = True
-    return hypothesis, zeros
+    In column i, dA[i, j] depends only on r = (q2*i + k2*j) mod p: it is
+    +1 when r = 0 or r > p - k2, -1 when 1 <= r <= k2, and 0 otherwise
+    (the ranges are disjoint because k2 <= p/2).  Stepping j by one adds
+    k2 to r, and gcd(k2, p) = 1, so over one vertical period each column
+    meets every residue exactly once, and with it every step r -> r + k2.
+    Both columns i = 0, 1 therefore show the same patterns:
 
+    * -1 directly below +1 needs 1 <= r <= k2 with r + k2 (at most
+      2*k2 <= p) equal to p or above p - k2.  Some such r exists iff
+      2*k2 > p - k2, that is iff p < 3*k2 (r + k2 = p forces p <= 2*k2).
+    * Two adjacent zeros need k2 < r and r + k2 <= p - k2.  Some such r
+      exists iff k2 + 1 <= p - 2*k2, that is iff p > 3*k2.
 
-def _da_from_residue(r: int, p: int, k2: int) -> int:
-    if r == 0 or r > p - k2:
-        return 1
-    if r <= k2:
-        return -1
-    return 0
-
-
-def check_lemma(params: SurgeryParams) -> LemmaReport:
-    """Scan for the (-1, +1) vertical pattern and its promised consequences.
+    ``inv`` may be passed when the caller has already derived it.
 
     >>> check_lemma(SurgeryParams(11, 2))
     LemmaReport(p=11, k=2, k2=5, hypothesis_found=True, bound_ok=True, no_adjacent_zeros=True)
     """
-    inv = derive_invariants(params)
-    hypothesis, zeros = _lemma_scan(params.p, inv.k2, inv.q2 % params.p)
+    if inv is None:
+        inv = derive_invariants(params)
+    p, k2 = params.p, inv.k2
+    hypothesis = p < 3 * k2
+    zeros = p > 3 * k2
     return LemmaReport(
-        p=params.p,
+        p=p,
         k=params.k,
-        k2=inv.k2,
+        k2=k2,
         hypothesis_found=hypothesis,
-        bound_ok=(params.p < 3 * inv.k2) if hypothesis else True,
+        bound_ok=(p < 3 * k2) if hypothesis else True,
         no_adjacent_zeros=(not zeros) if hypothesis else True,
     )

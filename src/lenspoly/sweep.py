@@ -14,19 +14,19 @@ determinism contract.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import time
 from dataclasses import dataclass
 from math import gcd
 from multiprocessing import Pool
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .alexander import generate, is_alternating, is_flat, is_trivial, top_coefficient
 from .lattice import check_lemma
-from .surgery import SurgeryParams, derive_invariants, reduce_mod
+from .surgery import SurgeryParams, reduce_mod
+
+_R = TypeVar("_R")
 
 
 class CheckpointError(Exception):
@@ -92,15 +92,15 @@ class SweepConfig:
 
 @dataclass
 class SweepSummary:
-    records: int
-    nontrivial: int
-    top_sign_ok: int
-    flat: int
-    alternating: int
-    theorem_violations: int
-    lemma_violations: int
-    resumed_from: int | None
-    elapsed_us: int
+    records: int = 0
+    nontrivial: int = 0
+    top_sign_ok: int = 0
+    flat: int = 0
+    alternating: int = 0
+    theorem_violations: int = 0
+    lemma_violations: int = 0
+    resumed_from: int | None = None
+    elapsed_us: int = 0
 
 
 def _canonical_ks(p: int) -> list[int]:
@@ -137,11 +137,10 @@ def _torus2_coeffs(g: int) -> tuple[int, ...]:
 
 def compute_record(params: SurgeryParams) -> SweepRecord:
     start = time.perf_counter_ns()
-    inv = derive_invariants(params)
     gen = generate(params)
-    poly = gen.poly
+    inv, poly = gen.inv, gen.poly
     trivial = is_trivial(poly)
-    lemma = check_lemma(params)
+    lemma = check_lemma(params, inv)
     record = SweepRecord(
         p=params.p,
         k=params.k,
@@ -181,23 +180,50 @@ def is_lemma_violation(record: SweepRecord) -> bool:
     return record.lemma_hypothesis and not (record.lemma_bound_ok and record.lemma_zeros_ok)
 
 
-def _theorem_violations_for_p(p: int) -> list[Violation]:
+def _theorem_violations(record: SweepRecord) -> list[Violation]:
+    if not is_theorem_violation(record):
+        return []
+    reasons = []
+    if not record.torus2_match:
+        reasons.append("polynomial is not the T(2, 2g+1) polynomial")
+    if record.k != 2:
+        reasons.append(f"k = {record.k} != 2")
+    return [Violation(p=record.p, k=record.k, reason="; ".join(reasons))]
+
+
+def _corollary_violations(record: SweepRecord) -> list[Violation]:
     out = []
-    for record in _records_for_p(p):
-        if not is_theorem_violation(record):
-            continue
-        reasons = []
+    pattern = _theorem_trigger(record)
+    equiv = record.k == 2 and record.p in (4 * record.g + 1, 4 * record.g + 3)
+    if pattern and not equiv:
+        out.append(Violation(
+            p=record.p, k=record.k,
+            reason=f"forward: pattern holds but (k, p) = ({record.k}, {record.p}) "
+                   f"is not (2, 4g+1) or (2, 4g+3) for g = {record.g}",
+        ))
+    if record.k == 2:
+        problems = []
         if not record.torus2_match:
-            reasons.append("polynomial is not the T(2, 2g+1) polynomial")
-        if record.k != 2:
-            reasons.append(f"k = {record.k} != 2")
-        out.append(Violation(p=record.p, k=record.k, reason="; ".join(reasons)))
+            problems.append("polynomial is not the T(2, 2g+1) polynomial")
+        if record.p not in (4 * record.g + 1, 4 * record.g + 3):
+            problems.append(f"p = {record.p} is not 4g+1 or 4g+3 for g = {record.g}")
+        if not pattern:
+            problems.append("top coefficients are not (1, -1, nonzero)")
+        if problems:
+            out.append(Violation(p=record.p, k=record.k,
+                                 reason="reverse: " + "; ".join(problems)))
     return out
 
 
+def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
+    records = _records_for_p(p)
+    return ([v for record in records for v in _theorem_violations(record)],
+            [v for record in records for v in _corollary_violations(record)])
+
+
 def _map_over_p(
-    worker: Callable[[int], list], start_p: int, max_p: int, jobs: int
-) -> Iterator[tuple[int, list]]:
+    worker: Callable[[int], _R], start_p: int, max_p: int, jobs: int
+) -> Iterator[tuple[int, _R]]:
     """Apply worker to each p in order, optionally across processes.
 
     Results are yielded in ascending p regardless of job count, which is
@@ -213,48 +239,31 @@ def _map_over_p(
             yield p, result
 
 
+def verify(max_p: int, jobs: int = 1) -> tuple[list[Violation], list[Violation]]:
+    """(theorem violations, corollary violations) for every canonical
+    parameter with p <= max_p, each record computed once.
+
+    Theorem: the top-coefficient pattern (1, -1, nonzero) forces the
+    T(2, 2g+1) polynomial with k = 2.  Corollary, both directions: the
+    pattern holds iff k = 2 and p is 4g+1 or 4g+3 (in which case the
+    polynomial is T(2, 2g+1)'s).  Violations are data, not errors.
+    """
+    theorem: list[Violation] = []
+    corollary: list[Violation] = []
+    for _, (found_theorem, found_corollary) in _map_over_p(_violations_for_p, 2, max_p, jobs):
+        theorem.extend(found_theorem)
+        corollary.extend(found_corollary)
+    return theorem, corollary
+
+
 def verify_theorem(max_p: int, jobs: int = 1) -> list[Violation]:
-    """Parameters whose generated polynomial triggers the top-coefficient
-    pattern (1, -1, nonzero) without being the T(2, 2g+1) polynomial with
-    k = 2.  Violations are data, not errors."""
-    out: list[Violation] = []
-    for _, violations in _map_over_p(_theorem_violations_for_p, 2, max_p, jobs):
-        out.extend(violations)
-    return out
-
-
-def _corollary_violations_for_p(p: int) -> list[Violation]:
-    out = []
-    for record in _records_for_p(p):
-        pattern = _theorem_trigger(record)
-        equiv = record.k == 2 and record.p in (4 * record.g + 1, 4 * record.g + 3)
-        if pattern and not equiv:
-            out.append(Violation(
-                p=record.p, k=record.k,
-                reason=f"forward: pattern holds but (k, p) = ({record.k}, {record.p}) "
-                       f"is not (2, 4g+1) or (2, 4g+3) for g = {record.g}",
-            ))
-        if record.k == 2:
-            problems = []
-            if not record.torus2_match:
-                problems.append("polynomial is not the T(2, 2g+1) polynomial")
-            if record.p not in (4 * record.g + 1, 4 * record.g + 3):
-                problems.append(f"p = {record.p} is not 4g+1 or 4g+3 for g = {record.g}")
-            if not pattern:
-                problems.append("top coefficients are not (1, -1, nonzero)")
-            if problems:
-                out.append(Violation(p=record.p, k=record.k,
-                                     reason="reverse: " + "; ".join(problems)))
-    return out
+    """The theorem half of :func:`verify`."""
+    return verify(max_p, jobs)[0]
 
 
 def verify_corollary(max_p: int, jobs: int = 1) -> list[Violation]:
-    """Both directions of: top pattern (1, -1, nonzero) holds iff k = 2
-    and p is 4g+1 or 4g+3 (in which case the polynomial is T(2, 2g+1)'s)."""
-    out: list[Violation] = []
-    for _, violations in _map_over_p(_corollary_violations_for_p, 2, max_p, jobs):
-        out.extend(violations)
-    return out
+    """The corollary half of :func:`verify`."""
+    return verify(max_p, jobs)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -262,58 +271,40 @@ def verify_corollary(max_p: int, jobs: int = 1) -> list[Violation]:
 
 
 def _record_row(record: SweepRecord) -> list[int]:
-    return [
-        record.p, record.k, record.k2, record.e, record.m, record.g,
-        record.alpha1, record.alpha2,
-        int(record.trivial), int(record.flat), int(record.alternating),
-        int(record.torus2_match), int(record.top_sign_ok),
-        int(record.lemma_hypothesis), int(record.lemma_bound_ok),
-        int(record.lemma_zeros_ok),
-    ]
+    return [int(getattr(record, name)) for name in CSV_COLUMNS]
 
 
 def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for record in records:
-            writer.writerow(_record_row(record))
-        return buf.getvalue()
-    lines = []
-    for record in records:
-        obj = dict(zip(CSV_COLUMNS, _record_row(record)))
-        for name in _BOOL_COLUMNS:
-            obj[name] = bool(obj[name])
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+        return "".join(",".join(map(str, _record_row(record))) + "\n" for record in records)
+    return "".join(
+        json.dumps({name: getattr(record, name) for name in CSV_COLUMNS},
+                   separators=(",", ":")) + "\n"
+        for record in records
+    )
 
 
 def _csv_header() -> str:
     return ",".join(CSV_COLUMNS) + "\n"
 
 
-def _row_p(line: str, fmt: str) -> int:
+def _parse_row(line: str, fmt: str) -> SweepRecord:
+    """Inverse of the row serialization (elapsed_us, never written, is 0).
+
+    Raises ValueError, KeyError or TypeError on a line that is not a
+    report row of this format.
+    """
     if fmt == "csv":
-        return int(line.split(",", 1)[0])
-    return int(json.loads(line)["p"])
-
-
-def _parse_row_flags(line: str, fmt: str) -> dict:
-    """Reread the per-record fields a summary needs from a report line."""
-    if fmt == "csv":
-        values = line.split(",")
-        obj = dict(zip(CSV_COLUMNS, (int(v) for v in values)))
-        for name in _BOOL_COLUMNS:
-            obj[name] = bool(obj[name])
-        return obj
-    return json.loads(line)
-
-
-def _record_flags(record: SweepRecord) -> dict:
-    obj = dict(zip(CSV_COLUMNS, _record_row(record)))
+        values = [int(v) for v in line.split(",")]
+    else:
+        obj = json.loads(line)
+        values = [int(obj[name]) for name in CSV_COLUMNS]
+    if len(values) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(values)}")
+    fields = dict(zip(CSV_COLUMNS, values))
     for name in _BOOL_COLUMNS:
-        obj[name] = bool(obj[name])
-    return obj
+        fields[name] = bool(fields[name])
+    return SweepRecord(**fields, elapsed_us=0)
 
 
 def _load_checkpoint(path: str) -> dict:
@@ -344,9 +335,15 @@ def _write_checkpoint(path: str, max_p: int, completed_p: int) -> None:
     os.replace(tmp, path)
 
 
-def _filter_resumable(out_path: str, fmt: str, completed_p: int) -> list[str]:
+def _filter_resumable(out_path: str, fmt: str, completed_p: int) -> list[SweepRecord]:
     """Drop report rows beyond the checkpoint (a kill mid-batch can leave
-    some); returns the kept data rows.  Rewrites the file atomically."""
+    some); returns the kept records.  Rewrites the file atomically.
+
+    Only the last line may be cut short by an interrupted write; it is
+    dropped when it does not parse.  Any other line that does not parse
+    means the report is not the one the checkpoint describes (another
+    format, say), so CheckpointError is raised before the file is touched.
+    """
     try:
         with open(out_path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -364,24 +361,39 @@ def _filter_resumable(out_path: str, fmt: str, completed_p: int) -> list[str]:
         header, body = lines[0], lines[1:]
     else:
         header, body = None, lines
-    kept = []
-    for line in body:
-        if not line:
-            continue
+    kept_lines, kept = [], []
+    for n, line in enumerate(body, start=1):
         try:
-            p = _row_p(line, fmt)
-        except (ValueError, KeyError, json.JSONDecodeError):
-            continue  # partial trailing row from an interrupted write
-        if p <= completed_p:
-            kept.append(line)
+            record = _parse_row(line, fmt)
+        except (ValueError, KeyError, TypeError) as exc:
+            if n == len(body):
+                break  # partial trailing row from an interrupted write
+            raise CheckpointError(
+                f"report {out_path} line {n + (header is not None)} is not a {fmt} "
+                f"report row ({exc}); rerun with --from-scratch"
+            ) from exc
+        if record.p <= completed_p:
+            kept_lines.append(line)
+            kept.append(record)
     tmp = out_path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         if header is not None:
             fh.write(header + "\n")
-        for line in kept:
+        for line in kept_lines:
             fh.write(line + "\n")
     os.replace(tmp, out_path)
     return kept
+
+
+def _tally(summary: SweepSummary, record: SweepRecord) -> None:
+    summary.records += 1
+    if not record.trivial:
+        summary.nontrivial += 1
+        summary.top_sign_ok += record.top_sign_ok
+        summary.flat += record.flat
+        summary.alternating += record.alternating
+    summary.theorem_violations += is_theorem_violation(record)
+    summary.lemma_violations += is_lemma_violation(record)
 
 
 def run_sweep(
@@ -390,10 +402,11 @@ def run_sweep(
 ) -> SweepSummary:
     """Compute one SweepRecord per canonical parameter and persist the report.
 
-    ``progress(p)`` is invoked after each p is durably written (rows
-    flushed, checkpoint updated); an exception raised from it aborts the
+    ``progress(p)`` is invoked after each p is written (rows flushed,
+    checkpoint replaced by rename); an exception raised from it aborts the
     run and leaves the files consistent for resumption -- tests use this
-    to simulate interruption.
+    to simulate interruption.  The files survive a killed process, not a
+    power loss: nothing is fsynced.
     """
     started = time.perf_counter_ns()
     out_path = str(config.out_path)
@@ -401,24 +414,7 @@ def run_sweep(
     fmt = config.report_format
 
     start_p = 2
-    resumed_from = None
-    counters = {
-        "records": 0, "nontrivial": 0, "top_sign_ok": 0, "flat": 0,
-        "alternating": 0, "theorem_violations": 0, "lemma_violations": 0,
-    }
-
-    def count(obj: dict) -> None:
-        counters["records"] += 1
-        if not obj["trivial"]:
-            counters["nontrivial"] += 1
-            counters["top_sign_ok"] += obj["top_sign_ok"]
-            counters["flat"] += obj["flat"]
-            counters["alternating"] += obj["alternating"]
-        trigger = (not obj["trivial"]) and obj["top_sign_ok"] and obj["alpha2"] != 0
-        if trigger and not (obj["torus2_match"] and obj["k"] == 2):
-            counters["theorem_violations"] += 1
-        if obj["lemma_hypothesis"] and not (obj["lemma_bound_ok"] and obj["lemma_zeros_ok"]):
-            counters["lemma_violations"] += 1
+    summary = SweepSummary()
 
     if config.from_scratch:
         for stale in (out_path, checkpoint_path):
@@ -428,11 +424,10 @@ def run_sweep(
     if os.path.exists(checkpoint_path) and not config.from_scratch:
         checkpoint = _load_checkpoint(checkpoint_path)
         completed = min(checkpoint["completed_p"], config.max_p)
-        kept = _filter_resumable(out_path, fmt, completed)
-        for line in kept:
-            count(_parse_row_flags(line, fmt))
+        for record in _filter_resumable(out_path, fmt, completed):
+            _tally(summary, record)
         start_p = completed + 1
-        resumed_from = completed
+        summary.resumed_from = completed
         handle = open(out_path, "a", encoding="utf-8", newline="")
     else:
         handle = open(out_path, "w", encoding="utf-8", newline="")
@@ -449,19 +444,19 @@ def run_sweep(
                 _write_checkpoint(checkpoint_path, config.max_p, p)
                 per_p_elapsed[p] = sum(r.elapsed_us for r in records)
                 for record in records:
-                    count(_record_flags(record))
+                    _tally(summary, record)
                 if progress is not None:
                     progress(p)
     finally:
         handle.close()
 
-    elapsed_us = (time.perf_counter_ns() - started) // 1000
+    summary.elapsed_us = (time.perf_counter_ns() - started) // 1000
     timing = {
         "schema": 1,
         "max_p": config.max_p,
         "jobs": config.jobs,
-        "resumed_from": resumed_from,
-        "elapsed_us": elapsed_us,
+        "resumed_from": summary.resumed_from,
+        "elapsed_us": summary.elapsed_us,
         "per_p_elapsed_us": {str(p): us for p, us in sorted(per_p_elapsed.items())},
     }
     timing_tmp = out_path + ".timing.json.tmp"
@@ -469,14 +464,4 @@ def run_sweep(
         json.dump(timing, fh, indent=2)
     os.replace(timing_tmp, out_path + ".timing.json")
 
-    return SweepSummary(
-        records=counters["records"],
-        nontrivial=counters["nontrivial"],
-        top_sign_ok=counters["top_sign_ok"],
-        flat=counters["flat"],
-        alternating=counters["alternating"],
-        theorem_violations=counters["theorem_violations"],
-        lemma_violations=counters["lemma_violations"],
-        resumed_from=resumed_from,
-        elapsed_us=elapsed_us,
-    )
+    return summary

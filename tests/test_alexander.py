@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lenspoly.alexander import (
     IntegrityError,
-    PeriodicCoefficients,
     SymmetricLaurentPolynomial,
     coefficient,
     format_polynomial,
@@ -17,7 +16,6 @@ from lenspoly.alexander import (
     is_alternating,
     is_flat,
     is_trivial,
-    periodic_coefficient,
     polynomial,
     polynomial_from_json,
     polynomial_to_json,
@@ -265,22 +263,6 @@ def test_predicates():
     assert not is_alternating(bumpy)
     tall = SymmetricLaurentPolynomial(g=1, coeffs=(2, -3, 2))
     assert not is_flat(tall)
-
-
-def test_periodic_coefficient():
-    base = polynomial(SurgeryParams(11, 2))
-    pc = PeriodicCoefficients(base=base, p=11)
-    assert periodic_coefficient(pc, 20) == 1   # [20]_11 = -2
-    assert periodic_coefficient(pc, 15) == 0   # [15]_11 = 4 > g
-    assert periodic_coefficient(pc, 0) == base.coefficient(0)
-    for i in range(-40, 40):
-        assert periodic_coefficient(pc, i) == periodic_coefficient(pc, i + 11)
-
-
-def test_periodic_requires_period_covering_support():
-    base = torus_polynomial(2, 9)  # g = 4
-    with pytest.raises(ValueError):
-        PeriodicCoefficients(base=base, p=7)
 
 
 # ------------------------------------------------------------ serialization

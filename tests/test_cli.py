@@ -1,5 +1,6 @@
 """Exit codes, golden text output, and format round trips for the CLI."""
 
+import hashlib
 import json
 import math
 import random
@@ -169,6 +170,25 @@ def test_sweep_exit_codes(capsys, tmp_path):
     assert "theorem violations: 1" in out
 
 
+def test_report_and_verify_bytes_pinned(capsys, tmp_path):
+    """Refactor guard: the p <= 200 reports and verify output, byte for byte."""
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    for fmt, digest in (
+        ("csv", "c2827b2d6e30541dd3139dc3e1f9d2e8019fd07b85da6b585e5381bfd630df93"),
+        ("jsonl", "f15491f6b4985065c118737b048c6bccb819ca8d68a11dea9eff94b2c5a76626"),
+    ):
+        out = tmp_path / f"r.{fmt}"
+        code, _, _ = run_cli(capsys, "sweep", "--max-p", "200", "--out", str(out),
+                             "--format", fmt)
+        assert code == 1
+        assert sha(out.read_bytes()) == digest, fmt
+    code, out, _ = run_cli(capsys, "verify", "--max-p", "200")
+    assert code == 1
+    assert sha(out.encode()) == "b3666a3c97037ae459eb935d67e9dff5098bbb502e4ad2b7bc5b355d9ede5579"
+
+
 # -------------------------------------------------------------- error paths
 
 
@@ -218,6 +238,20 @@ def test_corrupted_checkpoint_exit_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--max-p", "14", "--out", str(out))
     assert code == 3
     assert "--from-scratch" in err
+
+
+@pytest.mark.parametrize("first, second", [("csv", "jsonl"), ("jsonl", "csv")])
+def test_resume_in_other_format_exit_3(capsys, tmp_path, first, second):
+    """Resuming a report in the other format must not drop its rows."""
+    out = tmp_path / "r.csv"
+    assert run_cli(capsys, "sweep", "--max-p", "20", "--out", str(out),
+                   "--format", first)[0] == 1
+    before = out.read_bytes()
+    code, _, err = run_cli(capsys, "sweep", "--max-p", "30", "--out", str(out),
+                           "--format", second)
+    assert code == 3
+    assert "--from-scratch" in err
+    assert out.read_bytes() == before
 
 
 # ----------------------------------------------------------------- packaging

@@ -279,14 +279,51 @@ def test_check_lemma_examples():
     assert report.bound_ok
 
 
+def _da_from_residue(r, p, k2):
+    if r == 0 or r > p - k2:
+        return 1
+    if r <= k2:
+        return -1
+    return 0
+
+
+def _lemma_scan(p, k2, q2):
+    """Oracle for check_lemma: (hypothesis_found, adjacent_zeros_found)
+    by an O(p) scan of columns i = 0, 1 over one vertical period.
+
+    Works on raw residues r = (q2*i + k2*j) mod p; j steps add k2 mod p.
+    """
+    hypothesis = zeros = False
+    k2m = k2 % p
+    for i in (0, 1):
+        r = (q2 * i) % p
+        first = prev = _da_from_residue(r, p, k2)
+        for _ in range(p - 1):
+            r = (r + k2m) % p
+            cur = _da_from_residue(r, p, k2)
+            if prev == -1 and cur == 1:
+                hypothesis = True
+            if prev == 0 and cur == 0:
+                zeros = True
+            prev = cur
+        if prev == -1 and first == 1:  # wrap: the sequence is p-periodic in j
+            hypothesis = True
+        if prev == 0 and first == 0:
+            zeros = True
+    return hypothesis, zeros
+
+
 def test_lemma_hypothesis_iff_bound():
-    """The -1/+1 vertical pattern appears exactly when p < 3*k2."""
-    for params in canonical_params(300):
+    """The closed-form check agrees with the O(p) scan, whose -1/+1 pattern
+    appears exactly when p < 3*k2 and adjacent zeros exactly when p > 3*k2."""
+    for params in canonical_params(600):
         inv = derive_invariants(params)
+        hypothesis, zeros = _lemma_scan(params.p, inv.k2, inv.q2 % params.p)
+        assert (hypothesis, zeros) == (params.p < 3 * inv.k2, params.p > 3 * inv.k2), params
         report = check_lemma(params)
-        assert report.hypothesis_found == (params.p < 3 * inv.k2), params
-        assert report.bound_ok
-        assert report.no_adjacent_zeros
+        assert report.hypothesis_found == hypothesis, params
+        assert report.bound_ok == ((params.p < 3 * inv.k2) if hypothesis else True), params
+        assert report.no_adjacent_zeros == ((not zeros) if hypothesis else True), params
 
 
 def test_lemma_scan_against_direct_window_scan():

@@ -206,11 +206,13 @@ def test_sweep_interrupt_and_resume(tmp_path):
 
 
 def test_sweep_resume_discards_rows_past_checkpoint(tmp_path):
-    """Rows written after the last checkpointed p (a mid-write crash) are
-    dropped on resume instead of duplicated."""
+    """Rows written after the last checkpointed p (a mid-write crash),
+    the last one cut short, are dropped on resume instead of duplicated."""
     clean, _ = _sweep(tmp_path, "clean.csv", max_p=40)
     out = tmp_path / "crashy.csv"
     _sweep(tmp_path, "crashy.csv", max_p=40)
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write("41,2,10,")
     # simulate: checkpoint rolled back to 25, report retains rows up to 40
     (tmp_path / "crashy.csv.checkpoint.json").write_text(
         json.dumps({"max_p": 40, "completed_p": 25, "schema": 1})
