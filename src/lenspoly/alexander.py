@@ -22,6 +22,7 @@ Two access layers exist on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from math import gcd
 
 from .surgery import (
@@ -71,9 +72,10 @@ class SymmetricLaurentPolynomial:
                 f"expected {2 * self.g + 1} coefficients for g={self.g}, "
                 f"got {len(self.coeffs)}"
             )
-        for i in range(self.g + 1):
-            if self.coeffs[self.g + i] != self.coeffs[self.g - i]:
-                raise ValueError(f"coefficients not symmetric at index {i}")
+        if self.coeffs != self.coeffs[::-1]:
+            g, c = self.g, self.coeffs
+            i = next(i for i in range(g + 1) if c[g + i] != c[g - i])
+            raise ValueError(f"coefficients not symmetric at index {i}")
         if self.g > 0 and self.coeffs[-1] == 0:
             raise ValueError("top coefficient is zero but g > 0")
 
@@ -120,58 +122,57 @@ def _residue_table(params: SurgeryParams, inv: DerivedInvariants) -> list[int]:
 
     The membership test asks whether q2*j + q2*(k*i + c) mod p lands in a
     fixed cyclic arc of k2 consecutive residues (the residue image of
-    I_{e*k2}).  Build the residue set S = {q2*j : j = 1..k} once as a
-    bitmap with prefix sums; then each i needs one shifted-arc query,
-    O(1), with the shift advancing by q2*k per step.
+    I_{e*k2}: 1..k2 when e = 1, 0 and p-k2+1..p-1 when e = -1).  Moving
+    the shift onto the arc, a_i = e*(W(l_i) - m), where W(l) counts the
+    residues S = {q2*j mod p : j = 1..k} in the arc l..l+k2-1 (cyclic)
+    and l_i = arc_start - q2*(k*i + c) mod p.
+
+    * W over all starts: W(l+1) - W(l) = [l+k2 in S] - [l in S], so one
+      loop over S writes the steps of e*(W - m) and counts W(0), and one
+      ``accumulate`` sums them.
+    * The gather: l_i = l_0 - i*step with step = q2*k mod p.  Since
+      q2 = k2^2 and k*k2 = e (mod p), step = e*k2 (mod p), a unit, never
+      0: the starts l_i run through every residue once.
+
+    >>> _residue_table(SurgeryParams(7, 2), derive_invariants(SurgeryParams(7, 2)))
+    [-1, 1, 0, 0, 0, 0, 1]
     """
-    p = params.p
-    k2, e, m, q2, c = inv.k2, inv.e, inv.m, inv.q2 % p, inv.c
-    bitmap = [0] * p
+    p, k2, e = params.p, inv.k2, inv.e
+    q2 = inv.q2 % p
+    steps = [0] * p  # steps[l] = values[l+1] - values[l], cyclic
+    first = 0  # W(0)
     r = 0
     for _ in range(params.k):
         r = (r + q2) % p
-        bitmap[r] = 1
-    prefix = [0] * p
-    acc = 0
-    for idx in range(p):
-        acc += bitmap[idx]
-        prefix[idx] = acc
-    # I_{k2} covers residues 1..k2; I_{-k2} covers 0 and p-k2+1..p-1.
+        steps[r] -= e
+        steps[r - k2] += e  # r - k2 > -p wraps as an index
+        first += r < k2
+    values = list(accumulate(steps[:p - 1], initial=e * (first - inv.m)))
     arc_start = 1 if e > 0 else (1 - k2) % p
-    table = [0] * p
-    step = (q2 * params.k) % p
-    shift = (q2 * c) % p
-    for i in range(p):
-        lo = (arc_start - shift) % p
-        hi = (lo + k2 - 1) % p
-        if lo <= hi:
-            count = prefix[hi] - (prefix[lo - 1] if lo else 0)
-        else:
-            count = (prefix[p - 1] - (prefix[lo - 1] if lo else 0)) + prefix[hi]
-        table[i] = -e * (m - count)
-        shift = (shift + step) % p
-    return table
+    l0 = (arc_start - q2 * inv.c) % p
+    step = q2 * params.k % p
+    # a comprehension gathers faster than map(values.__getitem__, map(mod, ...))
+    return [values[x % p] for x in range(l0, l0 - step * p, -step)]
 
 
-def generate(params: SurgeryParams) -> GeneratedPolynomial:
+def generate(params: SurgeryParams, inv: DerivedInvariants | None = None) -> GeneratedPolynomial:
     """Run the generator and symmetrize, without the normalization gate.
 
     Checks symmetry a_i = a_{-i} across the whole period (a failure here
     would be an implementation bug and raises IntegrityError) and reports
-    the t = 1 value verbatim.
+    the t = 1 value verbatim.  ``inv`` may be passed when the caller has
+    already derived it.
     """
-    inv = derive_invariants(params)
-    p = params.p
+    if inv is None:
+        inv = derive_invariants(params)
+    p, h = params.p, params.p // 2
     table = _residue_table(params, inv)
-    for i in range(1, p // 2 + 1):
-        if table[i] != table[p - i]:
-            raise IntegrityError(p, params.k, "a_i != a_-i", index=i)
-    g = 0
-    for i in range(p // 2, 0, -1):
-        if table[i] != 0:
-            g = i
-            break
-    coeffs = tuple(table[i % p] for i in range(-g, g + 1))
+    upper = table[1:h + 1]
+    if upper != table[p - 1:p - h - 1:-1]:
+        bad = next(i for i in range(1, h + 1) if table[i] != table[p - i])
+        raise IntegrityError(p, params.k, "a_i != a_-i", index=bad)
+    g = max(compress(range(1, h + 1), upper), default=0)
+    coeffs = tuple(table[p - g:] + table[:g + 1])
     poly = SymmetricLaurentPolynomial(g=g, coeffs=coeffs)
     return GeneratedPolynomial(params=params, inv=inv, poly=poly, delta_one=sum(coeffs))
 
@@ -257,12 +258,19 @@ def is_trivial(poly: SymmetricLaurentPolynomial) -> bool:
 
 
 def is_flat(poly: SymmetricLaurentPolynomial) -> bool:
-    return all(abs(c) <= 1 for c in poly.coeffs)
+    return -1 <= min(poly.coeffs) and max(poly.coeffs) <= 1
 
 
 def is_alternating(poly: SymmetricLaurentPolynomial) -> bool:
-    nonzero = [c for c in poly.coeffs if c]
-    return all(x * y < 0 for x, y in zip(nonzero, nonzero[1:]))
+    """Consecutive nonzero coefficients have opposite signs: the nonzero
+    ones at even positions share the first one's sign, the rest the other."""
+    nonzero = list(filter(None, poly.coeffs))
+    if not nonzero:
+        return True
+    evens, odds = nonzero[0::2], nonzero[1::2]
+    if nonzero[0] > 0:
+        return min(evens) > 0 and max(odds, default=-1) < 0
+    return max(evens) < 0 and min(odds, default=1) > 0
 
 
 def format_polynomial(poly: SymmetricLaurentPolynomial) -> str:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / no violations, 1 violations found, 2 usage
-error, 3 I/O error, 4 internal integrity error.
+error (an :class:`InvalidParameterError` from argument checking), 3 I/O
+error, 4 internal error (integrity check or any other ``ValueError``).
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ import json
 import sys
 
 from .alexander import (
+    GeneratedPolynomial,
     IntegrityError,
     format_polynomial,
+    generate,
     polynomial,
     polynomial_to_json,
 )
@@ -26,6 +29,7 @@ from .lattice import (
 )
 from .render import ascii_curves, ascii_view, svg_curves, view_to_json
 from .surgery import (
+    DerivedInvariants,
     InvalidParameterError,
     SurgeryParams,
     canonicalize_dual_class,
@@ -39,6 +43,9 @@ from .sweep import (
 )
 
 _MAX_PRINTED_VIOLATIONS = 25
+# Cells a matrix or curve window may hold: the default window of every
+# p <= 2000 fits, since (999 + 3) * (2*2000 + 1) = 4,009,002.
+_MAX_WINDOW_CELLS = 2**22
 
 
 def _dumps(obj) -> str:
@@ -56,13 +63,29 @@ def _resolve_params(args) -> SurgeryParams:
     return params
 
 
-def _window_from_args(args, params: SurgeryParams) -> Window:
+def _window_from_args(args, params: SurgeryParams, inv: DerivedInvariants) -> Window:
     given = [args.i0, args.i1, args.j0, args.j1]
     if all(v is None for v in given):
-        return fundamental_window(params)
-    if any(v is None for v in given):
+        window = fundamental_window(params, inv)
+    elif any(v is None for v in given):
         raise InvalidParameterError("window flags --i0 --i1 --j0 --j1 must all be given together")
-    return Window(i0=args.i0, i1=args.i1, j0=args.j0, j1=args.j1)
+    else:
+        window = Window(i0=args.i0, i1=args.i1, j0=args.j0, j1=args.j1)
+    if not window.is_empty():
+        cells = (window.i1 - window.i0 + 1) * (window.j1 - window.j0 + 1)
+        if cells > _MAX_WINDOW_CELLS:
+            raise InvalidParameterError(
+                f"window of {cells} cells exceeds the limit of {_MAX_WINDOW_CELLS}"
+            )
+    return window
+
+
+def _generate_in_window(args) -> tuple[SurgeryParams, Window, GeneratedPolynomial]:
+    """The parameter, its checked window, then its polynomial, generated once."""
+    params = _resolve_params(args)
+    inv = derive_invariants(params)
+    window = _window_from_args(args, params, inv)
+    return params, window, generate(params, inv)
 
 
 def _cmd_invariants(args) -> int:
@@ -90,8 +113,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    params = _resolve_params(args)
-    view = build_view(params, args.kind, _window_from_args(args, params))
+    params, window, gen = _generate_in_window(args)
+    view = build_view(params, args.kind, window, gen)
     if args.format == "json":
         print(_dumps(view_to_json(view)))
     else:
@@ -100,11 +123,10 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    params = _resolve_params(args)
-    window = _window_from_args(args, params)
-    curves = trace_curves(params, window)
+    params, window, gen = _generate_in_window(args)
+    curves = trace_curves(params, window, gen)
     if args.svg:
-        region = non_zero_region(params) if curves else None
+        region = non_zero_region(params, gen) if curves else None
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg_curves(params, window, curves, region))
     if args.format == "json":
@@ -255,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameterError, ValueError) as exc:
+    except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckpointError as exc:
@@ -266,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
 

@@ -99,17 +99,21 @@ class LatticeView:
         return self.rows[j - w.j0][i - w.i0]
 
 
-def build_view(params: SurgeryParams, kind: str, window: Window) -> LatticeView:
+def build_view(
+    params: SurgeryParams, kind: str, window: Window, gen: GeneratedPolynomial | None = None
+) -> LatticeView:
     """Materialize a window of A or dA entries.
 
     A views use the raw generator output, so anomalous parameters remain
     inspectable.  dA views evaluate both the case-split formula and the
     horizontal A-difference on every cell and refuse to return on any
-    mismatch.
+    mismatch.  ``gen`` may be passed when the caller has already run
+    :func:`generate`.
     """
     if kind not in ("A", "dA"):
         raise ValueError(f"kind must be 'A' or 'dA', got {kind!r}")
-    gen = generate(params)
+    if gen is None:
+        gen = generate(params)
     inv, poly = gen.inv, gen.poly
     rows = []
     for j in range(window.j0, window.j1 + 1):
@@ -185,8 +189,12 @@ class NonZeroRegion:
         return (self.anchor[0] + n_lo, self.anchor[0] + n_hi)
 
 
-def non_zero_region(params: SurgeryParams) -> NonZeroRegion:
-    gen = generate(params)
+def non_zero_region(
+    params: SurgeryParams, gen: GeneratedPolynomial | None = None
+) -> NonZeroRegion:
+    """The region of a nontrivial polynomial; ``gen`` as in :func:`build_view`."""
+    if gen is None:
+        gen = generate(params)
     g = gen.poly.g
     return NonZeroRegion(params=params, inv=gen.inv, g=g,
                          anchor=region_anchor(params, gen.inv, g))
@@ -209,7 +217,9 @@ class NonZeroCurve:
     arrows: tuple[tuple[int, int, int], ...]
 
 
-def trace_curves(params: SurgeryParams, window: Window) -> list[NonZeroCurve]:
+def trace_curves(
+    params: SurgeryParams, window: Window, gen: GeneratedPolynomial | None = None
+) -> list[NonZeroCurve]:
     """Arrows on nonzero A entries, linked into curve components.
 
     Two arrows are linked when (a) they are horizontal neighbours with
@@ -221,18 +231,16 @@ def trace_curves(params: SurgeryParams, window: Window) -> list[NonZeroCurve]:
     monotone in j but jogs horizontally around zero coefficients, so a
     clipped translate may show more than one component.  Checks that
     need "exactly one component per translate" should build the window
-    with :func:`window_for_translates`.
+    with :func:`window_for_translates`.  ``gen`` as in :func:`build_view`.
     """
     if window.is_empty():
         return []
-    gen = generate(params)
-    g = gen.poly.g
-    if g == 0:
+    if gen is None:
+        gen = generate(params)
+    if gen.poly.g == 0:
         return []
-    inv = gen.inv
-    region = NonZeroRegion(params=params, inv=inv, g=g,
-                           anchor=region_anchor(params, inv, g))
-    poly = gen.poly
+    region = non_zero_region(params, gen)
+    inv, poly = gen.inv, gen.poly
 
     arrows: dict[tuple[int, int], tuple[int, int]] = {}  # (i,j) -> (sign, translate)
     rows: dict[int, list[int]] = {}
@@ -296,7 +304,7 @@ def covered_translates(params: SurgeryParams, window: Window) -> list[int]:
     gen = generate(params)
     if gen.poly.g == 0 or window.is_empty():
         return []
-    region = non_zero_region(params)
+    region = non_zero_region(params, gen)
     istar = region.anchor[0]
     k2, p = region.inv.k2, params.p
     r_lo = (window.j0 + (window.i0 - istar) * k2) // p - 1

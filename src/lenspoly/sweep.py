@@ -24,7 +24,7 @@ from typing import Callable, Iterator, TypeVar
 
 from .alexander import generate, is_alternating, is_flat, is_trivial, top_coefficient
 from .lattice import check_lemma
-from .surgery import SurgeryParams, reduce_mod
+from .surgery import InvalidParameterError, SurgeryParams, reduce_mod
 
 _R = TypeVar("_R")
 
@@ -70,6 +70,13 @@ class Violation:
     reason: str
 
 
+def _check_range(max_p: int, jobs: int) -> None:
+    if max_p < 2:
+        raise InvalidParameterError(f"max_p must be >= 2, got {max_p}")
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
+
+
 @dataclass
 class SweepConfig:
     max_p: int
@@ -80,12 +87,9 @@ class SweepConfig:
     report_format: str = "csv"  # "csv" | "jsonl"
 
     def __post_init__(self) -> None:
-        if self.max_p < 2:
-            raise ValueError("max_p must be >= 2")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        _check_range(self.max_p, self.jobs)
         if self.report_format not in ("csv", "jsonl"):
-            raise ValueError(f"unknown report format {self.report_format!r}")
+            raise InvalidParameterError(f"unknown report format {self.report_format!r}")
         if self.checkpoint_path is None:
             self.checkpoint_path = str(self.out_path) + ".checkpoint.json"
 
@@ -140,27 +144,31 @@ def compute_record(params: SurgeryParams) -> SweepRecord:
     gen = generate(params)
     inv, poly = gen.inv, gen.poly
     trivial = is_trivial(poly)
+    flat = is_flat(poly)
+    alternating = is_alternating(poly)
+    top0, top1, top2 = (top_coefficient(poly, n) for n in range(3))
     lemma = check_lemma(params, inv)
-    record = SweepRecord(
+    return SweepRecord(
         p=params.p,
         k=params.k,
         k2=inv.k2,
         e=inv.e,
         m=inv.m,
         g=poly.g,
-        alpha1=top_coefficient(poly, 1),
-        alpha2=top_coefficient(poly, 2),
+        alpha1=top1,
+        alpha2=top2,
         trivial=trivial,
-        flat=is_flat(poly),
-        alternating=is_alternating(poly),
-        torus2_match=poly.coeffs == _torus2_coeffs(poly.g),
-        top_sign_ok=trivial or (top_coefficient(poly, 0) == 1 and top_coefficient(poly, 1) == -1),
+        flat=flat,
+        alternating=alternating,
+        # equal to poly.coeffs == _torus2_coeffs(poly.g): every coefficient
+        # is +-1, the signs alternate and the top one is 1
+        torus2_match=flat and alternating and 0 not in poly.coeffs and top0 == 1,
+        top_sign_ok=trivial or (top0 == 1 and top1 == -1),
         lemma_hypothesis=lemma.hypothesis_found,
         lemma_bound_ok=lemma.bound_ok,
         lemma_zeros_ok=lemma.no_adjacent_zeros,
         elapsed_us=(time.perf_counter_ns() - start) // 1000,
     )
-    return record
 
 
 def _records_for_p(p: int) -> list[SweepRecord]:
@@ -248,6 +256,7 @@ def verify(max_p: int, jobs: int = 1) -> tuple[list[Violation], list[Violation]]
     pattern holds iff k = 2 and p is 4g+1 or 4g+3 (in which case the
     polynomial is T(2, 2g+1)'s).  Violations are data, not errors.
     """
+    _check_range(max_p, jobs)
     theorem: list[Violation] = []
     corollary: list[Violation] = []
     for _, (found_theorem, found_corollary) in _map_over_p(_violations_for_p, 2, max_p, jobs):

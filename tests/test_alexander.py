@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lenspoly.alexander
 from lenspoly.alexander import (
     IntegrityError,
     SymmetricLaurentPolynomial,
+    _residue_table,
     coefficient,
     format_polynomial,
     generate,
@@ -52,6 +54,38 @@ def coefficient_naive(p, k, i):
         if inside:
             count += 1
     return -e * (m - count)
+
+
+def residue_table_loop(params, inv):
+    """The generator table by one pass per index over prefix sums of the
+    residue bitmap: the kernel's arithmetic, one Python step at a time."""
+    p = params.p
+    k2, e, m, q2, c = inv.k2, inv.e, inv.m, inv.q2 % p, inv.c
+    bitmap = [0] * p
+    r = 0
+    for _ in range(params.k):
+        r = (r + q2) % p
+        bitmap[r] = 1
+    prefix = [0] * p
+    acc = 0
+    for idx in range(p):
+        acc += bitmap[idx]
+        prefix[idx] = acc
+    # I_{k2} covers residues 1..k2; I_{-k2} covers 0 and p-k2+1..p-1.
+    arc_start = 1 if e > 0 else (1 - k2) % p
+    table = [0] * p
+    step = (q2 * params.k) % p
+    shift = (q2 * c) % p
+    for i in range(p):
+        lo = (arc_start - shift) % p
+        hi = (lo + k2 - 1) % p
+        if lo <= hi:
+            count = prefix[hi] - (prefix[lo - 1] if lo else 0)
+        else:
+            count = (prefix[p - 1] - (prefix[lo - 1] if lo else 0)) + prefix[hi]
+        table[i] = -e * (m - count)
+        shift = (shift + step) % p
+    return table
 
 
 # ----------------------------------------------------------- coefficient(i)
@@ -168,6 +202,8 @@ def test_strict_gate_matches_delta_one_up_to_300():
 
 
 def test_generated_symmetry_up_to_300():
+    """Symmetric output, and the kernel's table equal to the loop oracle,
+    on every canonical pair with p <= 300."""
     for p in range(2, 301):
         for k in range(1, p // 2 + 1):
             if math.gcd(p, k) != 1:
@@ -176,6 +212,8 @@ def test_generated_symmetry_up_to_300():
                 params = SurgeryParams(p, k)
             except ValueError:
                 continue
+            inv = derive_invariants(params)
+            assert _residue_table(params, inv) == residue_table_loop(params, inv), (p, k)
             poly = generate(params).poly
             for i in range(poly.g + 1):
                 assert poly.coefficient(i) == poly.coefficient(-i)
@@ -295,13 +333,28 @@ def test_polynomial_from_json_rejects_garbage():
 
 
 def test_symmetric_type_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at index 1$"):
         SymmetricLaurentPolynomial(g=1, coeffs=(1, 0, 2))   # not symmetric
+    with pytest.raises(ValueError, match="at index 2$"):
+        SymmetricLaurentPolynomial(g=3, coeffs=(1, 0, 5, 7, 5, 1, 1))
     with pytest.raises(ValueError):
         SymmetricLaurentPolynomial(g=1, coeffs=(0, 1, 0))   # zero top
     with pytest.raises(ValueError):
         SymmetricLaurentPolynomial(g=1, coeffs=(1, 1))      # wrong length
     SymmetricLaurentPolynomial(g=0, coeffs=(1,))
+
+
+def test_generate_reports_first_asymmetric_index(monkeypatch):
+    params = SurgeryParams(19, 7)
+    table = _residue_table(params, derive_invariants(params))
+    table[4] += 1       # a_4 != a_-4
+    table[19 - 2] += 1  # a_-2 != a_2: the first bad index
+    monkeypatch.setattr(lenspoly.alexander, "_residue_table", lambda params, inv: table)
+    with pytest.raises(IntegrityError) as exc_info:
+        generate(params)
+    err = exc_info.value
+    assert (err.p, err.k, err.index) == (19, 7, 2)
+    assert str(err) == "(p=19, k=7, i=2): a_i != a_-i"
 
 
 @given(st.integers(2, 60), st.integers(1, 60))

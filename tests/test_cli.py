@@ -9,6 +9,9 @@ import sys
 
 import pytest
 
+import lenspoly.alexander
+import lenspoly.cli
+import lenspoly.lattice
 from lenspoly.alexander import IntegrityError, polynomial, polynomial_from_json
 from lenspoly.cli import main
 from lenspoly.surgery import SurgeryParams
@@ -106,6 +109,24 @@ def test_curve_text_for_trivial_parameter(capsys):
     assert code == 0
     for line in out.rstrip("\n").splitlines():
         assert set(line) <= {".", " "}  # no arrows anywhere
+
+
+@pytest.mark.parametrize("command", ["curve", "matrix"])
+def test_curve_and_matrix_generate_once(capsys, monkeypatch, tmp_path, command):
+    """One polynomial and one set of invariants per call, whichever module
+    asks for them."""
+    calls = {"generate": 0, "derive_invariants": 0}
+    for module in (lenspoly.cli, lenspoly.lattice, lenspoly.alexander):
+        for name in calls:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    extra = ("--svg", str(tmp_path / "c.svg")) if command == "curve" else ("--kind", "dA")
+    assert run_cli(capsys, command, "-p", "19", "-k", "7", *extra)[0] == 0
+    assert calls == {"generate": 1, "derive_invariants": 1}
 
 
 # ------------------------------------------------------------ normalization
@@ -214,12 +235,32 @@ def test_invalid_parameters_exit_2(capsys):
     code, _, err = run_cli(capsys, "matrix", "-p", "11", "-k", "2", "--i0", "0")
     assert code == 2
     assert "--i0 --i1 --j0 --j1" in err
+    huge = ("-p", "11", "-k", "2", "--i0", "0", "--i1", "100000", "--j0", "0", "--j1", "100000")
+    for command in ("matrix", "curve"):
+        code, out, err = run_cli(capsys, command, *huge)
+        assert (code, out) == (2, "")
+        assert "exceeds the limit" in err
+    for flags in (("--max-p", "1"), ("--max-p", "10", "--jobs", "0")):
+        code, out, err = run_cli(capsys, "verify", *flags)
+        assert (code, out) == (2, "")
+        assert "must be >= " in err
 
 
 def test_integrity_failure_exit_4(capsys):
     code, _, err = run_cli(capsys, "poly", "-p", "8", "-k", "3")
     assert code == 4
     assert "p=8" in err and "k=3" in err
+
+
+def test_internal_value_error_exit_4(capsys, monkeypatch):
+    """A ValueError that is not an argument error is internal, not usage."""
+    def broken(params):
+        raise ValueError("coefficients not symmetric at index 1")
+
+    monkeypatch.setattr(lenspoly.cli, "polynomial", broken)
+    code, _, err = run_cli(capsys, "poly", "-p", "7", "-k", "2")
+    assert code == 4
+    assert err.startswith("internal error:")
 
 
 def test_io_failure_exit_3(capsys, tmp_path):

@@ -5,11 +5,13 @@ import math
 
 import pytest
 
+from lenspoly.alexander import generate
 from lenspoly.surgery import SurgeryParams, reduce_mod
 from lenspoly.sweep import (
     CSV_COLUMNS,
     CheckpointError,
     SweepConfig,
+    _torus2_coeffs,
     compute_record,
     enumerate_params,
     run_sweep,
@@ -109,6 +111,18 @@ def test_compute_record_trivial():
     assert r.g == 0
     assert (r.alpha1, r.alpha2) == (0, 0)
     assert r.top_sign_ok  # trivial counts as OK by definition
+
+
+def test_record_predicates_match_definitions_up_to_300():
+    """The record's builtin-pass predicates against their literal
+    definitions, on every canonical pair with p <= 300."""
+    for params in enumerate_params(300):
+        r = compute_record(params)
+        coeffs = generate(params).poly.coeffs
+        nonzero = [c for c in coeffs if c]
+        assert r.flat == all(abs(c) <= 1 for c in coeffs), params
+        assert r.alternating == all(x * y < 0 for x, y in zip(nonzero, nonzero[1:])), params
+        assert r.torus2_match == (coeffs == _torus2_coeffs(r.g)), params
 
 
 # ---------------------------------------------------------------- verifiers
