@@ -11,6 +11,7 @@ made of columns of 2g+1 cells, repeating under the translation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 from .alexander import (
     GeneratedPolynomial,
@@ -164,17 +165,14 @@ class NonZeroRegion:
     anchor: tuple[int, int]
 
     def contains(self, point: tuple[int, int]) -> bool:
-        x, y = point
-        s = (y + (x - self.anchor[0]) * self.inv.k2) % self.params.p
-        return s <= 2 * self.g
+        return self.translate_index(point) is not None
 
-    def translate_index(self, point: tuple[int, int]) -> int:
-        """Index n' of the (0, p)-translate containing the point."""
+    def translate_index(self, point: tuple[int, int]) -> int | None:
+        """Index n' of the (0, p)-translate containing the point, or None
+        when the point is outside the region."""
         x, y = point
-        s_raw = y + (x - self.anchor[0]) * self.inv.k2
-        if s_raw % self.params.p > 2 * self.g:
-            raise ValueError(f"{point} is not in the region")
-        return s_raw // self.params.p
+        n, s = divmod(y + (x - self.anchor[0]) * self.inv.k2, self.params.p)
+        return n if s <= 2 * self.g else None
 
     def column_span(self, translate: int, j0: int, j1: int) -> tuple[int, int]:
         """Inclusive x-range of this translate's columns meeting rows j0..j1.
@@ -220,12 +218,17 @@ class NonZeroCurve:
 def trace_curves(
     params: SurgeryParams, window: Window, gen: GeneratedPolynomial | None = None
 ) -> list[NonZeroCurve]:
-    """Arrows on nonzero A entries, linked into curve components.
+    """Arrows on nonzero A entries, grouped into curve components.
 
-    Two arrows are linked when (a) they are horizontal neighbours with
-    equal sign in the same region translate, or (b) they sit at (i, j)
-    and (i', j-1) within the same region translate -- the vertical
-    staircase step.  Components come back ordered by translate index.
+    Every arrow links to each arrow of its region translate in the row
+    below, and to an equal-sign horizontal neighbour of its translate.
+    Within one translate the components are therefore:
+
+    * a maximal run of two or more consecutive non-empty rows, whole;
+    * in a run of a single row, each stretch of consecutive i with one
+      sign (the row splits at every gap in i and every sign change).
+
+    Components come back ordered by translate index, then by first arrow.
 
     Window boundaries can cut a translate's arrow set: the curve is
     monotone in j but jogs horizontally around zero coefficients, so a
@@ -242,54 +245,34 @@ def trace_curves(
     region = non_zero_region(params, gen)
     inv, poly = gen.inv, gen.poly
 
-    arrows: dict[tuple[int, int], tuple[int, int]] = {}  # (i,j) -> (sign, translate)
-    rows: dict[int, list[int]] = {}
-    for j in range(window.j0, window.j1 + 1):
+    # translate -> j -> arrows (i, j, sign), rows by decreasing j, i increasing
+    translates: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+    for j in range(window.j1, window.j0 - 1, -1):
         for i in range(window.i0, window.i1 + 1):
             v = a_entry(params, inv, poly, i, j)
             if v == 0:
                 continue
-            if not region.contains((i, j)):
+            tr = region.translate_index((i, j))
+            if tr is None:
                 raise IntegrityError(
                     params.p, params.k,
                     f"nonzero entry at ({i}, {j}) outside the non-zero region",
                     index=i,
                 )
-            arrows[(i, j)] = (v, region.translate_index((i, j)))
-            rows.setdefault(j, []).append(i)
-
-    parent: dict[tuple[int, int], tuple[int, int]] = {pt: pt for pt in arrows}
-
-    def find(x: tuple[int, int]) -> tuple[int, int]:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: tuple[int, int], b: tuple[int, int]) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for (i, j), (sign, tr) in arrows.items():
-        right = (i + 1, j)
-        if right in arrows and arrows[right] == (sign, tr):
-            union((i, j), right)
-        for i2 in rows.get(j - 1, ()):
-            if arrows[(i2, j - 1)][1] == tr:
-                union((i, j), (i2, j - 1))
-
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for pt in arrows:
-        groups.setdefault(find(pt), []).append(pt)
+            translates.setdefault(tr, {}).setdefault(j, []).append((i, j, v))
 
     components = []
-    for members in groups.values():
-        ordered = sorted(members, key=lambda pt: (-pt[1], pt[0]))
-        tr = arrows[ordered[0]][1]
-        components.append((tr, tuple((i, j, arrows[(i, j)][0]) for i, j in ordered)))
+    for tr, rows in translates.items():
+        # position + j is constant exactly along a run of consecutive rows
+        for _, run in groupby(enumerate(rows), key=lambda nj: nj[0] + nj[1]):
+            run_rows = [rows[j] for _, j in run]
+            if len(run_rows) > 1:
+                components.append((tr, tuple(chain.from_iterable(run_rows))))
+                continue
+            # in a lone row, i - position and the sign are constant exactly along a piece
+            for _, piece in groupby(enumerate(run_rows[0]),
+                                    key=lambda na: (na[1][0] - na[0], na[1][2])):
+                components.append((tr, tuple(arrow for _, arrow in piece)))
     components.sort(key=lambda c: (c[0], c[1][0]))
     return [NonZeroCurve(id=n, translate=tr, arrows=arr)
             for n, (tr, arr) in enumerate(components)]

@@ -84,9 +84,10 @@ def svg_curves(
     if region is not None and not window.is_empty():
         for j in range(window.j0, window.j1 + 1):
             for i in range(window.i0, window.i1 + 1):
-                if not region.contains((i, j)):
+                tr = region.translate_index((i, j))
+                if tr is None:
                     continue
-                fill = _STRIP_FILLS[region.translate_index((i, j)) % 2]
+                fill = _STRIP_FILLS[tr % 2]
                 x = _MARGIN + (i - window.i0) * _CELL
                 y = _MARGIN + (window.j1 - j) * _CELL
                 parts.append(

@@ -210,6 +210,33 @@ def test_report_and_verify_bytes_pinned(capsys, tmp_path):
     assert sha(out.encode()) == "b3666a3c97037ae459eb935d67e9dff5098bbb502e4ad2b7bc5b355d9ede5579"
 
 
+@pytest.mark.parametrize("p, k, window, stdout_digest, svg_digest", [
+    ("11", "2", ("--i0", "-1", "--i1", "6", "--j0", "-6", "--j1", "5"),
+     "48a220a8a3df109f320676178aa6ec4f30b79eec11518d5a4c36282f6163c9c8",
+     "4c566ee52ae9a4ee72abbbd379467c792460872fea0fe739ef56c5714557618a"),
+    ("19", "7", (),
+     "6d33371ad5582a5832bb393fb9d9f90e37ee2421b9e91751cd99633cceb239cf",
+     "7b27abafd581be26ceeaaa777858db3bb869890f3757ff679620e417225f4e00"),
+    ("31", "12", (),
+     "3385fd1a2ffce10230ea077b3c516c1a7f01ef4a29cb6d2c3a998803fb9b2e04",
+     "68b5ab59c860c997b6751c4cb449ccdb88091950724872da22fbb0f19cbdb745"),
+    ("8", "3", (),  # anomalous: the strict polynomial is refused, the curve is not
+     "3fb724f936fb98a3ebc4a9356e8c7ec9adcc54d69a23feb3aa817aa342dd590b",
+     "da7e06ddfa1c9cc2cbf304fe872cc37fba0a331471830ab36cb3ab9af401269a"),
+    ("13", "1", (),  # trivial polynomial: no components, no region
+     "0b4b1167eb330c31ec35c12c74e6a8d5579380120e2e322a91ac7004a492c087",
+     "1b9d490483c9260fabcc860be21b108eaf6f032e7f202f4f2c0ebb76f336fd55"),
+], ids=["11-2-window", "19-7", "31-12", "8-3", "13-1"])
+def test_curve_bytes_pinned(capsys, tmp_path, p, k, window, stdout_digest, svg_digest):
+    """Refactor guard: the curve JSON on stdout and the SVG file, byte for byte."""
+    svg_path = tmp_path / "c.svg"
+    code, out, _ = run_cli(capsys, "curve", "-p", p, "-k", k, "--format", "json", *window,
+                           "--svg", str(svg_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
+
+
 # -------------------------------------------------------------- error paths
 
 

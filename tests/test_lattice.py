@@ -1,15 +1,23 @@
 """A/dA windows, the non-zero region, curve tracing, and the dichotomy scan."""
 
 import math
+import os
+import pathlib
 import random
+import runpy
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenspoly.alexander import generate, is_alternating, is_flat
+import lenspoly.lattice
+from lenspoly.alexander import IntegrityError, generate, is_alternating, is_flat
+from lenspoly.cli import main
 from lenspoly.lattice import (
+    NonZeroCurve,
     Window,
     a_entry,
     build_view,
@@ -207,6 +215,70 @@ def test_region_trivial_polynomial():
 # -------------------------------------------------------------------- curves
 
 
+def trace_curves_union_find(params, window):
+    """Oracle for trace_curves: link the arrows pairwise and take the
+    connected components with a union-find.
+
+    Two arrows are linked when (a) they are horizontal neighbours with
+    equal sign in the same region translate, or (b) they sit at (i, j)
+    and (i', j-1) within the same region translate.
+    """
+    if window.is_empty():
+        return []
+    gen = generate(params)
+    if gen.poly.g == 0:
+        return []
+    region = non_zero_region(params, gen)
+    inv, poly = gen.inv, gen.poly
+
+    arrows = {}  # (i, j) -> (sign, translate)
+    rows = {}
+    for j in range(window.j0, window.j1 + 1):
+        for i in range(window.i0, window.i1 + 1):
+            v = a_entry(params, inv, poly, i, j)
+            if v == 0:
+                continue
+            assert region.contains((i, j)), (params, i, j)
+            arrows[(i, j)] = (v, region.translate_index((i, j)))
+            rows.setdefault(j, []).append(i)
+
+    parent = {pt: pt for pt in arrows}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for (i, j), (sign, tr) in arrows.items():
+        right = (i + 1, j)
+        if right in arrows and arrows[right] == (sign, tr):
+            union((i, j), right)
+        for i2 in rows.get(j - 1, ()):
+            if arrows[(i2, j - 1)][1] == tr:
+                union((i, j), (i2, j - 1))
+
+    groups = {}
+    for pt in arrows:
+        groups.setdefault(find(pt), []).append(pt)
+
+    components = []
+    for members in groups.values():
+        ordered = sorted(members, key=lambda pt: (-pt[1], pt[0]))
+        tr = arrows[ordered[0]][1]
+        components.append((tr, tuple((i, j, arrows[(i, j)][0]) for i, j in ordered)))
+    components.sort(key=lambda c: (c[0], c[1][0]))
+    return [NonZeroCurve(id=n, translate=tr, arrows=arr)
+            for n, (tr, arr) in enumerate(components)]
+
+
 def test_trace_curves_11_2_window():
     params = SurgeryParams(11, 2)
     window = Window(-1, 6, -6, 5)
@@ -257,6 +329,7 @@ def test_single_component_per_covered_translate():
             continue
         window = window_for_translates(params, [-2, -1, 0, 1, 2], -3 * params.p, 3 * params.p)
         curves = trace_curves(params, window)
+        assert curves == trace_curves_union_find(params, window), params
         for translate in covered_translates(params, window):
             if not -2 <= translate <= 2:
                 continue
@@ -264,6 +337,30 @@ def test_single_component_per_covered_translate():
             assert count == 1, (params, translate, count)
             checked += 1
     assert checked > 1000  # the property must not pass vacuously
+
+
+def test_trace_curves_match_union_find_fundamental():
+    for params in canonical_params(60):
+        window = fundamental_window(params)
+        assert trace_curves(params, window) == trace_curves_union_find(params, window), params
+
+
+def test_trace_curves_nonzero_outside_region(capsys, monkeypatch):
+    """A region that misses a nonzero entry is an integrity failure, exit 4."""
+    anchor = lenspoly.lattice.region_anchor
+
+    def shifted(params, inv, g):
+        i_star, j_star = anchor(params, inv, g)
+        return (i_star + 1, j_star)
+
+    monkeypatch.setattr(lenspoly.lattice, "region_anchor", shifted)
+    params = SurgeryParams(11, 2)
+    with pytest.raises(IntegrityError, match="outside the non-zero region"):
+        trace_curves(params, fundamental_window(params))
+    assert main(["curve", "-p", "11", "-k", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside the non-zero region" in captured.err
 
 
 # --------------------------------------------------------------------- lemma
@@ -400,3 +497,26 @@ def test_trace_windows_never_crash(seed):
             assert window.i0 <= i <= window.i1
             assert window.j0 <= j <= window.j1
             assert sign != 0
+    assert curves == trace_curves_union_find(params, window)
+
+
+def test_render_examples_script(tmp_path):
+    """scripts/render_examples.py exits 0 and writes each example's SVG
+    exactly as svg_curves renders it."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "render_examples.py"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    examples = runpy.run_path(str(script))["EXAMPLES"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        f"curves_{params.p}_{params.k}.svg" for params, _ in examples
+    )
+    for params, window in examples:
+        expected = svg_curves(params, window, trace_curves(params, window),
+                              non_zero_region(params))
+        assert (tmp_path / f"curves_{params.p}_{params.k}.svg").read_text() == expected
