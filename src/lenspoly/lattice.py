@@ -106,10 +106,10 @@ def build_view(
     """Materialize a window of A or dA entries.
 
     A views use the raw generator output, so anomalous parameters remain
-    inspectable.  dA views evaluate both the case-split formula and the
-    horizontal A-difference on every cell and refuse to return on any
-    mismatch.  ``gen`` may be passed when the caller has already run
-    :func:`generate`.
+    inspectable.  dA views compute each A row once, from i0-1, and check
+    the case-split formula against its horizontal difference on every
+    cell, refusing to return on any mismatch.  ``gen`` may be passed when
+    the caller has already run :func:`generate`.
     """
     if kind not in ("A", "dA"):
         raise ValueError(f"kind must be 'A' or 'dA', got {kind!r}")
@@ -118,20 +118,21 @@ def build_view(
     inv, poly = gen.inv, gen.poly
     rows = []
     for j in range(window.j0, window.j1 + 1):
+        a_row = [a_entry(params, inv, poly, i, j)
+                 for i in range(window.i0 - (kind == "dA"), window.i1 + 1)]
+        if kind == "A":
+            rows.append(tuple(a_row))
+            continue
         row = []
-        for i in range(window.i0, window.i1 + 1):
-            if kind == "A":
-                row.append(a_entry(params, inv, poly, i, j))
-            else:
-                val = da_entry(params, inv, i, j)
-                diff = a_entry(params, inv, poly, i, j) - a_entry(params, inv, poly, i - 1, j)
-                if val != diff:
-                    raise IntegrityError(
-                        params.p, params.k,
-                        f"dA case split gives {val} but A-difference gives {diff} at ({i}, {j})",
-                        index=i,
-                    )
-                row.append(val)
+        for i, left, right in zip(range(window.i0, window.i1 + 1), a_row, a_row[1:]):
+            val, diff = da_entry(params, inv, i, j), right - left
+            if val != diff:
+                raise IntegrityError(
+                    params.p, params.k,
+                    f"dA case split gives {val} but A-difference gives {diff} at ({i}, {j})",
+                    index=i,
+                )
+            row.append(val)
         rows.append(tuple(row))
     return LatticeView(params=params, inv=inv, kind=kind, window=window, rows=tuple(rows))
 

@@ -6,8 +6,12 @@ byte-identical for any job count.  A checkpoint (JSON, written atomically
 via a temporary file and rename) records the last fully completed p;
 resumption drops any rows beyond it and continues.
 
-Report files carry no timing: per-record wall-clock microseconds live in
-memory on :class:`SweepRecord` and are summarized into a side file
+A :class:`SweepRecord` is one report row: its fields are the columns, in
+order.  ``verify`` folds its violations over the same per-p record stream
+that ``run_sweep`` writes.
+
+Report files carry no timing: each worker times its batch of one p, and
+the per-p and total wall-clock microseconds go to a side file
 ``<out>.timing.json``, which is run-specific and excluded from the
 determinism contract.
 """
@@ -20,7 +24,7 @@ import time
 from dataclasses import dataclass
 from math import gcd
 from multiprocessing import Pool
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import generate, is_alternating, is_flat, is_trivial, top_coefficient
 from .lattice import check_lemma
@@ -33,17 +37,9 @@ class CheckpointError(Exception):
     """The checkpoint file cannot be trusted; rerun with --from-scratch."""
 
 
-CSV_COLUMNS = (
-    "p", "k", "k2", "e", "m", "g", "alpha1", "alpha2",
-    "trivial", "flat", "alternating", "torus2_match", "top_sign_ok",
-    "lemma_hypothesis", "lemma_bound_ok", "lemma_zeros_ok",
-)
+class SweepRecord(NamedTuple):
+    """One report row; the fields are the report columns, in order."""
 
-_BOOL_COLUMNS = CSV_COLUMNS[8:]
-
-
-@dataclass(frozen=True)
-class SweepRecord:
     p: int
     k: int
     k2: int
@@ -60,7 +56,11 @@ class SweepRecord:
     lemma_hypothesis: bool
     lemma_bound_ok: bool
     lemma_zeros_ok: bool
-    elapsed_us: int  # in-memory only; never written to the report
+
+
+CSV_COLUMNS = SweepRecord._fields
+_CSV_HEADER = ",".join(CSV_COLUMNS)
+_COLUMN_TYPES = tuple(get_type_hints(SweepRecord).values())  # int or bool
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,6 @@ def _torus2_coeffs(g: int) -> tuple[int, ...]:
 
 
 def compute_record(params: SurgeryParams) -> SweepRecord:
-    start = time.perf_counter_ns()
     gen = generate(params)
     inv, poly = gen.inv, gen.poly
     trivial = is_trivial(poly)
@@ -167,12 +166,14 @@ def compute_record(params: SurgeryParams) -> SweepRecord:
         lemma_hypothesis=lemma.hypothesis_found,
         lemma_bound_ok=lemma.bound_ok,
         lemma_zeros_ok=lemma.no_adjacent_zeros,
-        elapsed_us=(time.perf_counter_ns() - start) // 1000,
     )
 
 
-def _records_for_p(p: int) -> list[SweepRecord]:
-    return [compute_record(SurgeryParams(p, k)) for k in _canonical_ks(p)]
+def _records_for_p(p: int) -> tuple[list[SweepRecord], int]:
+    """The records of one p, and the wall-clock microseconds they took."""
+    start = time.perf_counter_ns()
+    records = [compute_record(SurgeryParams(p, k)) for k in _canonical_ks(p)]
+    return records, (time.perf_counter_ns() - start) // 1000
 
 
 def _theorem_trigger(record: SweepRecord) -> bool:
@@ -223,12 +224,6 @@ def _corollary_violations(record: SweepRecord) -> list[Violation]:
     return out
 
 
-def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
-    records = _records_for_p(p)
-    return ([v for record in records for v in _theorem_violations(record)],
-            [v for record in records for v in _corollary_violations(record)])
-
-
 def _map_over_p(
     worker: Callable[[int], _R], start_p: int, max_p: int, jobs: int
 ) -> Iterator[tuple[int, _R]]:
@@ -259,9 +254,10 @@ def verify(max_p: int, jobs: int = 1) -> tuple[list[Violation], list[Violation]]
     _check_range(max_p, jobs)
     theorem: list[Violation] = []
     corollary: list[Violation] = []
-    for _, (found_theorem, found_corollary) in _map_over_p(_violations_for_p, 2, max_p, jobs):
-        theorem.extend(found_theorem)
-        corollary.extend(found_corollary)
+    for _, (records, _) in _map_over_p(_records_for_p, 2, max_p, jobs):
+        for record in records:
+            theorem.extend(_theorem_violations(record))
+            corollary.extend(_corollary_violations(record))
     return theorem, corollary
 
 
@@ -279,41 +275,37 @@ def verify_corollary(max_p: int, jobs: int = 1) -> list[Violation]:
 # report serialization
 
 
-def _record_row(record: SweepRecord) -> list[int]:
-    return [int(getattr(record, name)) for name in CSV_COLUMNS]
-
-
 def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
     if fmt == "csv":
-        return "".join(",".join(map(str, _record_row(record))) + "\n" for record in records)
+        return "".join(",".join(map(str, map(int, record))) + "\n" for record in records)
     return "".join(
-        json.dumps({name: getattr(record, name) for name in CSV_COLUMNS},
-                   separators=(",", ":")) + "\n"
-        for record in records
+        json.dumps(record._asdict(), separators=(",", ":")) + "\n" for record in records
     )
 
 
-def _csv_header() -> str:
-    return ",".join(CSV_COLUMNS) + "\n"
-
-
 def _parse_row(line: str, fmt: str) -> SweepRecord:
-    """Inverse of the row serialization (elapsed_us, never written, is 0).
+    """Inverse of the row serialization.
 
     Raises ValueError, KeyError or TypeError on a line that is not a
     report row of this format.
     """
     if fmt == "csv":
-        values = [int(v) for v in line.split(",")]
+        values = line.split(",")
     else:
         obj = json.loads(line)
-        values = [int(obj[name]) for name in CSV_COLUMNS]
+        values = [obj[name] for name in CSV_COLUMNS]
     if len(values) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(values)}")
-    fields = dict(zip(CSV_COLUMNS, values))
-    for name in _BOOL_COLUMNS:
-        fields[name] = bool(fields[name])
-    return SweepRecord(**fields, elapsed_us=0)
+    return SweepRecord._make(cast(int(v)) for cast, v in zip(_COLUMN_TYPES, values))
+
+
+def _replace_file(path: str, text: str) -> None:
+    """Write text to path through a temporary file and a rename, so a
+    killed process leaves either the old file or the new one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _load_checkpoint(path: str) -> dict:
@@ -337,13 +329,6 @@ def _load_checkpoint(path: str) -> dict:
     return data
 
 
-def _write_checkpoint(path: str, max_p: int, completed_p: int) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"max_p": max_p, "completed_p": completed_p, "schema": 1}, fh)
-    os.replace(tmp, path)
-
-
 def _filter_resumable(out_path: str, fmt: str, completed_p: int) -> list[SweepRecord]:
     """Drop report rows beyond the checkpoint (a kill mid-batch can leave
     some); returns the kept records.  Rewrites the file atomically.
@@ -361,16 +346,13 @@ def _filter_resumable(out_path: str, fmt: str, completed_p: int) -> list[SweepRe
             f"checkpoint exists but report {out_path} is unreadable ({exc}); "
             "rerun with --from-scratch"
         ) from exc
-    if fmt == "csv":
-        if not lines or lines[0] != _csv_header().rstrip("\n"):
-            raise CheckpointError(
-                f"report {out_path} does not start with the expected header; "
-                "rerun with --from-scratch"
-            )
-        header, body = lines[0], lines[1:]
-    else:
-        header, body = None, lines
-    kept_lines, kept = [], []
+    header_lines = 1 if fmt == "csv" else 0
+    if header_lines and lines[:1] != [_CSV_HEADER]:
+        raise CheckpointError(
+            f"report {out_path} does not start with the expected header; "
+            "rerun with --from-scratch"
+        )
+    kept_lines, kept, body = lines[:header_lines], [], lines[header_lines:]
     for n, line in enumerate(body, start=1):
         try:
             record = _parse_row(line, fmt)
@@ -378,19 +360,13 @@ def _filter_resumable(out_path: str, fmt: str, completed_p: int) -> list[SweepRe
             if n == len(body):
                 break  # partial trailing row from an interrupted write
             raise CheckpointError(
-                f"report {out_path} line {n + (header is not None)} is not a {fmt} "
+                f"report {out_path} line {n + header_lines} is not a {fmt} "
                 f"report row ({exc}); rerun with --from-scratch"
             ) from exc
         if record.p <= completed_p:
             kept_lines.append(line)
             kept.append(record)
-    tmp = out_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        for line in kept_lines:
-            fh.write(line + "\n")
-    os.replace(tmp, out_path)
+    _replace_file(out_path, "".join(line + "\n" for line in kept_lines))
     return kept
 
 
@@ -441,17 +417,20 @@ def run_sweep(
     else:
         handle = open(out_path, "w", encoding="utf-8", newline="")
         if fmt == "csv":
-            handle.write(_csv_header())
+            handle.write(_CSV_HEADER + "\n")
             handle.flush()
 
     per_p_elapsed: dict[int, int] = {}
     try:
         if start_p <= config.max_p:
-            for p, records in _map_over_p(_records_for_p, start_p, config.max_p, config.jobs):
+            for p, (records, elapsed_us) in _map_over_p(
+                _records_for_p, start_p, config.max_p, config.jobs
+            ):
                 handle.write(_serialize_batch(records, fmt))
                 handle.flush()
-                _write_checkpoint(checkpoint_path, config.max_p, p)
-                per_p_elapsed[p] = sum(r.elapsed_us for r in records)
+                _replace_file(checkpoint_path, json.dumps(
+                    {"max_p": config.max_p, "completed_p": p, "schema": 1}))
+                per_p_elapsed[p] = elapsed_us
                 for record in records:
                     _tally(summary, record)
                 if progress is not None:
@@ -468,9 +447,6 @@ def run_sweep(
         "elapsed_us": summary.elapsed_us,
         "per_p_elapsed_us": {str(p): us for p, us in sorted(per_p_elapsed.items())},
     }
-    timing_tmp = out_path + ".timing.json.tmp"
-    with open(timing_tmp, "w", encoding="utf-8") as fh:
-        json.dump(timing, fh, indent=2)
-    os.replace(timing_tmp, out_path + ".timing.json")
+    _replace_file(out_path + ".timing.json", json.dumps(timing, indent=2))
 
     return summary

@@ -237,6 +237,29 @@ def test_curve_bytes_pinned(capsys, tmp_path, p, k, window, stdout_digest, svg_d
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
 
 
+@pytest.mark.parametrize("kind, p, k, window, digest", [
+    ("A", "19", "7", (), "0bd17a89e1f750b4ccd015aa2c9add59251c53ad9696ecc834f6816369aac5e2"),
+    ("A", "31", "12", (), "5c98a6cce910a9e56b8e0f602d339d3f68062582e7874974bba340f061139072"),
+    ("A", "8", "3", (), "76cc9393f6a127d8946dedd052e7e9353f602b5a15c6ca804605eff31a2e1fe4"),
+    ("A", "13", "1", (), "8c94a0aeaa90008e0228fe654c03c406b56d563260ad3561ad129316477720b0"),
+    ("A", "11", "2", ("--i0", "-1", "--i1", "6", "--j0", "-6", "--j1", "5"),
+     "ee1e3dcc29bceb902361c695f09149e40008b7fe62fa5cb98609435b2804a6b7"),
+    ("dA", "19", "7", (), "19d11dc97c895ea06b8c6afc0901b941de33f9a131cc8bdfaff8a7dc8584e5b7"),
+    ("dA", "31", "12", (), "e9d31e689ac6923425f8919ea63d76eaeca75f51465e32f09c2f76e94bb00897"),
+    ("dA", "8", "3", (), "b382311a7266b8f638733c06e097af3dc64b07d16904dc48e93a82d779449615"),
+    ("dA", "13", "1", (), "d44c94ec7bcf85fc986e1136bf6982b1b70ce15d293d6bdb8a528fad41141d18"),
+    ("dA", "11", "2", ("--i0", "-1", "--i1", "6", "--j0", "-6", "--j1", "5"),
+     "bf804e3e673ba85a91356bb47515022435f100fd81a6b1d162f9e8437db09e76"),
+], ids=[f"{kind}-{case}" for kind in ("A", "dA")
+        for case in ("19-7", "31-12", "8-3", "13-1", "11-2-window")])
+def test_matrix_bytes_pinned(capsys, kind, p, k, window, digest):
+    """Refactor guard: the matrix JSON on stdout, byte for byte."""
+    code, out, _ = run_cli(capsys, "matrix", "-p", p, "-k", k, "--kind", kind,
+                           "--format", "json", *window)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -------------------------------------------------------------- error paths
 
 

@@ -147,6 +147,26 @@ def test_build_view_rejects_unknown_kind():
         build_view(params, "B", fundamental_window(params))
 
 
+@pytest.mark.parametrize("cell", [(-1, -11), (3, 4)], ids=["corner", "interior"])
+def test_build_view_da_self_check(capsys, monkeypatch, cell):
+    """A dA case split that disagrees with the A difference on one cell is
+    an integrity failure at that cell, exit 4."""
+    case_split = lenspoly.lattice.da_entry
+
+    def flipped(params, inv, i, j):
+        return case_split(params, inv, i, j) + ((i, j) == cell)
+
+    monkeypatch.setattr(lenspoly.lattice, "da_entry", flipped)
+    params = SurgeryParams(11, 2)
+    with pytest.raises(IntegrityError, match=rf"at \({cell[0]}, {cell[1]}\)$") as exc_info:
+        build_view(params, "dA", fundamental_window(params))  # i -1..6, j -11..11
+    assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (11, 2, cell[0])
+    assert main(["matrix", "-p", "11", "-k", "2", "--kind", "dA"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"at ({cell[0]}, {cell[1]})" in captured.err
+
+
 def test_view_json_shape():
     params = SurgeryParams(11, 2)
     view = build_view(params, "dA", Window(0, 2, 0, 1))

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -11,10 +15,15 @@ from lenspoly.sweep import (
     CSV_COLUMNS,
     CheckpointError,
     SweepConfig,
+    _corollary_violations,
+    _parse_row,
+    _serialize_batch,
+    _theorem_violations,
     _torus2_coeffs,
     compute_record,
     enumerate_params,
     run_sweep,
+    verify,
     verify_corollary,
     verify_theorem,
 )
@@ -80,7 +89,6 @@ def test_compute_record_11_2():
     assert not r.trivial
     assert r.flat and r.alternating and r.torus2_match and r.top_sign_ok
     assert r.lemma_hypothesis and r.lemma_bound_ok and r.lemma_zeros_ok
-    assert r.elapsed_us >= 0
 
 
 def test_compute_record_19_7():
@@ -156,9 +164,38 @@ def test_verify_corollary_reverse_direction_clean():
         assert violation.reason.startswith("forward:"), violation
 
 
+def test_verify_folds_the_parsed_report(tmp_path):
+    """verify gives the violations folded from a sweep report read back."""
+    out = tmp_path / "r.csv"
+    run_sweep(SweepConfig(max_p=200, out_path=str(out)))
+    records = [_parse_row(line, "csv") for line in out.read_text().splitlines()[1:]]
+    assert verify(200) == (
+        [v for r in records for v in _theorem_violations(r)],
+        [v for r in records for v in _corollary_violations(r)],
+    )
+
+
 def test_verify_with_jobs_matches_serial():
     assert verify_theorem(80, jobs=3) == verify_theorem(80)
     assert verify_corollary(80, jobs=3) == verify_corollary(80)
+
+
+def test_verify_report_script():
+    """scripts/verify_report.py exits 0, and its literal trigger finds the
+    theorem violations that verify_theorem finds."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "verify_report.py"), "--max-p", "100"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    literal = next(line for line in proc.stdout.splitlines()
+                   if line.startswith("literal (1, -1, nonzero)"))
+    _, violations, first = literal.split()[-3:]
+    assert int(violations) == len(verify_theorem(100)) == 22
+    assert first == "(15,4)"
 
 
 # -------------------------------------------------------------------- sweep
@@ -170,6 +207,18 @@ def test_csv_columns_contract():
         "trivial", "flat", "alternating", "torus2_match", "top_sign_ok",
         "lemma_hypothesis", "lemma_bound_ok", "lemma_zeros_ok",
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_row_codec_round_trip_up_to_200(fmt):
+    """_parse_row inverts the row serialization, field types included."""
+    for params in enumerate_params(200):
+        record = compute_record(params)
+        line = _serialize_batch([record], fmt)
+        assert line.endswith("\n") and line.count("\n") == 1
+        parsed = _parse_row(line[:-1], fmt)
+        assert parsed == record, params
+        assert list(map(type, parsed)) == list(map(type, record)), params
 
 
 def _sweep(tmp_path, name, **kwargs):
@@ -299,8 +348,14 @@ def test_sweep_timing_side_file(tmp_path):
     assert meta["resumed_from"] is None
     assert meta["elapsed_us"] > 0
     assert set(meta["per_p_elapsed_us"]) == {str(p) for p in range(2, 61)}
+    assert all(isinstance(us, int) and us >= 0 for us in meta["per_p_elapsed_us"].values())
     # timing lives only here; the report itself has no timing column
     assert "elapsed" not in out.read_text().splitlines()[0]
+    # a resumed run times the p it sweeps
+    run_sweep(SweepConfig(max_p=70, out_path=str(out)))
+    meta = json.loads((tmp_path / "s.csv.timing.json").read_text())
+    assert (meta["schema"], meta["resumed_from"]) == (1, 60)
+    assert set(meta["per_p_elapsed_us"]) == {str(p) for p in range(61, 71)}
 
 
 def test_sweep_summary_violations(tmp_path):
