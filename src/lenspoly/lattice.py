@@ -3,7 +3,9 @@
 The A-matrix spreads the periodic coefficients over Z^2 via
 ``A[i, j] = abar_{k2*(i + j*e*k - c)}`` and dA is its horizontal
 difference, which also has a direct three-case formula on the residue
-``[q2*i + k2*j]_p``.  All nonzero A entries live in a staircase region
+``[q2*i + k2*j]_p``.  Since k2*e*k = 1 and q2 = k2^2 (mod p), every cell
+reads column 0: ``A[i, j] = A[0, t]`` and ``dA[i, j] = dA[0, t]`` with
+``t = (j + k2*i) mod p``.  All nonzero A entries live in a staircase region
 made of columns of 2g+1 cells, repeating under the translation
 ``v = (1, -k2)`` and the vertical period ``(0, p)``.
 """
@@ -87,8 +89,6 @@ class LatticeView:
     rows[m][n] the entry at (i0+n, j0+m).
     """
 
-    params: SurgeryParams
-    inv: DerivedInvariants
     kind: str
     window: Window
     rows: tuple[tuple[int, ...], ...]
@@ -105,36 +105,32 @@ def build_view(
 ) -> LatticeView:
     """Materialize a window of A or dA entries.
 
-    A views use the raw generator output, so anomalous parameters remain
-    inspectable.  dA views compute each A row once, from i0-1, and check
-    the case-split formula against its horizontal difference on every
-    cell, refusing to return on any mismatch.  ``gen`` may be passed when
-    the caller has already run :func:`generate`.
+    Cell (i, j) equals the column-0 entry at t = (j + k2*i) mod p (see
+    the module docstring), so :func:`a_entry`, and for dA :func:`da_entry`,
+    run once per residue t and every cell is read from that column.  A
+    views use the raw generator output, so anomalous parameters remain
+    inspectable.  dA views check the case split against A[0, t] - A[-1, t]
+    on every residue, which covers every cell, refusing to return on any
+    mismatch.  ``gen`` may be passed when the caller has already run
+    :func:`generate`.
     """
     if kind not in ("A", "dA"):
         raise ValueError(f"kind must be 'A' or 'dA', got {kind!r}")
     if gen is None:
         gen = generate(params)
-    inv, poly = gen.inv, gen.poly
-    rows = []
-    for j in range(window.j0, window.j1 + 1):
-        a_row = [a_entry(params, inv, poly, i, j)
-                 for i in range(window.i0 - (kind == "dA"), window.i1 + 1)]
-        if kind == "A":
-            rows.append(tuple(a_row))
-            continue
-        row = []
-        for i, left, right in zip(range(window.i0, window.i1 + 1), a_row, a_row[1:]):
-            val, diff = da_entry(params, inv, i, j), right - left
+    inv, poly, p = gen.inv, gen.poly, params.p
+    column = [a_entry(params, inv, poly, 0, t) for t in range(p)]
+    if kind == "dA":
+        a_column, column = column, [da_entry(params, inv, 0, t) for t in range(p)]
+        for t, val in enumerate(column):
+            diff = a_column[t] - a_column[(t - inv.k2) % p]
             if val != diff:
-                raise IntegrityError(
-                    params.p, params.k,
-                    f"dA case split gives {val} but A-difference gives {diff} at ({i}, {j})",
-                    index=i,
-                )
-            row.append(val)
-        rows.append(tuple(row))
-    return LatticeView(params=params, inv=inv, kind=kind, window=window, rows=tuple(rows))
+                raise IntegrityError(p, params.k, f"dA case split gives {val} but "
+                                     f"A-difference gives {diff} at (0, {t})", index=0)
+    cols = range(window.i0, window.i1 + 1)
+    rows = tuple(tuple(column[(j + inv.k2 * i) % p] for i in cols)
+                 for j in range(window.j0, window.j1 + 1))
+    return LatticeView(kind=kind, window=window, rows=rows)
 
 
 def region_anchor(params: SurgeryParams, inv: DerivedInvariants, g: int) -> tuple[int, int]:
@@ -244,13 +240,12 @@ def trace_curves(
     if gen.poly.g == 0:
         return []
     region = non_zero_region(params, gen)
-    inv, poly = gen.inv, gen.poly
+    view = build_view(params, "A", window, gen)
 
     # translate -> j -> arrows (i, j, sign), rows by decreasing j, i increasing
     translates: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
-    for j in range(window.j1, window.j0 - 1, -1):
-        for i in range(window.i0, window.i1 + 1):
-            v = a_entry(params, inv, poly, i, j)
+    for j, row in zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows)):
+        for i, v in zip(range(window.i0, window.i1 + 1), row):
             if v == 0:
                 continue
             tr = region.translate_index((i, j))

@@ -308,6 +308,10 @@ def _replace_file(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_checkpoint(path: str, max_p: int, completed_p: int) -> None:
+    _replace_file(path, json.dumps({"max_p": max_p, "completed_p": completed_p, "schema": 1}))
+
+
 def _load_checkpoint(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -411,6 +415,7 @@ def run_sweep(
         completed = min(checkpoint["completed_p"], config.max_p)
         for record in _filter_resumable(out_path, fmt, completed):
             _tally(summary, record)
+        _write_checkpoint(checkpoint_path, config.max_p, completed)
         start_p = completed + 1
         summary.resumed_from = completed
         handle = open(out_path, "a", encoding="utf-8", newline="")
@@ -428,8 +433,7 @@ def run_sweep(
             ):
                 handle.write(_serialize_batch(records, fmt))
                 handle.flush()
-                _replace_file(checkpoint_path, json.dumps(
-                    {"max_p": config.max_p, "completed_p": p, "schema": 1}))
+                _write_checkpoint(checkpoint_path, config.max_p, p)
                 per_p_elapsed[p] = elapsed_us
                 for record in records:
                     _tally(summary, record)

@@ -131,14 +131,29 @@ def test_da_case_split_matches_interval_tests(p, k, i, j):
 
 
 def test_build_view_da_equals_difference():
-    for p, k in [(11, 2), (19, 7), (14, 3), (23, 5)]:
-        params = SurgeryParams(p, k)
-        w = fundamental_window(params)
-        a = build_view(params, "A", w)
-        da = build_view(params, "dA", w)  # internally cross-checks both definitions
-        for j in range(w.j0, w.j1 + 1):
-            for i in range(w.i0 + 1, w.i1 + 1):
-                assert da.entry(i, j) == a.entry(i, j) - a.entry(i - 1, j)
+    """Every A and dA cell equals its per-cell formula, and dA is the A
+    difference, on fundamental, negative, wider-than-p and empty windows."""
+    rng = random.Random(7)
+    for params in canonical_params(50):
+        p, gen = params.p, generate(params)
+        inv, poly = gen.inv, gen.poly
+        windows = [fundamental_window(params, inv), Window(-p - 2, p + 1, -2, 1),
+                   Window(0, -1, 0, 2), Window(0, 2, 1, 0)]
+        for _ in range(2):
+            i0, j0 = rng.randint(-3 * p, -1), rng.randint(-3 * p, -1)
+            windows.append(Window(i0, i0 + rng.randint(0, 8), j0, j0 + rng.randint(0, 2 * p)))
+        for w in windows:
+            a = build_view(params, "A", w, gen)
+            da = build_view(params, "dA", w, gen)  # internally cross-checks both definitions
+            width, height = max(0, w.i1 - w.i0 + 1), max(0, w.j1 - w.j0 + 1)
+            for view in (a, da):
+                assert [len(row) for row in view.rows] == [width] * height, (params, w)
+            for j in range(w.j0, w.j1 + 1):
+                for i in range(w.i0, w.i1 + 1):
+                    assert a.entry(i, j) == a_entry(params, inv, poly, i, j), (params, i, j)
+                    assert da.entry(i, j) == da_entry(params, inv, i, j), (params, i, j)
+                    if i > w.i0:
+                        assert da.entry(i, j) == a.entry(i, j) - a.entry(i - 1, j)
 
 
 def test_build_view_rejects_unknown_kind():
@@ -149,22 +164,26 @@ def test_build_view_rejects_unknown_kind():
 
 @pytest.mark.parametrize("cell", [(-1, -11), (3, 4)], ids=["corner", "interior"])
 def test_build_view_da_self_check(capsys, monkeypatch, cell):
-    """A dA case split that disagrees with the A difference on one cell is
-    an integrity failure at that cell, exit 4."""
+    """A dA case split that disagrees with the A difference on one residue
+    is an integrity failure at that residue's column-0 cell, exit 4.  The
+    view evaluates only (0, t), t = (j + k2*i) mod p, so the fault is
+    injected at the residue of each window cell: 6 and 8 on (11, 2)."""
+    params, inv = _pk(11, 2)
+    t = (cell[1] + inv.k2 * cell[0]) % params.p
+    assert t == {(-1, -11): 6, (3, 4): 8}[cell]
     case_split = lenspoly.lattice.da_entry
 
     def flipped(params, inv, i, j):
-        return case_split(params, inv, i, j) + ((i, j) == cell)
+        return case_split(params, inv, i, j) + ((i, j) == (0, t))
 
     monkeypatch.setattr(lenspoly.lattice, "da_entry", flipped)
-    params = SurgeryParams(11, 2)
-    with pytest.raises(IntegrityError, match=rf"at \({cell[0]}, {cell[1]}\)$") as exc_info:
+    with pytest.raises(IntegrityError, match=rf"at \(0, {t}\)$") as exc_info:
         build_view(params, "dA", fundamental_window(params))  # i -1..6, j -11..11
-    assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (11, 2, cell[0])
+    assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (11, 2, 0)
     assert main(["matrix", "-p", "11", "-k", "2", "--kind", "dA"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"at ({cell[0]}, {cell[1]})" in captured.err
+    assert f"at (0, {t})" in captured.err
 
 
 def test_view_json_shape():

@@ -285,6 +285,19 @@ def test_sweep_resume_discards_rows_past_checkpoint(tmp_path):
     assert out.read_bytes() == clean.read_bytes()
 
 
+def test_sweep_resume_after_smaller_max_p(tmp_path):
+    """A resume to a smaller --max-p truncates the report and the checkpoint
+    together, so growing it again re-sweeps the dropped p."""
+    clean, _ = _sweep(tmp_path, "clean.csv", max_p=100)
+    out, _ = _sweep(tmp_path, "shrunk.csv", max_p=100)
+    _sweep(tmp_path, "shrunk.csv", max_p=50)
+    checkpoint = json.loads((tmp_path / "shrunk.csv.checkpoint.json").read_text())
+    assert checkpoint["completed_p"] == 50
+    _, summary = _sweep(tmp_path, "shrunk.csv", max_p=100)
+    assert summary.resumed_from == 50
+    assert out.read_bytes() == clean.read_bytes()
+
+
 def test_sweep_corrupted_checkpoint(tmp_path):
     out, _ = _sweep(tmp_path, "s.csv")
     (tmp_path / "s.csv.checkpoint.json").write_text("not json at all {")
