@@ -10,14 +10,12 @@ from .alexander import (
     GeneratedPolynomial,
     IntegrityError,
     SymmetricLaurentPolynomial,
-    coefficient,
     format_polynomial,
     generate,
     is_alternating,
     is_flat,
     is_trivial,
     polynomial,
-    polynomial_from_json,
     polynomial_to_json,
     top_coefficient,
     torus_polynomial,
@@ -38,7 +36,6 @@ from .lattice import (
     region_anchor,
     region_contains,
     trace_curves,
-    window_for_translates,
 )
 from .render import ascii_curves, ascii_view, svg_curves, view_to_json
 from .surgery import (
@@ -60,7 +57,6 @@ from .sweep import (
     enumerate_params,
     run_sweep,
     verify,
-    verify_corollary,
     verify_theorem,
 )
 
@@ -89,7 +85,6 @@ __all__ = [
     "build_view",
     "canonicalize_dual_class",
     "check_lemma",
-    "coefficient",
     "compute_record",
     "covered_translates",
     "da_entry",
@@ -104,7 +99,6 @@ __all__ = [
     "is_trivial",
     "non_zero_region",
     "polynomial",
-    "polynomial_from_json",
     "polynomial_to_json",
     "reduce_mod",
     "region_anchor",
@@ -115,8 +109,6 @@ __all__ = [
     "torus_polynomial",
     "trace_curves",
     "verify",
-    "verify_corollary",
     "verify_theorem",
     "view_to_json",
-    "window_for_translates",
 ]

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
 
-from .surgery import (
-    DerivedInvariants,
-    SurgeryParams,
-    derive_invariants,
-    interval_contains,
-    reduce_mod,
-)
+from .surgery import DerivedInvariants, SurgeryParams, derive_invariants
 
 
 class IntegrityError(Exception):
@@ -85,36 +79,15 @@ class SymmetricLaurentPolynomial:
             return 0
         return self.coeffs[i + self.g]
 
-    def evaluate_at_one(self) -> int:
-        return sum(self.coeffs)
-
 
 @dataclass(frozen=True)
 class GeneratedPolynomial:
     """Raw generator outcome: the symmetrized polynomial plus its t=1 value,
     with the invariants the generator derived on the way."""
 
-    params: SurgeryParams
     inv: DerivedInvariants
     poly: SymmetricLaurentPolynomial
     delta_one: int
-
-
-def coefficient(params: SurgeryParams, inv: DerivedInvariants, i: int) -> int:
-    """a_i by direct evaluation of the counting formula.  O(k) per call.
-
-    Only valid for |i| <= p/2; other indices are rejected (use the
-    periodic extension for anything beyond).
-    """
-    p, k = params.p, params.k
-    if 2 * abs(i) > p:
-        raise ValueError(f"index {i} outside |i| <= {p}/2")
-    count = 0
-    shift = (k * i + inv.c) % p
-    for j in range(1, k + 1):
-        if interval_contains(inv.e * inv.k2, reduce_mod(inv.q2 * ((j + shift) % p), p)):
-            count += 1
-    return -inv.e * (inv.m - count)
 
 
 def _residue_table(params: SurgeryParams, inv: DerivedInvariants) -> list[int]:
@@ -174,7 +147,7 @@ def generate(params: SurgeryParams, inv: DerivedInvariants | None = None) -> Gen
     g = max(compress(range(1, h + 1), upper), default=0)
     coeffs = tuple(table[p - g:] + table[:g + 1])
     poly = SymmetricLaurentPolynomial(g=g, coeffs=coeffs)
-    return GeneratedPolynomial(params=params, inv=inv, poly=poly, delta_one=sum(coeffs))
+    return GeneratedPolynomial(inv=inv, poly=poly, delta_one=sum(coeffs))
 
 
 def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:
@@ -296,11 +269,3 @@ def polynomial_to_json(poly: SymmetricLaurentPolynomial) -> dict:
     """JSON form: {"g": g, "coeffs": [a_-g, ..., a_g]}."""
     return {"g": poly.g, "coeffs": list(poly.coeffs)}
 
-
-def polynomial_from_json(data: dict) -> SymmetricLaurentPolynomial:
-    if not isinstance(data, dict) or set(data) != {"g", "coeffs"}:
-        raise ValueError("expected an object with exactly the keys 'g' and 'coeffs'")
-    g, coeffs = data["g"], data["coeffs"]
-    if not isinstance(g, int) or not all(isinstance(c, int) for c in coeffs):
-        raise ValueError("polynomial JSON must contain integers only")
-    return SymmetricLaurentPolynomial(g=g, coeffs=tuple(coeffs))

@@ -71,12 +71,12 @@ def _window_from_args(args, params: SurgeryParams, inv: DerivedInvariants) -> Wi
         raise InvalidParameterError("window flags --i0 --i1 --j0 --j1 must all be given together")
     else:
         window = Window(i0=args.i0, i1=args.i1, j0=args.j0, j1=args.j1)
-    if not window.is_empty():
-        cells = (window.i1 - window.i0 + 1) * (window.j1 - window.j0 + 1)
-        if cells > _MAX_WINDOW_CELLS:
-            raise InvalidParameterError(
-                f"window of {cells} cells exceeds the limit of {_MAX_WINDOW_CELLS}"
-            )
+    # a window with no columns still has one (empty) row per j
+    cells = max(window.i1 - window.i0 + 1, 1) * (window.j1 - window.j0 + 1)
+    if cells > _MAX_WINDOW_CELLS:
+        raise InvalidParameterError(
+            f"window of {cells} cells exceeds the limit of {_MAX_WINDOW_CELLS}"
+        )
     return window
 
 

@@ -93,12 +93,6 @@ class LatticeView:
     window: Window
     rows: tuple[tuple[int, ...], ...]
 
-    def entry(self, i: int, j: int) -> int:
-        w = self.window
-        if not (w.i0 <= i <= w.i1 and w.j0 <= j <= w.j1):
-            raise IndexError(f"({i}, {j}) outside window")
-        return self.rows[j - w.j0][i - w.i0]
-
 
 def build_view(
     params: SurgeryParams, kind: str, window: Window, gen: GeneratedPolynomial | None = None
@@ -230,8 +224,9 @@ def trace_curves(
     Window boundaries can cut a translate's arrow set: the curve is
     monotone in j but jogs horizontally around zero coefficients, so a
     clipped translate may show more than one component.  Checks that
-    need "exactly one component per translate" should build the window
-    with :func:`window_for_translates`.  ``gen`` as in :func:`build_view`.
+    need "exactly one component per translate" should count only the
+    translates :func:`covered_translates` returns.  ``gen`` as in
+    :func:`build_view`.
     """
     if window.is_empty():
         return []
@@ -294,18 +289,6 @@ def covered_translates(params: SurgeryParams, window: Window) -> list[int]:
         if lo <= hi and window.i0 <= lo and hi <= window.i1:
             out.append(r)
     return out
-
-
-def window_for_translates(
-    params: SurgeryParams, translates: list[int], j0: int, j1: int
-) -> Window:
-    """Smallest window over rows j0..j1 fully covering the given translates."""
-    region = non_zero_region(params)
-    spans = [region.column_span(r, j0, j1) for r in translates]
-    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
-    if not spans:
-        return Window(0, -1, j0, j1)
-    return Window(min(lo for lo, _ in spans), max(hi for _, hi in spans), j0, j1)
 
 
 @dataclass(frozen=True)

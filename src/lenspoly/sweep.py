@@ -26,9 +26,16 @@ from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
-from .alexander import generate, is_alternating, is_flat, is_trivial, top_coefficient
+from .alexander import (
+    GeneratedPolynomial,
+    generate,
+    is_alternating,
+    is_flat,
+    is_trivial,
+    top_coefficient,
+)
 from .lattice import check_lemma
-from .surgery import InvalidParameterError, SurgeryParams, reduce_mod
+from .surgery import InvalidParameterError, SurgeryParams, _orbit_minimum
 
 _R = TypeVar("_R")
 
@@ -110,14 +117,8 @@ class SweepSummary:
 def _canonical_ks(p: int) -> list[int]:
     if p == 2:
         return [1]
-    out = []
-    for k in range(1, (p + 1) // 2):
-        if gcd(k, p) != 1:
-            continue
-        k2 = abs(reduce_mod(pow(k, -1, p), p))
-        if k <= k2:
-            out.append(k)
-    return out
+    return [k for k in range(1, (p + 1) // 2)
+            if gcd(k, p) == 1 and _orbit_minimum(p, k) == k]
 
 
 def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
@@ -133,14 +134,11 @@ def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
             yield SurgeryParams(p, k)
 
 
-def _torus2_coeffs(g: int) -> tuple[int, ...]:
-    # T(2, 2g+1) has strictly alternating +-1 coefficients with a_g = 1;
-    # the equivalence with the closed-form division is pinned by a test.
-    return tuple((-1) ** (g - abs(i)) for i in range(-g, g + 1))
-
-
-def compute_record(params: SurgeryParams) -> SweepRecord:
-    gen = generate(params)
+def compute_record(params: SurgeryParams, gen: GeneratedPolynomial | None = None) -> SweepRecord:
+    """The report row of one parameter; ``gen`` may be passed when the
+    caller has already run :func:`generate`."""
+    if gen is None:
+        gen = generate(params)
     inv, poly = gen.inv, gen.poly
     trivial = is_trivial(poly)
     flat = is_flat(poly)
@@ -159,8 +157,8 @@ def compute_record(params: SurgeryParams) -> SweepRecord:
         trivial=trivial,
         flat=flat,
         alternating=alternating,
-        # equal to poly.coeffs == _torus2_coeffs(poly.g): every coefficient
-        # is +-1, the signs alternate and the top one is 1
+        # equal to poly.coeffs == the T(2, 2g+1) coefficients: every
+        # coefficient is +-1, the signs alternate and the top one is 1
         torus2_match=flat and alternating and 0 not in poly.coeffs and top0 == 1,
         top_sign_ok=trivial or (top0 == 1 and top1 == -1),
         lemma_hypothesis=lemma.hypothesis_found,
@@ -264,11 +262,6 @@ def verify(max_p: int, jobs: int = 1) -> tuple[list[Violation], list[Violation]]
 def verify_theorem(max_p: int, jobs: int = 1) -> list[Violation]:
     """The theorem half of :func:`verify`."""
     return verify(max_p, jobs)[0]
-
-
-def verify_corollary(max_p: int, jobs: int = 1) -> list[Violation]:
-    """The corollary half of :func:`verify`."""
-    return verify(max_p, jobs)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,23 +12,18 @@ from lenspoly.alexander import (
     IntegrityError,
     SymmetricLaurentPolynomial,
     _residue_table,
-    coefficient,
     format_polynomial,
     generate,
     is_alternating,
     is_flat,
     is_trivial,
     polynomial,
-    polynomial_from_json,
     polynomial_to_json,
     top_coefficient,
     torus_polynomial,
 )
 from lenspoly.surgery import SurgeryParams, derive_invariants
-
-
-def _params(p, k):
-    return SurgeryParams(p, k), derive_invariants(SurgeryParams(p, k))
+from lenspoly.sweep import enumerate_params
 
 
 def coefficient_naive(p, k, i):
@@ -88,42 +83,17 @@ def residue_table_loop(params, inv):
     return table
 
 
-# ----------------------------------------------------------- coefficient(i)
-
-
-def test_coefficient_examples():
-    p, inv = _params(7, 2)
-    assert coefficient(p, inv, 0) == -1
-    p, inv = _params(11, 2)
-    assert coefficient(p, inv, 1) == -1
-    p, inv = _params(19, 7)
-    assert coefficient(p, inv, 0) == 1
-
-
-def test_coefficient_out_of_range():
-    p, inv = _params(7, 2)
-    with pytest.raises(ValueError):
-        coefficient(p, inv, 4)
-    with pytest.raises(ValueError):
-        coefficient(p, inv, -4)
-    # boundary |i| = p/2 is allowed for even p
-    p, inv = _params(8, 3)
-    coefficient(p, inv, 4)
-    coefficient(p, inv, -4)
+# ------------------------------------------------ the table against the formula
 
 
 def test_bulk_table_matches_naive_formula():
-    for p in range(2, 61):
-        for k in range(1, p // 2 + 1):
-            if math.gcd(p, k) != 1:
-                continue
-            try:
-                params = SurgeryParams(p, k)
-            except ValueError:
-                continue  # non-canonical representative
-            inv = derive_invariants(params)
-            for i in range(-(p // 2), p // 2 + 1):
-                assert coefficient(params, inv, i) == coefficient_naive(p, k, i), (p, k, i)
+    """Every coefficient the generator returns, |i| <= p/2, equals the
+    literal counting formula on every canonical pair with p <= 60."""
+    for params in enumerate_params(60):
+        p, k = params.p, params.k
+        poly = generate(params).poly
+        for i in range(-(p // 2), p // 2 + 1):
+            assert poly.coefficient(i) == coefficient_naive(p, k, i), (p, k, i)
 
 
 @settings(max_examples=60)
@@ -181,7 +151,7 @@ def test_polynomial_rejects_nonunit_evaluation():
 def test_generate_is_permissive_where_polynomial_is_strict():
     out = generate(SurgeryParams(8, 3))
     assert out.delta_one == 3  # the anomaly the strict layer rejects
-    assert out.poly.evaluate_at_one() == 3
+    assert sum(out.poly.coeffs) == 3
 
 
 def test_strict_gate_matches_delta_one_up_to_300():
@@ -320,16 +290,7 @@ def test_polynomial_json_round_trip():
     blob = polynomial_to_json(poly)
     assert blob == {"g": 2, "coeffs": [1, -1, 1, -1, 1]}
     assert json.loads(json.dumps(blob)) == blob
-    assert polynomial_from_json(blob) == poly
-
-
-def test_polynomial_from_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        polynomial_from_json({"g": 1})
-    with pytest.raises(ValueError):
-        polynomial_from_json({"g": 1, "coeffs": [1, -1]})
-    with pytest.raises(ValueError):
-        polynomial_from_json({"g": 1, "coeffs": [1, "x", 1]})
+    assert SymmetricLaurentPolynomial(blob["g"], tuple(blob["coeffs"])) == poly
 
 
 def test_symmetric_type_validation():

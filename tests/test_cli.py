@@ -12,7 +12,7 @@ import pytest
 import lenspoly.alexander
 import lenspoly.cli
 import lenspoly.lattice
-from lenspoly.alexander import IntegrityError, polynomial, polynomial_from_json
+from lenspoly.alexander import IntegrityError, polynomial
 from lenspoly.cli import main
 from lenspoly.surgery import SurgeryParams
 
@@ -162,7 +162,8 @@ def test_round_trip_100_random_parameters(capsys):
                 polynomial(params)
             continue
         assert code == 0
-        assert polynomial_from_json(json.loads(out)) == polynomial(params)
+        poly = polynomial(params)
+        assert json.loads(out) == {"g": poly.g, "coeffs": list(poly.coeffs)}
 
 
 # ---------------------------------------------------------------- verifiers
@@ -286,10 +287,13 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2
     assert "--i0 --i1 --j0 --j1" in err
     huge = ("-p", "11", "-k", "2", "--i0", "0", "--i1", "100000", "--j0", "0", "--j1", "100000")
+    # no columns, but one empty row per j: the rows count against the limit
+    tall = ("-p", "11", "-k", "2", "--i0", "1", "--i1", "0", "--j0", "0", "--j1", "4194304")
     for command in ("matrix", "curve"):
-        code, out, err = run_cli(capsys, command, *huge)
-        assert (code, out) == (2, "")
-        assert "exceeds the limit" in err
+        for window in (huge, tall):
+            code, out, err = run_cli(capsys, command, *window, "--format", "json")
+            assert (code, out) == (2, "")
+            assert "exceeds the limit" in err
     for flags in (("--max-p", "1"), ("--max-p", "10", "--jobs", "0")):
         code, out, err = run_cli(capsys, "verify", *flags)
         assert (code, out) == (2, "")

@@ -29,7 +29,6 @@ from lenspoly.lattice import (
     region_anchor,
     region_contains,
     trace_curves,
-    window_for_translates,
 )
 from lenspoly.render import ascii_curves, ascii_view, svg_curves, view_to_json
 from lenspoly.surgery import (
@@ -148,12 +147,12 @@ def test_build_view_da_equals_difference():
             width, height = max(0, w.i1 - w.i0 + 1), max(0, w.j1 - w.j0 + 1)
             for view in (a, da):
                 assert [len(row) for row in view.rows] == [width] * height, (params, w)
-            for j in range(w.j0, w.j1 + 1):
-                for i in range(w.i0, w.i1 + 1):
-                    assert a.entry(i, j) == a_entry(params, inv, poly, i, j), (params, i, j)
-                    assert da.entry(i, j) == da_entry(params, inv, i, j), (params, i, j)
-                    if i > w.i0:
-                        assert da.entry(i, j) == a.entry(i, j) - a.entry(i - 1, j)
+            for j, a_row, da_row in zip(range(w.j0, w.j1 + 1), a.rows, da.rows):
+                for n, i in enumerate(range(w.i0, w.i1 + 1)):
+                    assert a_row[n] == a_entry(params, inv, poly, i, j), (params, i, j)
+                    assert da_row[n] == da_entry(params, inv, i, j), (params, i, j)
+                    if n:
+                        assert da_row[n] == a_row[n] - a_row[n - 1]
 
 
 def test_build_view_rejects_unknown_kind():
@@ -252,6 +251,16 @@ def test_region_trivial_polynomial():
 
 
 # -------------------------------------------------------------------- curves
+
+
+def window_for_translates(params, translates, j0, j1):
+    """Smallest window over rows j0..j1 fully covering the given translates."""
+    region = non_zero_region(params)
+    spans = [region.column_span(r, j0, j1) for r in translates]
+    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+    if not spans:
+        return Window(0, -1, j0, j1)
+    return Window(min(lo for lo, _ in spans), max(hi for _, hi in spans), j0, j1)
 
 
 def trace_curves_union_find(params, window):

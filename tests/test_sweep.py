@@ -1,9 +1,11 @@
 """Enumeration, record assembly, verification passes, and resumable reports."""
 
+import hashlib
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -19,12 +21,10 @@ from lenspoly.sweep import (
     _parse_row,
     _serialize_batch,
     _theorem_violations,
-    _torus2_coeffs,
     compute_record,
     enumerate_params,
     run_sweep,
     verify,
-    verify_corollary,
     verify_theorem,
 )
 
@@ -41,6 +41,11 @@ def brute_force_orbit_count(max_p):
             )
             seen.add((p, orbit))
     return len(seen)
+
+
+def torus2_coeffs(g):
+    """T(2, 2g+1): strictly alternating +-1 coefficients with a_g = 1."""
+    return tuple((-1) ** (g - abs(i)) for i in range(-g, g + 1))
 
 
 # --------------------------------------------------------------- enumeration
@@ -130,7 +135,7 @@ def test_record_predicates_match_definitions_up_to_300():
         nonzero = [c for c in coeffs if c]
         assert r.flat == all(abs(c) <= 1 for c in coeffs), params
         assert r.alternating == all(x * y < 0 for x, y in zip(nonzero, nonzero[1:])), params
-        assert r.torus2_match == (coeffs == _torus2_coeffs(r.g)), params
+        assert r.torus2_match == (coeffs == torus2_coeffs(r.g)), params
 
 
 # ---------------------------------------------------------------- verifiers
@@ -154,13 +159,13 @@ def test_verify_theorem_known_trigger_pass():
 
 
 def test_verify_corollary_small_range_clean():
-    assert verify_corollary(14) == []
+    assert verify(14)[1] == []
 
 
 def test_verify_corollary_reverse_direction_clean():
     """Every canonical (p,2) gives the (2,2g+1) torus polynomial with
     p in {4g+1, 4g+3}; only forward-direction failures exist below 200."""
-    for violation in verify_corollary(200):
+    for violation in verify(200)[1]:
         assert violation.reason.startswith("forward:"), violation
 
 
@@ -176,26 +181,38 @@ def test_verify_folds_the_parsed_report(tmp_path):
 
 
 def test_verify_with_jobs_matches_serial():
-    assert verify_theorem(80, jobs=3) == verify_theorem(80)
-    assert verify_corollary(80, jobs=3) == verify_corollary(80)
+    assert verify(80, jobs=3) == verify(80)
 
 
-def test_verify_report_script():
-    """scripts/verify_report.py exits 0, and its literal trigger finds the
-    theorem violations that verify_theorem finds."""
+def run_verify_report(*flags):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "verify_report.py"), "--max-p", "100"],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "verify_report.py"), *flags],
         capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+def test_verify_report_script():
+    """scripts/verify_report.py prints the pinned table, its literal
+    trigger finds the theorem violations that verify_theorem finds, and
+    bad arguments exit 2 as they do for `lenspoly verify`."""
+    proc = run_verify_report("--max-p", "200")
     assert proc.returncode == 0, proc.stderr
+    table = re.sub(r"\([0-9.]+s\)", "(Xs)", proc.stdout, count=1)
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "67189607eb19fdacd640ea8849d72b10e6f844bb5041dcd1d4686659b0e8c1d1"
+    ), proc.stdout
     literal = next(line for line in proc.stdout.splitlines()
                    if line.startswith("literal (1, -1, nonzero)"))
     _, violations, first = literal.split()[-3:]
-    assert int(violations) == len(verify_theorem(100)) == 22
+    assert int(violations) == len(verify_theorem(200)) == 127
     assert first == "(15,4)"
+    for flags in (("--max-p", "1"), ("--max-p", "10", "--jobs", "0")):
+        proc = run_verify_report(*flags)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.startswith("error: ") and "must be >= " in proc.stderr
 
 
 # -------------------------------------------------------------------- sweep
