@@ -133,8 +133,7 @@ def _cmd_curve(args) -> int:
         print(_dumps({
             "i0": window.i0, "i1": window.i1, "j0": window.j0, "j1": window.j1,
             "components": [
-                {"id": c.id, "translate": c.translate,
-                 "arrows": [list(a) for a in c.arrows]}
+                {"id": c.id, "translate": c.translate, "arrows": c.arrows}
                 for c in curves
             ],
         }))

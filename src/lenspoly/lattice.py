@@ -165,6 +165,24 @@ class NonZeroRegion:
         n, s = divmod(y + (x - self.anchor[0]) * self.inv.k2, self.params.p)
         return n if s <= 2 * self.g else None
 
+    def row_spans(self, j: int, i0: int, i1: int) -> list[tuple[int, int, int]]:
+        """The (translate, lo, hi) i-ranges of the region in row j, columns
+        i0..i1, in ascending i.
+
+        Cell (i, j) lies in translate n iff p*n <= j + (i - i*)*k2 <=
+        p*n + min(2g, p - 1); the cap keeps overlapping columns (2g >= p)
+        in the one translate that :meth:`translate_index` gives them.
+        """
+        p, k2, istar = self.params.p, self.inv.k2, self.anchor[0]
+        top = min(2 * self.g, p - 1) - j
+        spans = []
+        for n in range((j + (i0 - istar) * k2) // p, (j + (i1 - istar) * k2) // p + 1):
+            lo = max(i0, istar - (j - p * n) // k2)  # i* + ceil((p*n - j)/k2)
+            hi = min(i1, istar + (p * n + top) // k2)
+            if lo <= hi:
+                spans.append((n, lo, hi))
+        return spans
+
     def column_span(self, translate: int, j0: int, j1: int) -> tuple[int, int]:
         """Inclusive x-range of this translate's columns meeting rows j0..j1.
 
@@ -239,12 +257,15 @@ def trace_curves(
 
     # translate -> j -> arrows (i, j, sign), rows by decreasing j, i increasing
     translates: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+    p, k2, cap = params.p, gen.inv.k2, 2 * gen.poly.g
+    cols = range(window.i0, window.i1 + 1)
     for j, row in zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows)):
-        for i, v in zip(range(window.i0, window.i1 + 1), row):
+        base = j - region.anchor[0] * k2  # translate_index divides base + i*k2 by p
+        for i, v in zip(cols, row):
             if v == 0:
                 continue
-            tr = region.translate_index((i, j))
-            if tr is None:
+            tr, s = divmod(base + i * k2, p)
+            if s > cap:
                 raise IntegrityError(
                     params.p, params.k,
                     f"nonzero entry at ({i}, {j}) outside the non-zero region",

@@ -57,62 +57,53 @@ def view_to_json(view: LatticeView) -> dict:
     }
 
 
-def _svg_coords(window: Window, i: int, j: int) -> tuple[int, int]:
-    # lattice j grows upward, SVG y grows downward
-    cx = _MARGIN + (i - window.i0) * _CELL + _CELL // 2
-    cy = _MARGIN + (window.j1 - j) * _CELL + _CELL // 2
-    return cx, cy
-
-
 def svg_curves(
     params: SurgeryParams,
     window: Window,
     curves: list[NonZeroCurve],
     region: NonZeroRegion | None,
 ) -> str:
-    """SVG 1.1 document: shaded region strips, one polyline per component,
-    and an oriented arrow segment on every nonzero entry."""
-    width = (window.i1 - window.i0 + 1) * _CELL + 2 * _MARGIN if not window.is_empty() else 2 * _MARGIN
-    height = (window.j1 - window.j0 + 1) * _CELL + 2 * _MARGIN if not window.is_empty() else 2 * _MARGIN
+    """SVG 1.1 document: one shaded square per region cell, row by row and
+    filled by translate parity, one polyline per component, and an
+    oriented arrow segment on every nonzero entry.  ``curves`` are those
+    :func:`trace_curves` returns for ``window``."""
+    i0, i1, j0, j1 = window.i0, window.i1, window.j0, window.j1
+    width = (i1 - i0 + 1) * _CELL + 2 * _MARGIN if not window.is_empty() else 2 * _MARGIN
+    height = (j1 - j0 + 1) * _CELL + 2 * _MARGIN if not window.is_empty() else 2 * _MARGIN
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<!-- p={params.p} k={params.k} window i=[{window.i0},{window.i1}] '
-        f'j=[{window.j0},{window.j1}] -->',
+        f'<!-- p={params.p} k={params.k} window i=[{i0},{i1}] j=[{j0},{j1}] -->',
     ]
     if region is not None and not window.is_empty():
-        for j in range(window.j0, window.j1 + 1):
-            for i in range(window.i0, window.i1 + 1):
-                tr = region.translate_index((i, j))
-                if tr is None:
-                    continue
-                fill = _STRIP_FILLS[tr % 2]
-                x = _MARGIN + (i - window.i0) * _CELL
-                y = _MARGIN + (window.j1 - j) * _CELL
-                parts.append(
-                    f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
-                )
+        rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(i1 - i0 + 1)]
+        for j in range(j0, j1 + 1):
+            y = _MARGIN + (j1 - j) * _CELL
+            tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
+                     for fill in _STRIP_FILLS]
+            for tr, lo, hi in region.row_spans(j, i0, i1):
+                tail = tails[tr % 2]
+                parts.append((tail + "\n").join(rect_x[lo - i0:hi - i0 + 1]) + tail)
+    # cell centres; lattice j grows upward, SVG y grows downward
+    cx = {i: _MARGIN + (i - i0) * _CELL + _CELL // 2 for i in range(i0, i1 + 1)}
+    cy = {j: _MARGIN + (j1 - j) * _CELL + _CELL // 2 for j in range(j0, j1 + 1)}
+    xs, ys = {i: str(x) for i, x in cx.items()}, {j: str(y) for j, y in cy.items()}
     for curve in curves:
         color = _CURVE_COLORS[curve.id % len(_CURVE_COLORS)]
-        points = " ".join(
-            "{},{}".format(*_svg_coords(window, i, j)) for i, j, _ in curve.arrows
-        )
+        points = " ".join(f"{xs[i]},{ys[j]}" for i, j, _ in curve.arrows)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
+    # arrow tail, head and barb x per column and direction; cy, cy - 3, cy + 3 per row
+    right = {i: (str(x - 7), str(x + 7), str(x + 3)) for i, x in cx.items()}
+    left = {i: (str(x + 7), str(x - 7), str(x - 3)) for i, x in cx.items()}
+    rows = {j: (ys[j], str(y - 3), str(y + 3)) for j, y in cy.items()}
     for curve in curves:
         for i, j, sign in curve.arrows:
-            cx, cy = _svg_coords(window, i, j)
-            head = cx + 7 if sign > 0 else cx - 7
-            back = 4 if sign > 0 else -4
-            parts.append(
-                f'<line x1="{cx - 7 if sign > 0 else cx + 7}" y1="{cy}" '
-                f'x2="{head}" y2="{cy}" stroke="#000000" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<path d="M {head} {cy} L {head - back} {cy - 3} L {head - back} {cy + 3} Z" '
-                f'fill="#000000"/>'
-            )
+            (tail, head, barb), (y, up, down) = (right if sign > 0 else left)[i], rows[j]
+            parts.append(f'<line x1="{tail}" y1="{y}" x2="{head}" y2="{y}" stroke="#000000" '
+                         f'stroke-width="1"/>\n'
+                         f'<path d="M {head} {y} L {barb} {up} L {barb} {down} Z" fill="#000000"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -530,6 +530,114 @@ def test_svg_structure_and_polyline_count():
     assert doc == svg_curves(params, window, trace_curves(params, window), non_zero_region(params))
 
 
+_STRIP_FILLS = ("#ececec", "#d7d7d7")
+_CURVE_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
+
+
+def _svg_coords(window, i, j):
+    # lattice j grows upward, SVG y grows downward
+    return 10 + (i - window.i0) * 20 + 10, 10 + (window.j1 - j) * 20 + 10
+
+
+def svg_curves_per_cell(params, window, curves, region):
+    """Oracle for svg_curves: asks translate_index for every window cell and
+    formats every <rect>, polyline point and arrow one by one."""
+    width = (window.i1 - window.i0 + 1) * 20 + 20 if not window.is_empty() else 20
+    height = (window.j1 - window.j0 + 1) * 20 + 20 if not window.is_empty() else 20
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<!-- p={params.p} k={params.k} window i=[{window.i0},{window.i1}] '
+        f'j=[{window.j0},{window.j1}] -->',
+    ]
+    if region is not None and not window.is_empty():
+        for j in range(window.j0, window.j1 + 1):
+            for i in range(window.i0, window.i1 + 1):
+                tr = region.translate_index((i, j))
+                if tr is None:
+                    continue
+                fill = _STRIP_FILLS[tr % 2]
+                x = 10 + (i - window.i0) * 20
+                y = 10 + (window.j1 - j) * 20
+                parts.append(f'<rect x="{x}" y="{y}" width="20" height="20" fill="{fill}"/>')
+    for curve in curves:
+        color = _CURVE_COLORS[curve.id % len(_CURVE_COLORS)]
+        points = " ".join(
+            "{},{}".format(*_svg_coords(window, i, j)) for i, j, _ in curve.arrows
+        )
+        parts.append(
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
+        )
+    for curve in curves:
+        for i, j, sign in curve.arrows:
+            cx, cy = _svg_coords(window, i, j)
+            head = cx + 7 if sign > 0 else cx - 7
+            back = 4 if sign > 0 else -4
+            parts.append(
+                f'<line x1="{cx - 7 if sign > 0 else cx + 7}" y1="{cy}" '
+                f'x2="{head}" y2="{cy}" stroke="#000000" stroke-width="1"/>'
+            )
+            parts.append(
+                f'<path d="M {head} {cy} L {head - back} {cy - 3} L {head - back} {cy + 3} Z" '
+                f'fill="#000000"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def span_windows(params, rng):
+    """The fundamental window and seeded windows: negative i and j, wider
+    than p, and empty in either direction."""
+    p = params.p
+    i0, j0 = rng.randint(-2 * p, 0), rng.randint(-3 * p, 0)
+    wide = rng.randint(-p, p)
+    return [
+        fundamental_window(params),
+        Window(i0, i0 + rng.randint(0, 12), j0, j0 + rng.randint(0, 2 * p)),
+        Window(wide, wide + p + rng.randint(1, 5), -rng.randint(0, p), rng.randint(0, 6)),
+        Window(i0, i0 - rng.randint(1, 3), j0, j0 + 5),
+        Window(i0, i0 + 5, j0, j0 - rng.randint(1, 3)),
+    ]
+
+
+def test_row_spans_match_translate_index():
+    """Every window cell lies in at most one span per row, the one whose
+    translate translate_index gives it, and spans come in ascending i."""
+    rng = random.Random(9)
+    overlapping = 0
+    for params in canonical_params(60):
+        gen = generate(params)
+        if gen.poly.g == 0:
+            continue
+        region = non_zero_region(params, gen)
+        overlapping += 2 * gen.poly.g >= params.p
+        for window in span_windows(params, rng):
+            for j in range(window.j0, window.j1 + 1):
+                spans = region.row_spans(j, window.i0, window.i1)
+                seen = {}
+                last = window.i0 - 1
+                for n, lo, hi in spans:
+                    assert last < lo <= hi <= window.i1, (params, window, j, spans)
+                    last = hi
+                    seen.update((i, n) for i in range(lo, hi + 1))
+                for i in range(window.i0, window.i1 + 1):
+                    assert seen.get(i) == region.translate_index((i, j)), (params, i, j)
+    assert overlapping > 0  # (8, 3) and the other pairs with 2g >= p are covered
+
+
+def test_svg_curves_match_per_cell():
+    rng = random.Random(11)
+    for params in canonical_params(60):
+        gen = generate(params)
+        region = non_zero_region(params, gen) if gen.poly.g else None
+        for window in span_windows(params, rng):
+            curves = trace_curves(params, window, gen)
+            for reg in (region, None):
+                assert svg_curves(params, window, curves, reg) == \
+                    svg_curves_per_cell(params, window, curves, reg), (params, window)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_trace_windows_never_crash(seed):
