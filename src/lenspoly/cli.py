@@ -8,6 +8,7 @@ error, 4 internal error (integrity check or any other ``ValueError``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -216,6 +217,7 @@ def _add_window_flags(sub) -> None:
                          help="window bound (default: fundamental window)")
 
 
+@functools.cache  # built on the first main call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lenspoly",

@@ -5,9 +5,12 @@ The A-matrix spreads the periodic coefficients over Z^2 via
 difference, which also has a direct three-case formula on the residue
 ``[q2*i + k2*j]_p``.  Since k2*e*k = 1 and q2 = k2^2 (mod p), every cell
 reads column 0: ``A[i, j] = A[0, t]`` and ``dA[i, j] = dA[0, t]`` with
-``t = (j + k2*i) mod p``.  All nonzero A entries live in a staircase region
-made of columns of 2g+1 cells, repeating under the translation
-``v = (1, -k2)`` and the vertical period ``(0, p)``.
+``t = (j + k2*i) mod p``.  With u = e*k = k2^-1 (mod p) and
+``strided[y] = A[y, 0]`` this reads ``A[i, j] = strided[(i + u*j) mod p]``
+(likewise dA), so a window row is one slice of ``strided`` repeated.  All
+nonzero A entries live in a staircase region made of columns of 2g+1
+cells, repeating under the translation ``v = (1, -k2)`` and the vertical
+period ``(0, p)``.
 """
 
 from __future__ import annotations
@@ -101,7 +104,9 @@ def build_view(
 
     Cell (i, j) equals the column-0 entry at t = (j + k2*i) mod p (see
     the module docstring), so :func:`a_entry`, and for dA :func:`da_entry`,
-    run once per residue t and every cell is read from that column.  A
+    run once per residue t.  That column is reordered to strided[y] =
+    column[k2*y mod p], and row j is the slice of it, repeated, from
+    (i0 + u*j) mod p: A[i, j] = strided[(i + u*j) mod p], u = e*k.  A
     views use the raw generator output, so anomalous parameters remain
     inspectable.  dA views check the case split against A[0, t] - A[-1, t]
     on every residue, which covers every cell, refusing to return on any
@@ -121,9 +126,11 @@ def build_view(
             if val != diff:
                 raise IntegrityError(p, params.k, f"dA case split gives {val} but "
                                      f"A-difference gives {diff} at (0, {t})", index=0)
-    cols = range(window.i0, window.i1 + 1)
-    rows = tuple(tuple(column[(j + inv.k2 * i) % p] for i in cols)
-                 for j in range(window.j0, window.j1 + 1))
+    width, u = max(window.i1 - window.i0 + 1, 0), inv.e * params.k
+    strided = [column[inv.k2 * y % p] for y in range(p)]
+    ext = tuple(strided * -(-(p - 1 + width) // p))  # every row start s < p fits
+    rows = tuple(ext[s:s + width] for s in
+                 ((window.i0 + u * j) % p for j in range(window.j0, window.j1 + 1)))
     return LatticeView(kind=kind, window=window, rows=rows)
 
 

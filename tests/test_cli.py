@@ -1,5 +1,6 @@
 """Exit codes, golden text output, and format round trips for the CLI."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -127,6 +128,54 @@ def test_curve_and_matrix_generate_once(capsys, monkeypatch, tmp_path, command):
     extra = ("--svg", str(tmp_path / "c.svg")) if command == "curve" else ("--kind", "dA")
     assert run_cli(capsys, command, "-p", "19", "-k", "7", *extra)[0] == 0
     assert calls == {"generate": 1, "derive_invariants": 1}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_parser_reused_without_leaks(capsys, monkeypatch, tmp_path):
+    """After one warm call no parser is built again (no argument is added to
+    any parser), and nothing one call parsed reaches the next: a dA matrix
+    then an A one, a curve with --svg then one without, and usage errors
+    (one after --svg was read) then valid calls all give their goldens."""
+    a_19_7 = "0bd17a89e1f750b4ccd015aa2c9add59251c53ad9696ecc834f6816369aac5e2"
+    da_19_7 = "19d11dc97c895ea06b8c6afc0901b941de33f9a131cc8bdfaff8a7dc8584e5b7"
+    curve_19_7 = "6d33371ad5582a5832bb393fb9d9f90e37ee2421b9e91751cd99633cceb239cf"
+    assert run_cli(capsys, "poly", "-p", "7", "-k", "2")[0] == 0  # warm
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    matrix = ("matrix", "-p", "19", "-k", "7", "--format", "json")
+    code, out, _ = run_cli(capsys, *matrix, "--kind", "dA")
+    assert (code, _sha(out)) == (0, da_19_7)
+    code, out, _ = run_cli(capsys, *matrix)
+    assert (code, _sha(out)) == (0, a_19_7)
+
+    svg, unwritten = tmp_path / "c.svg", tmp_path / "never.svg"
+    assert run_cli(capsys, "curve", "-p", "11", "-k", "2", "--svg", str(svg))[0] == 0
+    before = svg.read_bytes()
+    code, out, _ = run_cli(capsys, "curve", "-p", "19", "-k", "7", "--format", "json")
+    assert (code, _sha(out)) == (0, curve_19_7)
+    assert svg.read_bytes() == before
+
+    for bad in ((*matrix, "--kind", "B"),
+                ("curve", "-p", "11", "-k", "2", "--svg", str(unwritten), "--i0", "x")):
+        with pytest.raises(SystemExit) as exc_info:
+            main(list(bad))
+        assert exc_info.value.code == 2
+        capsys.readouterr()
+    code, out, _ = run_cli(capsys, *matrix)
+    assert (code, _sha(out)) == (0, a_19_7)
+    code, out, _ = run_cli(capsys, "curve", "-p", "19", "-k", "7", "--format", "json")
+    assert (code, _sha(out)) == (0, curve_19_7)
+    assert not unwritten.exists()
+    assert added == []
 
 
 # ------------------------------------------------------------ normalization

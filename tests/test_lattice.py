@@ -131,13 +131,21 @@ def test_da_case_split_matches_interval_tests(p, k, i, j):
 
 def test_build_view_da_equals_difference():
     """Every A and dA cell equals its per-cell formula, and dA is the A
-    difference, on fundamental, negative, wider-than-p and empty windows."""
+    difference, on fundamental, negative, wider-than-p and empty windows,
+    windows at least 3p + 1 wide (the repeated row slice must reach the
+    last column from any start), windows starting at i0 >= 2p, and
+    single-column and single-row windows; p = 2 and p = 3 included."""
     rng = random.Random(7)
+    seen_p = set()
     for params in canonical_params(50):
         p, gen = params.p, generate(params)
         inv, poly = gen.inv, gen.poly
+        seen_p.add(p)
         windows = [fundamental_window(params, inv), Window(-p - 2, p + 1, -2, 1),
-                   Window(0, -1, 0, 2), Window(0, 2, 1, 0)]
+                   Window(0, -1, 0, 2), Window(0, 2, 1, 0),
+                   Window(-p, 2 * p + 1, 0, p - 1),  # 3p + 2 wide, every row start
+                   Window(2 * p, 2 * p + 3, -1, p + 1), Window(3 * p + 1, 5 * p, 2 * p, 2 * p + 2),
+                   Window(3, 3, -p - 1, p + 1), Window(-p - 1, p + 1, 5, 5), Window(-1, -1, 7, 7)]
         for _ in range(2):
             i0, j0 = rng.randint(-3 * p, -1), rng.randint(-3 * p, -1)
             windows.append(Window(i0, i0 + rng.randint(0, 8), j0, j0 + rng.randint(0, 2 * p)))
@@ -153,6 +161,7 @@ def test_build_view_da_equals_difference():
                     assert da_row[n] == da_entry(params, inv, i, j), (params, i, j)
                     if n:
                         assert da_row[n] == a_row[n] - a_row[n - 1]
+    assert {2, 3} <= seen_p
 
 
 def test_build_view_rejects_unknown_kind():
