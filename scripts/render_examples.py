@@ -7,7 +7,7 @@ Usage: python3 scripts/render_examples.py [--out-dir out]
 import argparse
 import pathlib
 
-from lenspoly.alexander import format_polynomial, polynomial
+from lenspoly.alexander import format_polynomial, generate
 from lenspoly.lattice import (
     Window,
     build_view,
@@ -33,19 +33,20 @@ def main():
 
     for params, window in EXAMPLES:
         print(f"=== (p, k) = ({params.p}, {params.k}) ===")
-        print(f"polynomial: {format_polynomial(polynomial(params))}")
+        gen = generate(params)
+        print(f"polynomial: {format_polynomial(gen.poly)}")
         print()
         print("A matrix:")
-        print(ascii_view(build_view(params, "A", window)))
+        print(ascii_view(build_view(params, "A", window, gen)))
         print()
-        curves = trace_curves(params, window)
-        full = covered_translates(params, window)
+        curves = trace_curves(params, window, gen)
+        full = covered_translates(params, window, gen)
         print(f"curves: {len(curves)} components, translates "
               f"{[c.translate for c in curves]} (fully covered: {full})")
         print(ascii_curves(window, curves))
         print()
         path = out_dir / f"curves_{params.p}_{params.k}.svg"
-        path.write_text(svg_curves(params, window, curves, non_zero_region(params)))
+        path.write_text(svg_curves(params, window, curves, non_zero_region(params, gen)))
         print(f"wrote {path}")
         print()
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / no violations, 1 violations found, 2 usage
 error (an :class:`InvalidParameterError` from argument checking), 3 I/O
-error, 4 internal error (integrity check or any other ``ValueError``).
+error or a report that cannot be resumed, 4 internal error (integrity
+check or any other ``ValueError``).
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ def _cmd_sweep(args) -> int:
     config = SweepConfig(
         max_p=args.max_p,
         out_path=args.out,
-        checkpoint_path=args.checkpoint,
         jobs=args.jobs,
         from_scratch=args.from_scratch,
         report_format=args.format,
@@ -258,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-p", type=int, required=True)
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--out", required=True, help="report path")
-    sub.add_argument("--checkpoint", default=None,
-                     help="checkpoint path (default: <out>.checkpoint.json)")
     sub.add_argument("--from-scratch", action="store_true",
-                     help="ignore any existing checkpoint and report")
+                     help="overwrite an existing report instead of resuming it")
     sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     sub.set_defaults(func=_cmd_sweep)
 

@@ -297,13 +297,17 @@ def trace_curves(
             for n, (tr, arr) in enumerate(components)]
 
 
-def covered_translates(params: SurgeryParams, window: Window) -> list[int]:
+def covered_translates(
+    params: SurgeryParams, window: Window, gen: GeneratedPolynomial | None = None
+) -> list[int]:
     """Region translates whose arrows in rows j0..j1 all fit inside the window.
 
     Only these translates are guaranteed a complete, uncut curve piece;
-    see :func:`trace_curves` on boundary clipping.
+    see :func:`trace_curves` on boundary clipping.  ``gen`` as in
+    :func:`build_view`.
     """
-    gen = generate(params)
+    if gen is None:
+        gen = generate(params)
     if gen.poly.g == 0 or window.is_empty():
         return []
     region = non_zero_region(params, gen)

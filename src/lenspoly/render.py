@@ -16,21 +16,14 @@ _STRIP_FILLS = ("#ececec", "#d7d7d7")
 _CURVE_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
 
-def _cell_char(v: int) -> str:
-    if v > 0:
-        return "+"
-    if v < 0:
-        return "-"
-    return "."
-
-
 def ascii_view(view: LatticeView) -> str:
     """One character per cell ('+', '-', '.'), rows printed top (j1) down to j0."""
     if view.window.is_empty():
         return ""
     lines = []
     for row in reversed(view.rows):
-        lines.append(" ".join(_cell_char(v) for v in row))
+        chars = {v: "+" if v > 0 else "-" if v < 0 else "." for v in set(row)}
+        lines.append(" ".join(map(chars.__getitem__, row)))
     return "\n".join(lines)
 
 

@@ -2,9 +2,9 @@
 
 Work is partitioned by p: each worker computes every canonical k for one
 p, the coordinator writes batches in ascending p order, so the report is
-byte-identical for any job count.  A checkpoint (JSON, written atomically
-via a temporary file and rename) records the last fully completed p;
-resumption drops any rows beyond it and continues.
+byte-identical for any job count.  The report is its own record of
+progress: rows come in ascending (p, k), one flushed batch per p, so a
+resume keeps the rows of every complete p, drops the rest and continues.
 
 A :class:`SweepRecord` is one report row: its fields are the columns, in
 order.  ``verify`` folds its violations over the same per-p record stream
@@ -41,7 +41,7 @@ _R = TypeVar("_R")
 
 
 class CheckpointError(Exception):
-    """The checkpoint file cannot be trusted; rerun with --from-scratch."""
+    """The existing report cannot be resumed; rerun with --from-scratch."""
 
 
 class SweepRecord(NamedTuple):
@@ -88,7 +88,6 @@ def _check_range(max_p: int, jobs: int) -> None:
 class SweepConfig:
     max_p: int
     out_path: str
-    checkpoint_path: str | None = None  # default: out_path + ".checkpoint.json"
     jobs: int = 1
     from_scratch: bool = False
     report_format: str = "csv"  # "csv" | "jsonl"
@@ -97,8 +96,6 @@ class SweepConfig:
         _check_range(self.max_p, self.jobs)
         if self.report_format not in ("csv", "jsonl"):
             raise InvalidParameterError(f"unknown report format {self.report_format!r}")
-        if self.checkpoint_path is None:
-            self.checkpoint_path = str(self.out_path) + ".checkpoint.json"
 
 
 @dataclass
@@ -287,6 +284,8 @@ def _parse_row(line: str, fmt: str) -> SweepRecord:
     else:
         obj = json.loads(line)
         values = [obj[name] for name in CSV_COLUMNS]
+        if len(obj) != len(values):
+            raise ValueError(f"{len(obj) - len(values)} fields besides the report columns")
     if len(values) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(values)}")
     return SweepRecord._make(cast(int(v)) for cast, v in zip(_COLUMN_TYPES, values))
@@ -301,70 +300,58 @@ def _replace_file(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_checkpoint(path: str, max_p: int, completed_p: int) -> None:
-    _replace_file(path, json.dumps({"max_p": max_p, "completed_p": completed_p, "schema": 1}))
+def _filter_resumable(
+    out_path: str, fmt: str, max_p: int
+) -> tuple[list[SweepRecord], int | None]:
+    """The records of every complete p <= max_p in the report, and the
+    last such p (None when there is none).  Rewrites the file atomically
+    to hold just those rows.
 
-
-def _load_checkpoint(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(
-            f"checkpoint {path} is unreadable ({exc}); rerun with --from-scratch"
-        ) from exc
-    if (
-        not isinstance(data, dict)
-        or data.get("schema") != 1
-        or not isinstance(data.get("max_p"), int)
-        or not isinstance(data.get("completed_p"), int)
-    ):
-        raise CheckpointError(
-            f"checkpoint {path} is corrupted or from an unknown schema; "
-            "rerun with --from-scratch"
-        )
-    return data
-
-
-def _filter_resumable(out_path: str, fmt: str, completed_p: int) -> list[SweepRecord]:
-    """Drop report rows beyond the checkpoint (a kill mid-batch can leave
-    some); returns the kept records.  Rewrites the file atomically.
-
-    Only the last line may be cut short by an interrupted write; it is
-    dropped when it does not parse.  Any other line that does not parse
-    means the report is not the one the checkpoint describes (another
-    format, say), so CheckpointError is raised before the file is touched.
+    A kill can cut only the last line, which then has no trailing
+    newline; it is dropped.  Every complete line must be a row of this
+    format, and the rows must run in ascending (p, k) through exactly the
+    canonical ks of each p from 2 on; only the last p present may stop
+    short (a kill inside its batch), and its rows are dropped.  Anything
+    else raises CheckpointError before the file is touched.
     """
+    def refuse(why: str) -> CheckpointError:
+        return CheckpointError(f"report {out_path} cannot be resumed: {why}; "
+                               "rerun with --from-scratch")
+
     try:
         with open(out_path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CheckpointError(
-            f"checkpoint exists but report {out_path} is unreadable ({exc}); "
-            "rerun with --from-scratch"
-        ) from exc
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise refuse(f"it is not UTF-8 text ({exc})") from exc
+    lines.pop()  # "" after the last newline, or a line cut short by a kill
     header_lines = 1 if fmt == "csv" else 0
-    if header_lines and lines[:1] != [_CSV_HEADER]:
-        raise CheckpointError(
-            f"report {out_path} does not start with the expected header; "
-            "rerun with --from-scratch"
-        )
-    kept_lines, kept, body = lines[:header_lines], [], lines[header_lines:]
-    for n, line in enumerate(body, start=1):
+    if header_lines and lines and lines[0] != _CSV_HEADER:
+        raise refuse("it does not start with the expected header")
+    body = lines[header_lines:]
+    records = []
+    for n, line in enumerate(body, start=header_lines + 1):
         try:
-            record = _parse_row(line, fmt)
+            records.append(_parse_row(line, fmt))
         except (ValueError, KeyError, TypeError) as exc:
-            if n == len(body):
-                break  # partial trailing row from an interrupted write
-            raise CheckpointError(
-                f"report {out_path} line {n + header_lines} is not a {fmt} "
-                f"report row ({exc}); rerun with --from-scratch"
-            ) from exc
-        if record.p <= completed_p:
-            kept_lines.append(line)
-            kept.append(record)
-    _replace_file(out_path, "".join(line + "\n" for line in kept_lines))
-    return kept
+            raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
+
+    done, kept, p = None, 0, 2  # last complete p, rows up to it, next p
+    while kept < len(records):
+        want = [(p, k) for k in _canonical_ks(p)]
+        got = [(r.p, r.k) for r in records[kept:kept + len(want)]]
+        if got != want[:len(got)]:
+            raise refuse(f"the rows from line {kept + header_lines + 1} on are not "
+                         f"the canonical pairs of p = {p}")
+        if len(got) < len(want):
+            break  # the last p, cut short by a kill
+        done, kept, p = p, kept + len(want), p + 1
+    if done is None:
+        return [], None
+    if done > max_p:
+        done = max_p
+        kept = next(n for n, r in enumerate(records) if r.p > max_p)
+    _replace_file(out_path, "".join(line + "\n" for line in lines[:header_lines + kept]))
+    return records[:kept], done
 
 
 def _tally(summary: SweepSummary, record: SweepRecord) -> None:
@@ -384,39 +371,32 @@ def run_sweep(
 ) -> SweepSummary:
     """Compute one SweepRecord per canonical parameter and persist the report.
 
-    ``progress(p)`` is invoked after each p is written (rows flushed,
-    checkpoint replaced by rename); an exception raised from it aborts the
-    run and leaves the files consistent for resumption -- tests use this
-    to simulate interruption.  The files survive a killed process, not a
+    An existing report is resumed unless ``config.from_scratch`` is set:
+    see :func:`_filter_resumable` for what is kept, and what makes it
+    raise CheckpointError instead.  ``progress(p)`` is invoked after the
+    rows of each p are flushed; an exception raised from it aborts the
+    run and leaves a report that resumes from p -- tests use this to
+    simulate interruption.  The report survives a killed process, not a
     power loss: nothing is fsynced.
     """
     started = time.perf_counter_ns()
     out_path = str(config.out_path)
-    checkpoint_path = str(config.checkpoint_path)
     fmt = config.report_format
-
-    start_p = 2
     summary = SweepSummary()
 
-    if config.from_scratch:
-        for stale in (out_path, checkpoint_path):
-            if os.path.exists(stale):
-                os.remove(stale)
-
-    if os.path.exists(checkpoint_path) and not config.from_scratch:
-        checkpoint = _load_checkpoint(checkpoint_path)
-        completed = min(checkpoint["completed_p"], config.max_p)
-        for record in _filter_resumable(out_path, fmt, completed):
+    if not config.from_scratch and os.path.exists(out_path):
+        kept, summary.resumed_from = _filter_resumable(out_path, fmt, config.max_p)
+        for record in kept:
             _tally(summary, record)
-        _write_checkpoint(checkpoint_path, config.max_p, completed)
-        start_p = completed + 1
-        summary.resumed_from = completed
-        handle = open(out_path, "a", encoding="utf-8", newline="")
-    else:
+    if summary.resumed_from is None:
+        start_p = 2
         handle = open(out_path, "w", encoding="utf-8", newline="")
         if fmt == "csv":
             handle.write(_CSV_HEADER + "\n")
             handle.flush()
+    else:
+        start_p = summary.resumed_from + 1
+        handle = open(out_path, "a", encoding="utf-8", newline="")
 
     per_p_elapsed: dict[int, int] = {}
     try:
@@ -426,7 +406,6 @@ def run_sweep(
             ):
                 handle.write(_serialize_batch(records, fmt))
                 handle.flush()
-                _write_checkpoint(checkpoint_path, config.max_p, p)
                 per_p_elapsed[p] = elapsed_us
                 for record in records:
                     _tally(summary, record)

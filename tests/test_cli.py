@@ -310,6 +310,29 @@ def test_matrix_bytes_pinned(capsys, kind, p, k, window, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("kind, p, k, window, digest", [
+    ("A", "19", "7", (), "16bd94a6eb985104a066394c73e7ec71ed8463584bc3b19171d3021cf234701c"),
+    ("A", "31", "12", (), "b634410e51a975280de34d45e2e2bae89aa74eef192b55cf77185a77c0de1f8f"),
+    ("A", "8", "3", (), "f1e6372d8a4300d958f196b59adccd37086d5520fd6b0243242d19944c63f013"),
+    ("A", "13", "1", (), "33dac45069812a2139ec148496801a4253e5f5495909f93d73789e40b6b6d58e"),
+    ("A", "11", "2", ("--i0", "-1", "--i1", "6", "--j0", "-6", "--j1", "5"),
+     "c079191fb09855e340729b644d5f2d759279fe56662dd8f75d902f2909b0e9ad"),
+    ("dA", "19", "7", (), "2a6fe4cb328a99adaaba1bb09c549d6a87932299fff4b2502ff7944e240f271e"),
+    ("dA", "31", "12", (), "a977e4dfa8ab0a22af50d347920334624650654a1cf070a7070d9ac7f01be903"),
+    ("dA", "8", "3", (), "d4ffdbe011d798d806ab0e47615537f5cc8e544e6ff47a8316ed43833d18e966"),
+    ("dA", "13", "1", (), "c1ca6e330f488ce1d0a08d2f75f34581d67937cdcb8447de5c122cd357f1c93c"),
+    ("dA", "11", "2", ("--i0", "-1", "--i1", "6", "--j0", "-6", "--j1", "5"),
+     "cf3fe939a32113d309c4b49234b342f48648c8e9c47c6dfa751c3c2f4b1c84f4"),
+], ids=[f"{kind}-{case}" for kind in ("A", "dA")
+        for case in ("19-7", "31-12", "8-3", "13-1", "11-2-window")])
+def test_matrix_text_bytes_pinned(capsys, kind, p, k, window, digest):
+    """Refactor guard: the default text matrix on stdout, byte for byte."""
+    code, out, _ = run_cli(capsys, "matrix", "-p", p, "-k", k, "--kind", kind,
+                           "--format", "text", *window)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -------------------------------------------------------------- error paths
 
 
@@ -378,10 +401,61 @@ def test_io_failure_exit_3(capsys, tmp_path):
 def test_corrupted_checkpoint_exit_3(capsys, tmp_path):
     out = tmp_path / "s.csv"
     assert run_cli(capsys, "sweep", "--max-p", "12", "--out", str(out))[0] == 0
-    (tmp_path / "s.csv.checkpoint.json").write_text("{broken")
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write("{broken\n")
+    before = out.read_bytes()
     code, _, err = run_cli(capsys, "sweep", "--max-p", "14", "--out", str(out))
     assert code == 3
     assert "--from-scratch" in err
+    assert out.read_bytes() == before
+    assert run_cli(capsys, "sweep", "--max-p", "14", "--out", str(out), "--from-scratch")[0] == 0
+    assert out.read_text().splitlines()[-1].startswith("14,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_resume_damaged_single_row_exit_3(capsys, tmp_path, fmt):
+    """A complete row that lost a field is damage, not a torn write: the
+    resume exits 3 and leaves the report as it was, so the row survives."""
+    out = tmp_path / f"r.{fmt}"
+    assert run_cli(capsys, "sweep", "--max-p", "2", "--out", str(out), "--format", fmt)[0] == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == (2 if fmt == "csv" else 1)
+    if fmt == "csv":
+        lines[1] = lines[1].rsplit(",", 1)[0]
+    else:
+        row = json.loads(lines[0])
+        del row["lemma_zeros_ok"]
+        lines[0] = json.dumps(row, separators=(",", ":"))
+    out.write_text("".join(line + "\n" for line in lines))
+    before = out.read_bytes()
+    code, _, err = run_cli(capsys, "sweep", "--max-p", "5", "--out", str(out), "--format", fmt)
+    assert code == 3
+    assert "--from-scratch" in err
+    assert out.read_bytes() == before
+
+
+def test_resume_without_checkpoint_file_exit_3(capsys, tmp_path):
+    """Without a checkpoint file the report alone decides: a finished
+    report with a line that is not a row is refused, not overwritten."""
+    out = tmp_path / "s.csv"
+    assert run_cli(capsys, "sweep", "--max-p", "12", "--out", str(out))[0] == 0
+    (tmp_path / "s.csv.checkpoint.json").unlink(missing_ok=True)
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write("notes\n")
+    before = out.read_bytes()
+    code, _, err = run_cli(capsys, "sweep", "--max-p", "14", "--out", str(out))
+    assert code == 3
+    assert "--from-scratch" in err
+    assert out.read_bytes() == before
+
+
+def test_checkpoint_flag_removed_exit_2(capsys, tmp_path):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sweep", "--max-p", "5", "--out", str(out), "--checkpoint", "x"])
+    assert exc_info.value.code == 2
+    assert "--checkpoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("first, second", [("csv", "jsonl"), ("jsonl", "csv")])

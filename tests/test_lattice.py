@@ -349,6 +349,7 @@ def test_trace_curves_11_2_window():
     # fully covered translates carry exactly one component each
     full = covered_translates(params, window)
     assert full == [0, 1, 2]
+    assert covered_translates(params, window, generate(params)) == full
     for translate in full:
         assert sum(1 for c in curves if c.translate == translate) == 1
 
@@ -385,9 +386,9 @@ def test_single_component_per_covered_translate():
         if not (is_flat(out.poly) and is_alternating(out.poly)):
             continue
         window = window_for_translates(params, [-2, -1, 0, 1, 2], -3 * params.p, 3 * params.p)
-        curves = trace_curves(params, window)
+        curves = trace_curves(params, window, out)
         assert curves == trace_curves_union_find(params, window), params
-        for translate in covered_translates(params, window):
+        for translate in covered_translates(params, window, out):
             if not -2 <= translate <= 2:
                 continue
             count = sum(1 for c in curves if c.translate == translate)
@@ -645,6 +646,29 @@ def test_svg_curves_match_per_cell():
             for reg in (region, None):
                 assert svg_curves(params, window, curves, reg) == \
                     svg_curves_per_cell(params, window, curves, reg), (params, window)
+
+
+def cell_char(v):
+    """Per-cell oracle for the characters of ascii_view."""
+    if v > 0:
+        return "+"
+    if v < 0:
+        return "-"
+    return "."
+
+
+def test_ascii_view_matches_per_cell():
+    """ascii_view against one cell_char call per cell, on A and dA views
+    (non-flat pairs such as (8, 3) included, whose entries reach 2)."""
+    rng = random.Random(12)
+    for params in canonical_params(50):
+        gen = generate(params)
+        for window in span_windows(params, rng):
+            for kind in ("A", "dA"):
+                view = build_view(params, kind, window, gen)
+                expected = "" if window.is_empty() else "\n".join(
+                    " ".join(cell_char(v) for v in row) for row in reversed(view.rows))
+                assert ascii_view(view) == expected, (params, kind, window)
 
 
 @settings(max_examples=25, deadline=None)

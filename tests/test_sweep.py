@@ -238,6 +238,10 @@ def test_row_codec_round_trip_up_to_200(fmt):
         assert list(map(type, parsed)) == list(map(type, record)), params
 
 
+def last_row(out, fmt):
+    return _parse_row(out.read_text().splitlines()[-1], fmt)
+
+
 def _sweep(tmp_path, name, **kwargs):
     out = tmp_path / name
     config = SweepConfig(max_p=kwargs.pop("max_p", 60), out_path=str(out), **kwargs)
@@ -276,29 +280,28 @@ def test_sweep_interrupt_and_resume(tmp_path):
     config = SweepConfig(max_p=60, out_path=str(out))
     with pytest.raises(Stop):
         run_sweep(config, progress=interrupt)
-    checkpoint = json.loads((tmp_path / "resumed.csv.checkpoint.json").read_text())
-    assert checkpoint["schema"] == 1
-    assert checkpoint["completed_p"] == 30
+    assert last_row(out, "csv").p == 30
 
     summary = run_sweep(SweepConfig(max_p=60, out_path=str(out)))
     assert summary.resumed_from == 30
     assert out.read_bytes() == clean.read_bytes()
+    # the report is the only record of progress
+    assert not (tmp_path / "resumed.csv.checkpoint.json").exists()
 
 
 def test_sweep_resume_discards_rows_past_checkpoint(tmp_path):
-    """Rows written after the last checkpointed p (a mid-write crash),
-    the last one cut short, are dropped on resume instead of duplicated."""
+    """A kill inside the batch of p = 40 leaves some of its rows and a
+    torn line; resume drops them and continues from p = 39."""
     clean, _ = _sweep(tmp_path, "clean.csv", max_p=40)
-    out = tmp_path / "crashy.csv"
-    _sweep(tmp_path, "crashy.csv", max_p=40)
-    with open(out, "a", encoding="utf-8") as fh:
-        fh.write("41,2,10,")
-    # simulate: checkpoint rolled back to 25, report retains rows up to 40
-    (tmp_path / "crashy.csv.checkpoint.json").write_text(
-        json.dumps({"max_p": 40, "completed_p": 25, "schema": 1})
-    )
+    out, _ = _sweep(tmp_path, "crashy.csv", max_p=40)
+    lines = out.read_text().splitlines(keepends=True)
+    assert [line.split(",")[:2] for line in lines[-6:]] == [
+        ["40", str(k)] for k in (1, 3, 7, 9, 11, 19)
+    ]
+    # two whole rows of p = 40, then the third cut short
+    out.write_text("".join(lines[:-4]) + lines[-4][:9])
     summary = run_sweep(SweepConfig(max_p=40, out_path=str(out)))
-    assert summary.resumed_from == 25
+    assert summary.resumed_from == 39
     assert out.read_bytes() == clean.read_bytes()
 
 
@@ -308,18 +311,52 @@ def test_sweep_resume_after_smaller_max_p(tmp_path):
     clean, _ = _sweep(tmp_path, "clean.csv", max_p=100)
     out, _ = _sweep(tmp_path, "shrunk.csv", max_p=100)
     _sweep(tmp_path, "shrunk.csv", max_p=50)
-    checkpoint = json.loads((tmp_path / "shrunk.csv.checkpoint.json").read_text())
-    assert checkpoint["completed_p"] == 50
+    assert last_row(out, "csv").p == 50
     _, summary = _sweep(tmp_path, "shrunk.csv", max_p=100)
     assert summary.resumed_from == 50
     assert out.read_bytes() == clean.read_bytes()
 
 
+def test_sweep_resume_rejects_gap(tmp_path):
+    """A row missing from the middle of a complete p is not a kill: the
+    resume refuses instead of sweeping on past the gap; so it does for a
+    duplicated row and for two rows out of order."""
+    out, _ = _sweep(tmp_path, "gap.csv", max_p=30)
+    lines = out.read_text().splitlines(keepends=True)
+    n = lines.index(next(line for line in lines if line.startswith("17,3,")))
+    for damaged in (lines[:n] + lines[n + 1:],
+                    lines[:n + 1] + lines[n:],
+                    lines[:n] + [lines[n + 1], lines[n]] + lines[n + 2:]):
+        out.write_text("".join(damaged))
+        with pytest.raises(CheckpointError, match="p = 17"):
+            run_sweep(SweepConfig(max_p=40, out_path=str(out)))
+        assert out.read_text() == "".join(damaged)
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", ""), ("csv", ",".join(CSV_COLUMNS) + "\n"), ("csv", "p,k,k2,e"),
+    ("jsonl", ""), ("jsonl", '{"p":2,"k"'),
+])
+def test_sweep_resume_without_complete_p_starts_fresh(tmp_path, fmt, text):
+    """An empty or header-only report, or one cut inside its first line,
+    holds no complete p: the run starts fresh."""
+    clean, _ = _sweep(tmp_path, "clean", max_p=20, report_format=fmt)
+    out = tmp_path / "out"
+    out.write_text(text)
+    summary = run_sweep(SweepConfig(max_p=20, out_path=str(out), report_format=fmt))
+    assert summary.resumed_from is None
+    assert out.read_bytes() == clean.read_bytes()
+
+
 def test_sweep_corrupted_checkpoint(tmp_path):
     out, _ = _sweep(tmp_path, "s.csv")
-    (tmp_path / "s.csv.checkpoint.json").write_text("not json at all {")
-    with pytest.raises(CheckpointError):
+    lines = out.read_text().splitlines(keepends=True)
+    lines[100] = "not a row at all {\n"
+    out.write_text("".join(lines))
+    damaged = out.read_bytes()
+    with pytest.raises(CheckpointError, match="--from-scratch"):
         run_sweep(SweepConfig(max_p=70, out_path=str(out)))
+    assert out.read_bytes() == damaged
     # explicit restart clears the bad state
     summary = run_sweep(SweepConfig(max_p=70, out_path=str(out), from_scratch=True))
     assert summary.resumed_from is None
@@ -328,12 +365,20 @@ def test_sweep_corrupted_checkpoint(tmp_path):
 
 
 def test_sweep_rejects_unknown_schema(tmp_path):
-    out, _ = _sweep(tmp_path, "s.csv")
-    (tmp_path / "s.csv.checkpoint.json").write_text(
-        json.dumps({"max_p": 60, "completed_p": 60, "schema": 99})
-    )
-    with pytest.raises(CheckpointError):
-        run_sweep(SweepConfig(max_p=70, out_path=str(out)))
+    """A report from another format version (here one more column) is
+    not resumed and not touched, in either format."""
+    for fmt in ("csv", "jsonl"):
+        out, _ = _sweep(tmp_path, "s." + fmt, report_format=fmt)
+        lines = out.read_text().splitlines()
+        if fmt == "csv":
+            other = "".join(line + ",0\n" for line in lines)
+        else:
+            other = "".join(json.dumps({**json.loads(line), "delta_one": 1},
+                                       separators=(",", ":")) + "\n" for line in lines)
+        out.write_text(other)
+        with pytest.raises(CheckpointError, match="--from-scratch"):
+            run_sweep(SweepConfig(max_p=70, out_path=str(out), report_format=fmt))
+        assert out.read_text() == other
 
 
 def test_sweep_jsonl_format(tmp_path):
