@@ -167,56 +167,27 @@ def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:
     return out.poly
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    # Long division, ascending coefficients, exact (monic-leading divisor).
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    assert den[dd] == 1
-    quot = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
-        coef = num[i + dd]
-        quot[i] = coef
-        if coef:
-            for j, dj in enumerate(den):
-                num[i + j] -= coef * dj
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return quot
-
-
 def torus_polynomial(a: int, b: int) -> SymmetricLaurentPolynomial:
-    """Closed form for the (a, b) torus knot:
+    """Closed form for the (a, b) torus knot, from the gaps of the
+    semigroup <a, b>:
 
-        (t^{ab} - 1)(t - 1) / ((t^a - 1)(t^b - 1)),
+        t^g * Delta = 1 + sum over gaps n of (t^{n+1} - t^n),
 
-    computed by exact integer polynomial division and recentered by
-    t^{-g} with g = (a-1)(b-1)/2.
+    with g = (a-1)(b-1)/2.  The gaps lie in 1..2g-1, and n is one exactly
+    when a * (n * a^{-1} mod b) > n, i.e. n is not i*a + j*b with i, j >= 0.
     """
     if a < 2 or b < 2:
         raise ValueError(f"torus parameters must be >= 2, got ({a}, {b})")
     if gcd(a, b) != 1:
         raise ValueError(f"torus parameters must be coprime, got ({a}, {b})")
-
-    def t_power_minus_one(n: int) -> list[int]:
-        out = [0] * (n + 1)
-        out[0], out[n] = -1, 1
-        return out
-
-    num = _poly_mul(t_power_minus_one(a * b), t_power_minus_one(1))
-    den = _poly_mul(t_power_minus_one(a), t_power_minus_one(b))
-    quot = _poly_divexact(num, den)
     g = (a - 1) * (b - 1) // 2
-    assert len(quot) == 2 * g + 1
-    return SymmetricLaurentPolynomial(g=g, coeffs=tuple(quot))
+    a_inv = pow(a, -1, b)
+    coeffs = [1] + [0] * (2 * g)
+    for n in range(1, 2 * g):
+        if a * (n * a_inv % b) > n:
+            coeffs[n] -= 1
+            coeffs[n + 1] += 1
+    return SymmetricLaurentPolynomial(g=g, coeffs=tuple(coeffs))
 
 
 def top_coefficient(poly: SymmetricLaurentPolynomial, n: int) -> int:

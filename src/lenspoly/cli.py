@@ -48,6 +48,9 @@ _MAX_PRINTED_VIOLATIONS = 25
 # Cells a matrix or curve window may hold: the default window of every
 # p <= 2000 fits, since (999 + 3) * (2*2000 + 1) = 4,009,002.
 _MAX_WINDOW_CELLS = 2**22
+# Largest p that poly, matrix and curve accept: generate holds O(p) lists
+# (a peak RSS above 100 MB at p = 4,000,037).
+_MAX_GENERATED_P = 2**22
 
 
 def _dumps(obj) -> str:
@@ -61,6 +64,16 @@ def _resolve_params(args) -> SurgeryParams:
             f"note: k = {args.k} is not the canonical representative for p = {args.p}; "
             f"using k = {params.k}",
             file=sys.stderr,
+        )
+    return params
+
+
+def _resolve_generated_params(args) -> SurgeryParams:
+    """The parameter of a command that generates its polynomial."""
+    params = _resolve_params(args)
+    if params.p > _MAX_GENERATED_P:
+        raise InvalidParameterError(
+            f"p = {params.p} exceeds the limit of {_MAX_GENERATED_P} for this command"
         )
     return params
 
@@ -84,7 +97,7 @@ def _window_from_args(args, params: SurgeryParams, inv: DerivedInvariants) -> Wi
 
 def _generate_in_window(args) -> tuple[SurgeryParams, Window, GeneratedPolynomial]:
     """The parameter, its checked window, then its polynomial, generated once."""
-    params = _resolve_params(args)
+    params = _resolve_generated_params(args)
     inv = derive_invariants(params)
     window = _window_from_args(args, params, inv)
     return params, window, generate(params, inv)
@@ -105,7 +118,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    params = _resolve_params(args)
+    params = _resolve_generated_params(args)
     poly = polynomial(params)
     if args.format == "json":
         print(_dumps(polynomial_to_json(poly)))
@@ -249,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--svg", metavar="PATH", default=None, help="also write an SVG file")
     sub.set_defaults(func=_cmd_curve)
 
-    sub = subparsers.add_parser("lemma", help="dichotomy scan report")
+    sub = subparsers.add_parser("lemma", help="the lemma's hypothesis and conclusions, in closed form")
     _add_param_flags(sub)
     _add_format_flag(sub)
     sub.set_defaults(func=_cmd_lemma)

@@ -68,6 +68,7 @@ class SweepRecord(NamedTuple):
 CSV_COLUMNS = SweepRecord._fields
 _CSV_HEADER = ",".join(CSV_COLUMNS)
 _COLUMN_TYPES = tuple(get_type_hints(SweepRecord).values())  # int or bool
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -222,19 +223,20 @@ def _corollary_violations(record: SweepRecord) -> list[Violation]:
 def _map_over_p(
     worker: Callable[[int], _R], start_p: int, max_p: int, jobs: int
 ) -> Iterator[tuple[int, _R]]:
-    """Apply worker to each p in order, optionally across processes.
+    """Apply worker to each p in order, across at most ``jobs`` processes,
+    no more than there are p values or CPUs; serially when that is one.
 
     Results are yielded in ascending p regardless of job count, which is
     what makes the reports deterministic.
     """
     ps = range(start_p, max_p + 1)
-    if jobs == 1:
+    workers = min(jobs, len(ps), os.cpu_count() or 1)
+    if workers <= 1:
         for p in ps:
             yield p, worker(p)
         return
-    with Pool(processes=jobs) as pool:
-        for p, result in zip(ps, pool.imap(worker, ps, chunksize=4)):
-            yield p, result
+    with Pool(processes=workers) as pool:
+        yield from zip(ps, pool.imap(worker, ps, chunksize=4))
 
 
 def verify(max_p: int, jobs: int = 1) -> tuple[list[Violation], list[Violation]]:
@@ -268,13 +270,12 @@ def verify_theorem(max_p: int, jobs: int = 1) -> list[Violation]:
 def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
     if fmt == "csv":
         return "".join(",".join(map(str, map(int, record))) + "\n" for record in records)
-    return "".join(
-        json.dumps(record._asdict(), separators=(",", ":")) + "\n" for record in records
-    )
+    return "".join(_encode_json(record._asdict()) + "\n" for record in records)
 
 
 def _parse_row(line: str, fmt: str) -> SweepRecord:
-    """Inverse of the row serialization.
+    """Inverse of the row serialization: a line is a row only if
+    serializing the record it parses to gives back exactly that line.
 
     Raises ValueError, KeyError or TypeError on a line that is not a
     report row of this format.
@@ -284,11 +285,10 @@ def _parse_row(line: str, fmt: str) -> SweepRecord:
     else:
         obj = json.loads(line)
         values = [obj[name] for name in CSV_COLUMNS]
-        if len(obj) != len(values):
-            raise ValueError(f"{len(obj) - len(values)} fields besides the report columns")
-    if len(values) != len(CSV_COLUMNS):
-        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(values)}")
-    return SweepRecord._make(cast(int(v)) for cast, v in zip(_COLUMN_TYPES, values))
+    record = SweepRecord._make(cast(int(v)) for cast, v in zip(_COLUMN_TYPES, values))
+    if _serialize_batch([record], fmt) != line + "\n":
+        raise ValueError("it does not serialize back to itself")
+    return record
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -300,58 +300,59 @@ def _replace_file(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _filter_resumable(
-    out_path: str, fmt: str, max_p: int
-) -> tuple[list[SweepRecord], int | None]:
-    """The records of every complete p <= max_p in the report, and the
-    last such p (None when there is none).  Rewrites the file atomically
-    to hold just those rows.
+def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) -> int:
+    """Check the report in one pass and tally the rows of every complete
+    p <= max_p into summary, whose resumed_from becomes the last such p.
+    Returns the byte offset just after that p's rows (after the CSV
+    header, or 0, when there is none).
 
-    A kill can cut only the last line, which then has no trailing
-    newline; it is dropped.  Every complete line must be a row of this
-    format, and the rows must run in ascending (p, k) through exactly the
-    canonical ks of each p from 2 on; only the last p present may stop
-    short (a kill inside its batch), and its rows are dropped.  Anything
-    else raises CheckpointError before the file is touched.
+    Every complete line must be exactly a row of this format (a CSV
+    report starts with its header), and the rows must run through the
+    canonical pairs in ascending (p, k) from (2, 1) on.  A kill can cut
+    only the line being written, so a last line without a newline must
+    be the start of the next line due: the header, or the row of the
+    next canonical pair.  The rows of a p cut short by a kill, and of
+    every p > max_p, are checked and then left past the offset.
+    Anything else raises CheckpointError; the file is only read.
     """
     def refuse(why: str) -> CheckpointError:
         return CheckpointError(f"report {out_path} cannot be resumed: {why}; "
                                "rerun with --from-scratch")
 
-    try:
-        with open(out_path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise refuse(f"it is not UTF-8 text ({exc})") from exc
-    lines.pop()  # "" after the last newline, or a line cut short by a kill
-    header_lines = 1 if fmt == "csv" else 0
-    if header_lines and lines and lines[0] != _CSV_HEADER:
-        raise refuse("it does not start with the expected header")
-    body = lines[header_lines:]
-    records = []
-    for n, line in enumerate(body, start=header_lines + 1):
-        try:
-            records.append(_parse_row(line, fmt))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
-
-    done, kept, p = None, 0, 2  # last complete p, rows up to it, next p
-    while kept < len(records):
-        want = [(p, k) for k in _canonical_ks(p)]
-        got = [(r.p, r.k) for r in records[kept:kept + len(want)]]
-        if got != want[:len(got)]:
-            raise refuse(f"the rows from line {kept + header_lines + 1} on are not "
-                         f"the canonical pairs of p = {p}")
-        if len(got) < len(want):
-            break  # the last p, cut short by a kill
-        done, kept, p = p, kept + len(want), p + 1
-    if done is None:
-        return [], None
-    if done > max_p:
-        done = max_p
-        kept = next(n for n, r in enumerate(records) if r.p > max_p)
-    _replace_file(out_path, "".join(line + "\n" for line in lines[:header_lines + kept]))
-    return records[:kept], done
+    offset = cut = 0
+    p, ks, batch = 2, _canonical_ks(2), []  # batch: the rows of p read so far
+    with open(out_path, "rb") as fh:
+        for n, line in enumerate(fh, start=1):
+            is_header = n == 1 and fmt == "csv"
+            if not line.endswith(b"\n"):  # the last line, cut short by a kill?
+                params = SurgeryParams(p, ks[len(batch)])
+                due = _CSV_HEADER + "\n" if is_header else _serialize_batch(
+                    [compute_record(params)], fmt)
+                if not due.encode().startswith(line):
+                    raise refuse(f"its last line {n} has no newline and is not the start of "
+                                 + ("the header" if is_header else f"the row {params}"))
+                break
+            offset += len(line)
+            if is_header:
+                if line != (_CSV_HEADER + "\n").encode():
+                    raise refuse("it does not start with the expected header")
+                cut = offset
+                continue
+            try:
+                record = _parse_row(line[:-1].decode(), fmt)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
+            if (record.p, record.k) != (p, ks[len(batch)]):
+                raise refuse(f"line {n} holds ({record.p}, {record.k}), but the next "
+                             f"canonical pair is p = {p}, k = {ks[len(batch)]}")
+            batch.append(record)
+            if len(batch) == len(ks):
+                if p <= max_p:
+                    for row in batch:
+                        _tally(summary, row)
+                    summary.resumed_from, cut = p, offset
+                p, ks, batch = p + 1, _canonical_ks(p + 1), []
+    return cut
 
 
 def _tally(summary: SweepSummary, record: SweepRecord) -> None:
@@ -372,12 +373,14 @@ def run_sweep(
     """Compute one SweepRecord per canonical parameter and persist the report.
 
     An existing report is resumed unless ``config.from_scratch`` is set:
-    see :func:`_filter_resumable` for what is kept, and what makes it
-    raise CheckpointError instead.  ``progress(p)`` is invoked after the
-    rows of each p are flushed; an exception raised from it aborts the
-    run and leaves a report that resumes from p -- tests use this to
-    simulate interruption.  The report survives a killed process, not a
-    power loss: nothing is fsynced.
+    see :func:`_resume_point` for what is kept, and what makes it raise
+    CheckpointError instead.  A fresh report is written by rename, a
+    resumed one is truncated after its last kept row; both then grow by
+    appending.  ``progress(p)`` is invoked after the rows of each p are
+    flushed; an exception raised from it aborts the run and leaves a
+    report that resumes from p -- tests use this to simulate
+    interruption.  The report survives a killed process, not a power
+    loss: nothing is fsynced.
     """
     started = time.perf_counter_ns()
     out_path = str(config.out_path)
@@ -385,34 +388,26 @@ def run_sweep(
     summary = SweepSummary()
 
     if not config.from_scratch and os.path.exists(out_path):
-        kept, summary.resumed_from = _filter_resumable(out_path, fmt, config.max_p)
-        for record in kept:
-            _tally(summary, record)
+        cut = _resume_point(out_path, fmt, config.max_p, summary)
     if summary.resumed_from is None:
         start_p = 2
-        handle = open(out_path, "w", encoding="utf-8", newline="")
-        if fmt == "csv":
-            handle.write(_CSV_HEADER + "\n")
-            handle.flush()
+        _replace_file(out_path, _CSV_HEADER + "\n" if fmt == "csv" else "")
     else:
         start_p = summary.resumed_from + 1
-        handle = open(out_path, "a", encoding="utf-8", newline="")
+        os.truncate(out_path, cut)
 
     per_p_elapsed: dict[int, int] = {}
-    try:
-        if start_p <= config.max_p:
-            for p, (records, elapsed_us) in _map_over_p(
-                _records_for_p, start_p, config.max_p, config.jobs
-            ):
-                handle.write(_serialize_batch(records, fmt))
-                handle.flush()
-                per_p_elapsed[p] = elapsed_us
-                for record in records:
-                    _tally(summary, record)
-                if progress is not None:
-                    progress(p)
-    finally:
-        handle.close()
+    with open(out_path, "a", encoding="utf-8", newline="") as handle:
+        for p, (records, elapsed_us) in _map_over_p(
+            _records_for_p, start_p, config.max_p, config.jobs
+        ):
+            handle.write(_serialize_batch(records, fmt))
+            handle.flush()
+            per_p_elapsed[p] = elapsed_us
+            for record in records:
+                _tally(summary, record)
+            if progress is not None:
+                progress(p)
 
     summary.elapsed_us = (time.perf_counter_ns() - started) // 1000
     timing = {

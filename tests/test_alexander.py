@@ -225,7 +225,9 @@ def poly_mul_dense(a, b):
 
 def test_torus_remultiplication_oracle():
     """(t^a - 1)(t^b - 1) * Delta_unshifted == (t^ab - 1)(t - 1)."""
-    for a, b in [(2, 3), (2, 7), (3, 4), (3, 5), (4, 7), (5, 6), (2, 21)]:
+    pairs = [(2, 3), (2, 7), (3, 4), (3, 5), (4, 7), (5, 6), (2, 21)]
+    pairs += [(a, b) for a in range(2, 16) for b in range(a + 1, 16) if math.gcd(a, b) == 1]
+    for a, b in pairs:
         poly = torus_polynomial(a, b)
         g = poly.g
         assert 2 * g == (a - 1) * (b - 1)

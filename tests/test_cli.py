@@ -372,6 +372,33 @@ def test_invalid_parameters_exit_2(capsys):
         assert "must be >= " in err
 
 
+def test_generating_commands_refuse_huge_p(capsys, monkeypatch):
+    """poly, matrix and curve exit 2 above p = 2^22 before generate runs;
+    invariants and lemma, which are O(1), still answer there."""
+    class Generated(Exception):
+        pass
+
+    def generate(*args, **kwargs):
+        raise Generated
+
+    for module in (lenspoly.cli, lenspoly.alexander):
+        monkeypatch.setattr(module, "generate", generate)
+    window = ("--i0", "0", "--i1", "1", "--j0", "0", "--j1", "1")
+    for p in (2**22 + 1, 1000000007):
+        pk = ("-p", str(p), "-k", "2")
+        for argv in (("poly", *pk), ("matrix", *pk, *window), ("curve", *pk, *window),
+                     ("curve", *pk)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"p = {p} exceeds the limit of 4194304" in err
+        for command in ("invariants", "lemma"):
+            assert run_cli(capsys, command, *pk)[0] == 0
+    for argv in (("poly",), ("matrix", *window), ("curve", *window)):
+        with pytest.raises(Generated):  # p = 2^22 is still in range
+            main([*argv, "-p", str(2**22), "-k", "3"])
+    capsys.readouterr()
+
+
 def test_integrity_failure_exit_4(capsys):
     code, _, err = run_cli(capsys, "poly", "-p", "8", "-k", "3")
     assert code == 4

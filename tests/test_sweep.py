@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import lenspoly.sweep
 from lenspoly.alexander import generate
 from lenspoly.surgery import SurgeryParams, reduce_mod
 from lenspoly.sweep import (
@@ -315,6 +316,103 @@ def test_sweep_resume_after_smaller_max_p(tmp_path):
     _, summary = _sweep(tmp_path, "shrunk.csv", max_p=100)
     assert summary.resumed_from == 50
     assert out.read_bytes() == clean.read_bytes()
+
+
+def test_resume_keeping_every_row_rewrites_nothing(tmp_path):
+    """A resume truncates the report in place: the file keeps its inode,
+    whether it keeps every row, drops a torn line or grows."""
+    clean, _ = _sweep(tmp_path, "clean.csv", max_p=40)
+    out, _ = _sweep(tmp_path, "r.csv", max_p=30)
+    inode = os.stat(out).st_ino
+    for max_p, resumed_from in ((30, 30), (40, 30), (40, 40)):
+        assert _sweep(tmp_path, "r.csv", max_p=max_p)[1].resumed_from == resumed_from
+        assert os.stat(out).st_ino == inode
+    assert out.read_bytes() == clean.read_bytes()
+    out.write_bytes(clean.read_bytes()[:-1])  # the last row loses its newline
+    assert _sweep(tmp_path, "r.csv", max_p=40)[1].resumed_from == 39
+    assert os.stat(out).st_ino == inode
+    assert out.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, pair, old, new", [
+    ("csv", (3, 1), "3,", "3 ,"),
+    ("csv", (5, 2), ",1\n", ",7\n"),
+    ("csv", (2, 1), "2,", "\u0662,"),  # a non-ASCII digit two
+    ("csv", (4, 1), "4,1,", "4,0_1,"),
+    ("jsonl", (3, 1), '"flat":true', '"flat":1'),
+    ("jsonl", (4, 1), '"p":4', '"p":4.0'),
+    ("jsonl", (5, 2), '{"p":5,"k":2', '{"k":2,"p":5'),
+    ("jsonl", (5, 1), '"p":5,', '"p": 5,'),
+])
+def test_resume_refuses_rows_that_are_not_exact(tmp_path, fmt, pair, old, new):
+    """A line counts as a row only if it is exactly the serialization of
+    the record it parses to; anything looser is refused, not rewritten."""
+    out, _ = _sweep(tmp_path, "r", max_p=5, report_format=fmt)
+    lines = out.read_text().splitlines(keepends=True)
+    n = lines.index(_serialize_batch([compute_record(SurgeryParams(*pair))], fmt))
+    assert old in lines[n]
+    lines[n] = lines[n].replace(old, new, 1)
+    out.write_text("".join(lines), encoding="utf-8")
+    damaged = out.read_bytes()
+    with pytest.raises(CheckpointError, match=f"line {n + 1} is not a {fmt} report row"):
+        run_sweep(SweepConfig(max_p=7, out_path=str(out), report_format=fmt))
+    assert out.read_bytes() == damaged
+
+
+@pytest.mark.parametrize("fmt, rows, tail", [
+    ("csv", 0, "p,k,k2,f"),  # not the header
+    ("csv", 1, "2,1,1"),     # a prefix of (2, 1), but (3, 1) is due
+    ("csv", 1, "TODO: check p=3"),
+    ("csv", 4, "6,1,"),      # (5, 2) is due
+    ("jsonl", 0, '{"p":3'),  # (2, 1) is due
+    ("jsonl", 0, "my notes, no newline"),
+    ("jsonl", 3, '{"p":4,"k":1,"k2":1,"e":1,"m":0,"g":0,"alpha1":0,"alpha2":0,"trivial":false'),
+])
+def test_resume_refuses_tail_that_is_not_the_next_line(tmp_path, fmt, rows, tail):
+    """A kill cuts only the line being written: a last line without a
+    newline that does not start the next line due is refused, untouched."""
+    out, _ = _sweep(tmp_path, "r", max_p=6, report_format=fmt)
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:rows + (fmt == "csv")]) + tail)
+    damaged = out.read_bytes()
+    with pytest.raises(CheckpointError, match="no newline.*--from-scratch"):
+        run_sweep(SweepConfig(max_p=6, out_path=str(out), report_format=fmt))
+    assert out.read_bytes() == damaged
+
+
+def test_map_over_p_caps_workers(monkeypatch):
+    """No more workers than jobs, p values or CPUs, and no pool at all for
+    one worker; a stand-in Pool records the request and starts nothing."""
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, ps, chunksize):
+            return map(worker, ps)
+
+    monkeypatch.setattr(lenspoly.sweep, "Pool", FakePool)
+    for cpus, jobs, start_p, max_p, want in [
+        (4, 100000, 2, 11, [4]),
+        (64, 8, 2, 4, [3]),
+        (2, 2, 2, 40, [2]),
+        (8, 2, 7, 7, []),   # one p value
+        (8, 3, 8, 7, []),   # none
+        (None, 8, 2, 40, []),
+        (1, 8, 2, 40, []),
+    ]:
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = list(lenspoly.sweep._map_over_p(str, start_p, max_p, jobs))
+        assert got == [(p, str(p)) for p in range(start_p, max_p + 1)]
+        assert started == want, (cpus, jobs, start_p, max_p)
 
 
 def test_sweep_resume_rejects_gap(tmp_path):
