@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
+from typing import NamedTuple
 
 from .surgery import DerivedInvariants, SurgeryParams, derive_invariants
 
@@ -80,8 +81,7 @@ class SymmetricLaurentPolynomial:
         return self.coeffs[i + self.g]
 
 
-@dataclass(frozen=True)
-class GeneratedPolynomial:
+class GeneratedPolynomial(NamedTuple):
     """Raw generator outcome: the symmetrized polynomial plus its t=1 value,
     with the invariants the generator derived on the way."""
 
@@ -90,25 +90,26 @@ class GeneratedPolynomial:
     delta_one: int
 
 
-def _residue_table(params: SurgeryParams, inv: DerivedInvariants) -> list[int]:
-    """abar_i for i = 0..p-1, computed in O(p + k) total.
+def _residue_values(params: SurgeryParams, inv: DerivedInvariants) -> tuple[list[int], int, int]:
+    """(values, l0, step) with abar_i = values[(l0 - i*step) mod p], in O(p + k) total.
 
     The membership test asks whether q2*j + q2*(k*i + c) mod p lands in a
     fixed cyclic arc of k2 consecutive residues (the residue image of
     I_{e*k2}: 1..k2 when e = 1, 0 and p-k2+1..p-1 when e = -1).  Moving
     the shift onto the arc, a_i = e*(W(l_i) - m), where W(l) counts the
     residues S = {q2*j mod p : j = 1..k} in the arc l..l+k2-1 (cyclic)
-    and l_i = arc_start - q2*(k*i + c) mod p.
+    and l_i = arc_start - q2*(k*i + c) mod p: values[l] = e*(W(l) - m).
 
     * W over all starts: W(l+1) - W(l) = [l+k2 in S] - [l in S], so one
       loop over S writes the steps of e*(W - m) and counts W(0), and one
       ``accumulate`` sums them.
-    * The gather: l_i = l_0 - i*step with step = q2*k mod p.  Since
+    * The starts: l_i = l0 - i*step with step = q2*k mod p.  Since
       q2 = k2^2 and k*k2 = e (mod p), step = e*k2 (mod p), a unit, never
-      0: the starts l_i run through every residue once.
+      0: the starts l_i run through every residue once, so a_i = a_-i for
+      all i says exactly that ``values`` is symmetric about l0.
 
-    >>> _residue_table(SurgeryParams(7, 2), derive_invariants(SurgeryParams(7, 2)))
-    [-1, 1, 0, 0, 0, 0, 1]
+    >>> _residue_values(SurgeryParams(7, 2), derive_invariants(SurgeryParams(7, 2)))
+    ([0, 0, -1, 0, 0, 1, 1], 2, 4)
     """
     p, k2, e = params.p, inv.k2, inv.e
     q2 = inv.q2 % p
@@ -122,32 +123,30 @@ def _residue_table(params: SurgeryParams, inv: DerivedInvariants) -> list[int]:
         first += r < k2
     values = list(accumulate(steps[:p - 1], initial=e * (first - inv.m)))
     arc_start = 1 if e > 0 else (1 - k2) % p
-    l0 = (arc_start - q2 * inv.c) % p
-    step = q2 * params.k % p
-    # a comprehension gathers faster than map(values.__getitem__, map(mod, ...))
-    return [values[x % p] for x in range(l0, l0 - step * p, -step)]
+    return values, (arc_start - q2 * inv.c) % p, q2 * params.k % p
 
 
 def generate(params: SurgeryParams, inv: DerivedInvariants | None = None) -> GeneratedPolynomial:
     """Run the generator and symmetrize, without the normalization gate.
 
-    Checks symmetry a_i = a_{-i} across the whole period (a failure here
-    would be an implementation bug and raises IntegrityError) and reports
-    the t = 1 value verbatim.  ``inv`` may be passed when the caller has
-    already derived it.
+    Checks symmetry a_i = a_{-i} across the whole period, on the residue
+    order (a failure would be an implementation bug: IntegrityError at the
+    first bad i), gathers only a_0..a_{p/2} and reports the t = 1 value
+    verbatim.  ``inv`` may be passed when the caller has already derived it.
     """
     if inv is None:
         inv = derive_invariants(params)
     p, h = params.p, params.p // 2
-    table = _residue_table(params, inv)
-    upper = table[1:h + 1]
-    if upper != table[p - 1:p - h - 1:-1]:
-        bad = next(i for i in range(1, h + 1) if table[i] != table[p - i])
+    values, l0, step = _residue_values(params, inv)
+    rot = values[l0:] + values[:l0]  # rot[x] = values[l0 + x]: a_i = rot[-i*step mod p]
+    if rot[1:] != rot[:0:-1]:
+        bad = next(i for i in range(1, h + 1) if rot[-i * step % p] != rot[i * step % p])
         raise IntegrityError(p, params.k, "a_i != a_-i", index=bad)
-    g = max(compress(range(1, h + 1), upper), default=0)
-    coeffs = tuple(table[p - g:] + table[:g + 1])
-    poly = SymmetricLaurentPolynomial(g=g, coeffs=coeffs)
-    return GeneratedPolynomial(inv=inv, poly=poly, delta_one=sum(coeffs))
+    # a comprehension gathers faster than map(rot.__getitem__, map(mod, ...))
+    half = [rot[x % p] for x in range(0, -step * (h + 1), -step)]  # a_0..a_h
+    g = next(compress(range(h, 0, -1), reversed(half)), 0)  # the last nonzero a_i, i >= 1
+    poly = SymmetricLaurentPolynomial(g=g, coeffs=tuple(half[g:0:-1] + half[:g + 1]))
+    return GeneratedPolynomial(inv, poly, 2 * sum(half) - half[0])  # sum(poly.coeffs)
 
 
 def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:
@@ -202,15 +201,19 @@ def is_trivial(poly: SymmetricLaurentPolynomial) -> bool:
 
 
 def is_flat(poly: SymmetricLaurentPolynomial) -> bool:
-    return -1 <= min(poly.coeffs) and max(poly.coeffs) <= 1
+    half = poly.coeffs[poly.g:]  # a_0..a_g decide it: the type is symmetric
+    return -1 <= min(half) and max(half) <= 1
 
 
 def is_alternating(poly: SymmetricLaurentPolynomial) -> bool:
     """Consecutive nonzero coefficients have opposite signs: the nonzero
-    ones at even positions share the first one's sign, the rest the other."""
-    nonzero = list(filter(None, poly.coeffs))
-    if not nonzero:
-        return True
+    ones at even positions share the first one's sign, the rest the other.
+    a_0..a_g decide it, by symmetry, but for one pair: a_0 = 0 puts the two
+    copies of the first nonzero a_i (i > 0) side by side, with one sign."""
+    half = poly.coeffs[poly.g:]
+    if not half[0]:
+        return not any(half)
+    nonzero = list(filter(None, half))
     evens, odds = nonzero[0::2], nonzero[1::2]
     if nonzero[0] > 0:
         return min(evens) > 0 and max(odds, default=-1) < 0

@@ -107,13 +107,12 @@ def _cmd_invariants(args) -> int:
     params = _resolve_params(args)
     inv = derive_invariants(params)
     if args.format == "json":
-        print(_dumps({"p": params.p, "k": params.k, "k2": inv.k2, "e": inv.e,
-                      "m": inv.m, "q": inv.q, "q2": inv.q2, "c": inv.c}))
+        print(_dumps({"p": params.p, "k": params.k, **inv._asdict()}))
     else:
         print(f"p = {params.p}")
         print(f"k = {params.k}")
-        for name in ("k2", "e", "m", "q", "q2", "c"):
-            print(f"{name} = {getattr(inv, name)}")
+        for name, value in inv._asdict().items():
+            print(f"{name} = {value}")
     return 0
 
 
@@ -161,12 +160,7 @@ def _cmd_lemma(args) -> int:
     params = _resolve_params(args)
     report = check_lemma(params)
     if args.format == "json":
-        print(_dumps({
-            "p": report.p, "k": report.k, "k2": report.k2,
-            "hypothesis_found": report.hypothesis_found,
-            "bound_ok": report.bound_ok,
-            "no_adjacent_zeros": report.no_adjacent_zeros,
-        }))
+        print(_dumps(report._asdict()))
     else:
         print(f"hypothesis_found = {str(report.hypothesis_found).lower()}")
         print(f"bound_ok = {str(report.bound_ok).lower()} (p = {report.p}, 3*k2 = {3 * report.k2})")

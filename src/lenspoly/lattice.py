@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
+from typing import NamedTuple
 
 from .alexander import (
     GeneratedPolynomial,
@@ -323,8 +324,7 @@ def covered_translates(
     return out
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of the dichotomy check over one vertical period.
 
     hypothesis_found: some column i in {0, 1} shows dA = -1 directly

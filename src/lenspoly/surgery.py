@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 class InvalidParameterError(ValueError):
@@ -89,8 +90,7 @@ class SurgeryParams:
             )
 
 
-@dataclass(frozen=True)
-class DerivedInvariants:
+class DerivedInvariants(NamedTuple):
     """The auxiliary integers attached to a surgery parameter.
 
     k2 is the absolute balanced residue of the inverse class k' (k·k' ≡ 1

@@ -157,7 +157,7 @@ def compute_record(params: SurgeryParams, gen: GeneratedPolynomial | None = None
         alternating=alternating,
         # equal to poly.coeffs == the T(2, 2g+1) coefficients: every
         # coefficient is +-1, the signs alternate and the top one is 1
-        torus2_match=flat and alternating and 0 not in poly.coeffs and top0 == 1,
+        torus2_match=flat and alternating and 0 not in poly.coeffs[poly.g:] and top0 == 1,
         top_sign_ok=trivial or (top0 == 1 and top1 == -1),
         lemma_hypothesis=lemma.hypothesis_found,
         lemma_bound_ok=lemma.bound_ok,
@@ -267,10 +267,14 @@ def verify_theorem(max_p: int, jobs: int = 1) -> list[Violation]:
 # report serialization
 
 
-def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
+def _serialize_row(record: SweepRecord, fmt: str) -> str:
     if fmt == "csv":
-        return "".join(",".join(map(str, map(int, record))) + "\n" for record in records)
-    return "".join(_encode_json(record._asdict()) + "\n" for record in records)
+        return ",".join(map(str, map(int, record))) + "\n"
+    return _encode_json(record._asdict()) + "\n"
+
+
+def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
+    return "".join(_serialize_row(record, fmt) for record in records)
 
 
 def _parse_row(line: str, fmt: str) -> SweepRecord:
@@ -286,7 +290,7 @@ def _parse_row(line: str, fmt: str) -> SweepRecord:
         obj = json.loads(line)
         values = [obj[name] for name in CSV_COLUMNS]
     record = SweepRecord._make(cast(int(v)) for cast, v in zip(_COLUMN_TYPES, values))
-    if _serialize_batch([record], fmt) != line + "\n":
+    if _serialize_row(record, fmt) != line + "\n":
         raise ValueError("it does not serialize back to itself")
     return record
 
@@ -326,8 +330,7 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
             is_header = n == 1 and fmt == "csv"
             if not line.endswith(b"\n"):  # the last line, cut short by a kill?
                 params = SurgeryParams(p, ks[len(batch)])
-                due = _CSV_HEADER + "\n" if is_header else _serialize_batch(
-                    [compute_record(params)], fmt)
+                due = _CSV_HEADER + "\n" if is_header else _serialize_row(compute_record(params), fmt)
                 if not due.encode().startswith(line):
                     raise refuse(f"its last line {n} has no newline and is not the start of "
                                  + ("the header" if is_header else f"the row {params}"))

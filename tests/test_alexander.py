@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import lenspoly.alexander
 from lenspoly.alexander import (
+    GeneratedPolynomial,
     IntegrityError,
     SymmetricLaurentPolynomial,
-    _residue_table,
+    _residue_values,
     format_polynomial,
     generate,
     is_alternating,
@@ -81,6 +82,30 @@ def residue_table_loop(params, inv):
         table[i] = -e * (m - count)
         shift = (shift + step) % p
     return table
+
+
+def full_period_table(params, inv):
+    """abar_i for i = 0..p-1, gathered from the kernel's residue-ordered
+    values over the whole period."""
+    values, l0, step = _residue_values(params, inv)
+    p = params.p
+    return [values[x % p] for x in range(l0, l0 - step * p, -step)]
+
+
+def generate_full_period(params):
+    """The generator read off the whole period of the loop oracle's table:
+    a_i = a_-i checked index by index, the coefficients gathered from both
+    halves, and the value at t=1 summed over all of them."""
+    inv = derive_invariants(params)
+    p, h = params.p, params.p // 2
+    table = residue_table_loop(params, inv)
+    bad = next((i for i in range(1, h + 1) if table[i] != table[p - i]), None)
+    if bad is not None:
+        raise IntegrityError(p, params.k, "a_i != a_-i", index=bad)
+    g = max((i for i in range(1, h + 1) if table[i]), default=0)
+    coeffs = tuple(table[p - g:] + table[:g + 1])
+    poly = SymmetricLaurentPolynomial(g=g, coeffs=coeffs)
+    return GeneratedPolynomial(inv=inv, poly=poly, delta_one=sum(coeffs))
 
 
 # ------------------------------------------------ the table against the formula
@@ -172,22 +197,20 @@ def test_strict_gate_matches_delta_one_up_to_300():
 
 
 def test_generated_symmetry_up_to_300():
-    """Symmetric output, and the kernel's table equal to the loop oracle,
-    on every canonical pair with p <= 300."""
-    for p in range(2, 301):
-        for k in range(1, p // 2 + 1):
-            if math.gcd(p, k) != 1:
-                continue
-            try:
-                params = SurgeryParams(p, k)
-            except ValueError:
-                continue
-            inv = derive_invariants(params)
-            assert _residue_table(params, inv) == residue_table_loop(params, inv), (p, k)
-            poly = generate(params).poly
-            for i in range(poly.g + 1):
-                assert poly.coefficient(i) == poly.coefficient(-i)
-            assert poly.g <= p // 2
+    """The kernel's residue-ordered values, gathered over the whole period,
+    equal the loop oracle's table, and the half-period generate equals the
+    whole-period one, on every canonical pair with p <= 300: even p, (8, 3)
+    and the other pairs with 2g >= p included."""
+    wide = []
+    for params in enumerate_params(300):
+        inv = derive_invariants(params)
+        assert full_period_table(params, inv) == residue_table_loop(params, inv), params
+        out = generate(params)
+        assert out == generate_full_period(params), params
+        assert out.poly.g <= params.p // 2
+        if 2 * out.poly.g >= params.p:
+            wide.append((params.p, params.k))
+    assert wide[0] == (8, 3) and len(wide) > 1
 
 
 # --------------------------------------------------------- torus closed form
@@ -273,6 +296,10 @@ def test_predicates():
     assert not is_alternating(bumpy)
     tall = SymmetricLaurentPolynomial(g=1, coeffs=(2, -3, 2))
     assert not is_flat(tall)
+    hollow = SymmetricLaurentPolynomial(g=2, coeffs=(1, -1, 0, -1, 1))
+    assert is_flat(hollow)
+    assert not is_alternating(hollow)  # a_0 = 0 puts a_-1 = a_1 side by side
+    assert is_alternating(SymmetricLaurentPolynomial(g=0, coeffs=(0,)))
 
 
 # ------------------------------------------------------------ serialization
@@ -309,10 +336,10 @@ def test_symmetric_type_validation():
 
 def test_generate_reports_first_asymmetric_index(monkeypatch):
     params = SurgeryParams(19, 7)
-    table = _residue_table(params, derive_invariants(params))
-    table[4] += 1       # a_4 != a_-4
-    table[19 - 2] += 1  # a_-2 != a_2: the first bad index
-    monkeypatch.setattr(lenspoly.alexander, "_residue_table", lambda params, inv: table)
+    values, l0, step = _residue_values(params, derive_invariants(params))
+    values[(l0 - 4 * step) % 19] += 1  # a_4 != a_-4
+    values[(l0 + 2 * step) % 19] += 1  # a_-2 != a_2: the first bad index
+    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params, inv: (values, l0, step))
     with pytest.raises(IntegrityError) as exc_info:
         generate(params)
     err = exc_info.value

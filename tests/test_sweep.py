@@ -13,13 +13,17 @@ import pytest
 
 import lenspoly.sweep
 from lenspoly.alexander import generate
+from lenspoly.lattice import check_lemma
 from lenspoly.surgery import SurgeryParams, reduce_mod
 from lenspoly.sweep import (
     CSV_COLUMNS,
     CheckpointError,
     SweepConfig,
+    SweepRecord,
     _corollary_violations,
+    _map_over_p,
     _parse_row,
+    _records_for_p,
     _serialize_batch,
     _theorem_violations,
     compute_record,
@@ -47,6 +51,39 @@ def brute_force_orbit_count(max_p):
 def torus2_coeffs(g):
     """T(2, 2g+1): strictly alternating +-1 coefficients with a_g = 1."""
     return tuple((-1) ** (g - abs(i)) for i in range(-g, g + 1))
+
+
+def is_flat_full(coeffs):
+    return -1 <= min(coeffs) and max(coeffs) <= 1
+
+
+def is_alternating_full(coeffs):
+    """Consecutive nonzero coefficients have opposite signs, read on all
+    2g+1 coefficients: the nonzero ones at even positions share the first
+    one's sign, the rest the other."""
+    nonzero = list(filter(None, coeffs))
+    if not nonzero:
+        return True
+    evens, odds = nonzero[0::2], nonzero[1::2]
+    if nonzero[0] > 0:
+        return min(evens) > 0 and max(odds, default=-1) < 0
+    return max(evens) < 0 and min(odds, default=1) > 0
+
+
+def record_full_coeffs(params):
+    """The report row with every predicate read on all 2g+1 coefficients."""
+    gen = generate(params)
+    inv, g, coeffs = gen.inv, gen.poly.g, gen.poly.coeffs
+    top0, top1, top2 = (gen.poly.coefficient(g - n) for n in range(3))
+    trivial = coeffs == (1,)
+    flat, alternating = is_flat_full(coeffs), is_alternating_full(coeffs)
+    lemma = check_lemma(params)
+    return SweepRecord(
+        params.p, params.k, inv.k2, inv.e, inv.m, g, top1, top2, trivial, flat, alternating,
+        flat and alternating and 0 not in coeffs and top0 == 1,
+        trivial or (top0 == 1 and top1 == -1),
+        lemma.hypothesis_found, lemma.bound_ok, lemma.no_adjacent_zeros,
+    )
 
 
 # --------------------------------------------------------------- enumeration
@@ -129,9 +166,11 @@ def test_compute_record_trivial():
 
 def test_record_predicates_match_definitions_up_to_300():
     """The record's builtin-pass predicates against their literal
-    definitions, on every canonical pair with p <= 300."""
+    definitions, and the whole record against the one read on all 2g+1
+    coefficients, on every canonical pair with p <= 300."""
     for params in enumerate_params(300):
         r = compute_record(params)
+        assert r == record_full_coeffs(params), params
         coeffs = generate(params).poly.coeffs
         nonzero = [c for c in coeffs if c]
         assert r.flat == all(abs(c) <= 1 for c in coeffs), params
@@ -217,6 +256,19 @@ def test_verify_report_script():
 
 
 # -------------------------------------------------------------------- sweep
+
+
+def test_report_bytes_pinned_up_to_600():
+    """The p <= 600 record stream, as computed by two workers and
+    serialized as a CSV report (header included) and as a JSONL report,
+    hashes to the pinned sha256 of each."""
+    records = [r for _, (batch, _) in _map_over_p(_records_for_p, 2, 600, 2) for r in batch]
+    assert len(records) == 28117
+    csv = ",".join(CSV_COLUMNS) + "\n" + _serialize_batch(records, "csv")
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "727d10bd8bd0bd1faff7d11ff012c86736e0c413b53550d167d03ff49fbfde84")
+    assert hashlib.sha256(_serialize_batch(records, "jsonl").encode()).hexdigest() == (
+        "5e9df7e73016eb474c36dfd9de6179d58e060e78b45a0143ee38e57045abb396")
 
 
 def test_csv_columns_contract():
