@@ -26,7 +26,7 @@ from itertools import accumulate, compress
 from math import gcd
 from typing import NamedTuple
 
-from .surgery import DerivedInvariants, SurgeryParams, derive_invariants
+from .surgery import SurgeryParams
 
 
 class IntegrityError(Exception):
@@ -82,15 +82,13 @@ class SymmetricLaurentPolynomial:
 
 
 class GeneratedPolynomial(NamedTuple):
-    """Raw generator outcome: the symmetrized polynomial plus its t=1 value,
-    with the invariants the generator derived on the way."""
+    """Raw generator outcome: the symmetrized polynomial plus its t=1 value."""
 
-    inv: DerivedInvariants
     poly: SymmetricLaurentPolynomial
     delta_one: int
 
 
-def _residue_values(params: SurgeryParams, inv: DerivedInvariants) -> tuple[list[int], int, int]:
+def _residue_values(params: SurgeryParams) -> tuple[list[int], int, int]:
     """(values, l0, step) with abar_i = values[(l0 - i*step) mod p], in O(p + k) total.
 
     The membership test asks whether q2*j + q2*(k*i + c) mod p lands in a
@@ -108,10 +106,11 @@ def _residue_values(params: SurgeryParams, inv: DerivedInvariants) -> tuple[list
       0: the starts l_i run through every residue once, so a_i = a_-i for
       all i says exactly that ``values`` is symmetric about l0.
 
-    >>> _residue_values(SurgeryParams(7, 2), derive_invariants(SurgeryParams(7, 2)))
+    >>> _residue_values(SurgeryParams(7, 2))
     ([0, 0, -1, 0, 0, 1, 1], 2, 4)
     """
-    p, k2, e = params.p, inv.k2, inv.e
+    p, inv = params.p, params.inv
+    k2, e = inv.k2, inv.e
     q2 = inv.q2 % p
     steps = [0] * p  # steps[l] = values[l+1] - values[l], cyclic
     first = 0  # W(0)
@@ -126,18 +125,16 @@ def _residue_values(params: SurgeryParams, inv: DerivedInvariants) -> tuple[list
     return values, (arc_start - q2 * inv.c) % p, q2 * params.k % p
 
 
-def generate(params: SurgeryParams, inv: DerivedInvariants | None = None) -> GeneratedPolynomial:
+def generate(params: SurgeryParams) -> GeneratedPolynomial:
     """Run the generator and symmetrize, without the normalization gate.
 
     Checks symmetry a_i = a_{-i} across the whole period, on the residue
     order (a failure would be an implementation bug: IntegrityError at the
     first bad i), gathers only a_0..a_{p/2} and reports the t = 1 value
-    verbatim.  ``inv`` may be passed when the caller has already derived it.
+    verbatim.
     """
-    if inv is None:
-        inv = derive_invariants(params)
     p, h = params.p, params.p // 2
-    values, l0, step = _residue_values(params, inv)
+    values, l0, step = _residue_values(params)
     rot = values[l0:] + values[:l0]  # rot[x] = values[l0 + x]: a_i = rot[-i*step mod p]
     if rot[1:] != rot[:0:-1]:
         bad = next(i for i in range(1, h + 1) if rot[-i * step % p] != rot[i * step % p])
@@ -146,7 +143,7 @@ def generate(params: SurgeryParams, inv: DerivedInvariants | None = None) -> Gen
     half = [rot[x % p] for x in range(0, -step * (h + 1), -step)]  # a_0..a_h
     g = next(compress(range(h, 0, -1), reversed(half)), 0)  # the last nonzero a_i, i >= 1
     poly = SymmetricLaurentPolynomial(g=g, coeffs=tuple(half[g:0:-1] + half[:g + 1]))
-    return GeneratedPolynomial(inv, poly, 2 * sum(half) - half[0])  # sum(poly.coeffs)
+    return GeneratedPolynomial(poly, 2 * sum(half) - half[0])  # sum(poly.coeffs)
 
 
 def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:

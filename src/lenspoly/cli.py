@@ -31,11 +31,9 @@ from .lattice import (
 )
 from .render import ascii_curves, ascii_view, svg_curves, view_to_json
 from .surgery import (
-    DerivedInvariants,
     InvalidParameterError,
     SurgeryParams,
     canonicalize_dual_class,
-    derive_invariants,
 )
 from .sweep import (
     CheckpointError,
@@ -78,10 +76,10 @@ def _resolve_generated_params(args) -> SurgeryParams:
     return params
 
 
-def _window_from_args(args, params: SurgeryParams, inv: DerivedInvariants) -> Window:
+def _window_from_args(args, params: SurgeryParams) -> Window:
     given = [args.i0, args.i1, args.j0, args.j1]
     if all(v is None for v in given):
-        window = fundamental_window(params, inv)
+        window = fundamental_window(params)
     elif any(v is None for v in given):
         raise InvalidParameterError("window flags --i0 --i1 --j0 --j1 must all be given together")
     else:
@@ -98,20 +96,18 @@ def _window_from_args(args, params: SurgeryParams, inv: DerivedInvariants) -> Wi
 def _generate_in_window(args) -> tuple[SurgeryParams, Window, GeneratedPolynomial]:
     """The parameter, its checked window, then its polynomial, generated once."""
     params = _resolve_generated_params(args)
-    inv = derive_invariants(params)
-    window = _window_from_args(args, params, inv)
-    return params, window, generate(params, inv)
+    window = _window_from_args(args, params)
+    return params, window, generate(params)
 
 
 def _cmd_invariants(args) -> int:
     params = _resolve_params(args)
-    inv = derive_invariants(params)
     if args.format == "json":
-        print(_dumps({"p": params.p, "k": params.k, **inv._asdict()}))
+        print(_dumps({"p": params.p, "k": params.k, **params.inv._asdict()}))
     else:
         print(f"p = {params.p}")
         print(f"k = {params.k}")
-        for name, value in inv._asdict().items():
+        for name, value in params.inv._asdict().items():
             print(f"{name} = {value}")
     return 0
 

@@ -28,7 +28,6 @@ from .alexander import (
 from .surgery import (
     DerivedInvariants,
     SurgeryParams,
-    derive_invariants,
     interval_contains,
     reduce_mod,
 )
@@ -47,15 +46,13 @@ class Window:
         return self.i0 > self.i1 or self.j0 > self.j1
 
 
-def fundamental_window(params: SurgeryParams, inv: DerivedInvariants | None = None) -> Window:
+def fundamental_window(params: SurgeryParams) -> Window:
     """Default window: i in [-1, k2+1], j in [-p, p].
 
     Wide enough to show one full region translate around the anchor row
     plus both vertical neighbours.
     """
-    if inv is None:
-        inv = derive_invariants(params)
-    return Window(i0=-1, i1=inv.k2 + 1, j0=-params.p, j1=params.p)
+    return Window(i0=-1, i1=params.inv.k2 + 1, j0=-params.p, j1=params.p)
 
 
 def a_entry(
@@ -118,7 +115,7 @@ def build_view(
         raise ValueError(f"kind must be 'A' or 'dA', got {kind!r}")
     if gen is None:
         gen = generate(params)
-    inv, poly, p = gen.inv, gen.poly, params.p
+    inv, poly, p = params.inv, gen.poly, params.p
     column = [a_entry(params, inv, poly, 0, t) for t in range(p)]
     if kind == "dA":
         a_column, column = column, [da_entry(params, inv, 0, t) for t in range(p)]
@@ -159,7 +156,6 @@ class NonZeroRegion:
     """
 
     params: SurgeryParams
-    inv: DerivedInvariants
     g: int
     anchor: tuple[int, int]
 
@@ -170,7 +166,7 @@ class NonZeroRegion:
         """Index n' of the (0, p)-translate containing the point, or None
         when the point is outside the region."""
         x, y = point
-        n, s = divmod(y + (x - self.anchor[0]) * self.inv.k2, self.params.p)
+        n, s = divmod(y + (x - self.anchor[0]) * self.params.inv.k2, self.params.p)
         return n if s <= 2 * self.g else None
 
     def row_spans(self, j: int, i0: int, i1: int) -> list[tuple[int, int, int]]:
@@ -181,7 +177,7 @@ class NonZeroRegion:
         p*n + min(2g, p - 1); the cap keeps overlapping columns (2g >= p)
         in the one translate that :meth:`translate_index` gives them.
         """
-        p, k2, istar = self.params.p, self.inv.k2, self.anchor[0]
+        p, k2, istar = self.params.p, self.params.inv.k2, self.anchor[0]
         top = min(2 * self.g, p - 1) - j
         spans = []
         for n in range((j + (i0 - istar) * k2) // p, (j + (i1 - istar) * k2) // p + 1):
@@ -195,12 +191,13 @@ class NonZeroRegion:
         """Inclusive x-range of this translate's columns meeting rows j0..j1.
 
         Column x = i* + n of translate r covers y in
-        [-n*k2 + p*r, -n*k2 + p*r + 2g]; intersecting with [j0, j1]
-        bounds n on both sides.  Returns (lo, hi); empty when lo > hi.
+        [-n*k2 + p*r, -n*k2 + p*r + min(2g, p - 1)], capped as in
+        :meth:`row_spans`; intersecting with [j0, j1] bounds n on both
+        sides.  Returns (lo, hi); empty when lo > hi.
         """
-        p, k2 = self.params.p, self.inv.k2
+        p, k2 = self.params.p, self.params.inv.k2
         n_lo = -((j1 - p * translate) // k2)  # ceil((p*r - j1)/k2)
-        n_hi = (p * translate + 2 * self.g - j0) // k2
+        n_hi = (p * translate + min(2 * self.g, p - 1) - j0) // k2
         return (self.anchor[0] + n_lo, self.anchor[0] + n_hi)
 
 
@@ -211,8 +208,8 @@ def non_zero_region(
     if gen is None:
         gen = generate(params)
     g = gen.poly.g
-    return NonZeroRegion(params=params, inv=gen.inv, g=g,
-                         anchor=region_anchor(params, gen.inv, g))
+    return NonZeroRegion(params=params, g=g,
+                         anchor=region_anchor(params, params.inv, g))
 
 
 def region_contains(region: NonZeroRegion, point: tuple[int, int]) -> bool:
@@ -265,7 +262,7 @@ def trace_curves(
 
     # translate -> j -> arrows (i, j, sign), rows by decreasing j, i increasing
     translates: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
-    p, k2, cap = params.p, gen.inv.k2, 2 * gen.poly.g
+    p, k2, cap = params.p, params.inv.k2, 2 * gen.poly.g
     cols = range(window.i0, window.i1 + 1)
     for j, row in zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows)):
         base = j - region.anchor[0] * k2  # translate_index divides base + i*k2 by p
@@ -313,7 +310,7 @@ def covered_translates(
         return []
     region = non_zero_region(params, gen)
     istar = region.anchor[0]
-    k2, p = region.inv.k2, params.p
+    k2, p = params.inv.k2, params.p
     r_lo = (window.j0 + (window.i0 - istar) * k2) // p - 1
     r_hi = (window.j1 + (window.i1 - istar) * k2) // p + 1
     out = []
@@ -340,7 +337,7 @@ class LemmaReport(NamedTuple):
     no_adjacent_zeros: bool
 
 
-def check_lemma(params: SurgeryParams, inv: DerivedInvariants | None = None) -> LemmaReport:
+def check_lemma(params: SurgeryParams) -> LemmaReport:
     """Decide the (-1, +1) vertical pattern and its promised consequences in O(1).
 
     In column i, dA[i, j] depends only on r = (q2*i + k2*j) mod p: it is
@@ -356,14 +353,10 @@ def check_lemma(params: SurgeryParams, inv: DerivedInvariants | None = None) -> 
     * Two adjacent zeros need k2 < r and r + k2 <= p - k2.  Some such r
       exists iff k2 + 1 <= p - 2*k2, that is iff p > 3*k2.
 
-    ``inv`` may be passed when the caller has already derived it.
-
     >>> check_lemma(SurgeryParams(11, 2))
     LemmaReport(p=11, k=2, k2=5, hypothesis_found=True, bound_ok=True, no_adjacent_zeros=True)
     """
-    if inv is None:
-        inv = derive_invariants(params)
-    p, k2 = params.p, inv.k2
+    p, k2 = params.p, params.inv.k2
     hypothesis = p < 3 * k2
     zeros = p > 3 * k2
     return LemmaReport(

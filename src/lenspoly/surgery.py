@@ -3,9 +3,10 @@
 A lens surgery parameter is a coprime pair (p, k) with p >= 2.  The class
 k lives in (Z/p)^* and has four equivalent representatives k, -k, k^-1,
 -k^-1; we normalize to the smallest positive representative below p/2.
-Everything in this module is plain, exact integer arithmetic -- Python
-integers are unbounded, so there is no overflow to worry about even far
-beyond p = 10^6.
+:class:`SurgeryParams` checks that and derives (k2, e, m, q, q2, c) once,
+as ``params.inv``.  Everything in this module is plain, exact integer
+arithmetic -- Python integers are unbounded, so there is no overflow to
+worry about even far beyond p = 10^6.
 
 Conventions used throughout the package:
 
@@ -18,7 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple
 
@@ -59,15 +60,18 @@ def interval_contains(ell: int, x: int) -> bool:
 
 @dataclass(frozen=True)
 class SurgeryParams:
-    """A canonical lens surgery parameter (p, k).
+    """A canonical lens surgery parameter (p, k) and its derived invariants.
 
     Invariants enforced on construction: gcd(p, k) = 1, and k is the
     minimal representative of its class orbit {±k, ±k^-1 mod p} within
-    (0, p/2).  The single degenerate case is (2, 1).
+    (0, p/2).  The single degenerate case is (2, 1).  Validation derives
+    the invariants once and keeps them as ``inv``; ``repr``, ``==`` and
+    ``hash`` ignore it.
     """
 
     p: int
     k: int
+    inv: DerivedInvariants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p, k = self.p, self.k
@@ -80,14 +84,15 @@ class SurgeryParams:
         if p == 2:
             if k != 1:
                 raise InvalidParameterError("p = 2 admits only k = 1")
-            return
-        if 2 * k >= p:
+        elif 2 * k >= p:
             raise InvalidParameterError(f"k = {k} is not in (0, {p}/2)")
-        canonical = _orbit_minimum(p, k)
-        if k != canonical:
+        inv = derive_invariants(self)
+        # for k in (0, p/2) the orbit minimum is min(k, k2)
+        if inv.k2 < k:
             raise InvalidParameterError(
-                f"k = {k} is not canonical for p = {p}; expected k = {canonical}"
+                f"k = {k} is not canonical for p = {p}; expected k = {inv.k2}"
             )
+        object.__setattr__(self, "inv", inv)
 
 
 class DerivedInvariants(NamedTuple):
@@ -131,7 +136,7 @@ def canonicalize_dual_class(p: int, k0: int) -> SurgeryParams:
 
 
 def derive_invariants(params: SurgeryParams) -> DerivedInvariants:
-    """Compute (k2, e, m, q, q2, c) from a canonical parameter.
+    """Compute (k2, e, m, q, q2, c) from a coprime (p, k) with 1 <= k <= p/2.
 
     >>> derive_invariants(SurgeryParams(19, 7))
     DerivedInvariants(k2=8, e=-1, m=3, q=-8, q2=7, c=-33)

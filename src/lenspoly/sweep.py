@@ -137,12 +137,12 @@ def compute_record(params: SurgeryParams, gen: GeneratedPolynomial | None = None
     caller has already run :func:`generate`."""
     if gen is None:
         gen = generate(params)
-    inv, poly = gen.inv, gen.poly
+    inv, poly = params.inv, gen.poly
     trivial = is_trivial(poly)
     flat = is_flat(poly)
     alternating = is_alternating(poly)
     top0, top1, top2 = (top_coefficient(poly, n) for n in range(3))
-    lemma = check_lemma(params, inv)
+    lemma = check_lemma(params)
     return SweepRecord(
         p=params.p,
         k=params.k,

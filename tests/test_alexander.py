@@ -84,10 +84,10 @@ def residue_table_loop(params, inv):
     return table
 
 
-def full_period_table(params, inv):
+def full_period_table(params):
     """abar_i for i = 0..p-1, gathered from the kernel's residue-ordered
     values over the whole period."""
-    values, l0, step = _residue_values(params, inv)
+    values, l0, step = _residue_values(params)
     p = params.p
     return [values[x % p] for x in range(l0, l0 - step * p, -step)]
 
@@ -105,7 +105,7 @@ def generate_full_period(params):
     g = max((i for i in range(1, h + 1) if table[i]), default=0)
     coeffs = tuple(table[p - g:] + table[:g + 1])
     poly = SymmetricLaurentPolynomial(g=g, coeffs=coeffs)
-    return GeneratedPolynomial(inv=inv, poly=poly, delta_one=sum(coeffs))
+    return GeneratedPolynomial(poly=poly, delta_one=sum(coeffs))
 
 
 # ------------------------------------------------ the table against the formula
@@ -204,7 +204,7 @@ def test_generated_symmetry_up_to_300():
     wide = []
     for params in enumerate_params(300):
         inv = derive_invariants(params)
-        assert full_period_table(params, inv) == residue_table_loop(params, inv), params
+        assert full_period_table(params) == residue_table_loop(params, inv), params
         out = generate(params)
         assert out == generate_full_period(params), params
         assert out.poly.g <= params.p // 2
@@ -336,10 +336,10 @@ def test_symmetric_type_validation():
 
 def test_generate_reports_first_asymmetric_index(monkeypatch):
     params = SurgeryParams(19, 7)
-    values, l0, step = _residue_values(params, derive_invariants(params))
+    values, l0, step = _residue_values(params)
     values[(l0 - 4 * step) % 19] += 1  # a_4 != a_-4
     values[(l0 + 2 * step) % 19] += 1  # a_-2 != a_2: the first bad index
-    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params, inv: (values, l0, step))
+    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params: (values, l0, step))
     with pytest.raises(IntegrityError) as exc_info:
         generate(params)
     err = exc_info.value

@@ -4,6 +4,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 import lenspoly.alexander
 import lenspoly.cli
 import lenspoly.lattice
+import lenspoly.surgery
 from lenspoly.alexander import IntegrityError, polynomial
 from lenspoly.cli import main
 from lenspoly.surgery import SurgeryParams
@@ -115,9 +118,10 @@ def test_curve_text_for_trivial_parameter(capsys):
 @pytest.mark.parametrize("command", ["curve", "matrix"])
 def test_curve_and_matrix_generate_once(capsys, monkeypatch, tmp_path, command):
     """One polynomial and one set of invariants per call, whichever module
-    asks for them."""
+    asks for them; the invariants are derived only where SurgeryParams
+    validates, in lenspoly.surgery."""
     calls = {"generate": 0, "derive_invariants": 0}
-    for module in (lenspoly.cli, lenspoly.lattice, lenspoly.alexander):
+    for module in (lenspoly.cli, lenspoly.lattice, lenspoly.alexander, lenspoly.surgery):
         for name in calls:
             fn = getattr(module, name, None)
             if fn is not None:
@@ -502,20 +506,25 @@ def test_resume_in_other_format_exit_3(capsys, tmp_path, first, second):
 # ----------------------------------------------------------------- packaging
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lenspoly", "poly", "-p", "7", "-k", "2"],
-        capture_output=True, text=True, timeout=60,
+def run_module(*argv):
+    """``python -m lenspoly`` on the source tree, installed or not."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lenspoly", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def test_module_entry_point():
+    proc = run_module("poly", "-p", "7", "-k", "2")
     assert proc.returncode == 0
     assert proc.stdout == "t - 1 + t^-1\n"
 
 
 def test_console_script_notice_on_stderr():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lenspoly", "poly", "-p", "11", "-k", "9"],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_module("poly", "-p", "11", "-k", "9")
     assert proc.returncode == 0
     assert proc.stdout == "t^2 - t + 1 - t^-1 + t^-2\n"
     assert "canonical" in proc.stderr

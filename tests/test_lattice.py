@@ -139,9 +139,9 @@ def test_build_view_da_equals_difference():
     seen_p = set()
     for params in canonical_params(50):
         p, gen = params.p, generate(params)
-        inv, poly = gen.inv, gen.poly
+        inv, poly = params.inv, gen.poly
         seen_p.add(p)
-        windows = [fundamental_window(params, inv), Window(-p - 2, p + 1, -2, 1),
+        windows = [fundamental_window(params), Window(-p - 2, p + 1, -2, 1),
                    Window(0, -1, 0, 2), Window(0, 2, 1, 0),
                    Window(-p, 2 * p + 1, 0, p - 1),  # 3p + 2 wide, every row start
                    Window(2 * p, 2 * p + 3, -1, p + 1), Window(3 * p + 1, 5 * p, 2 * p, 2 * p + 2),
@@ -236,7 +236,7 @@ def test_region_contains_matches_translated_columns():
     for n in range(-3, 4):
         for n2 in range(-2, 3):
             for s in range(2 * g + 1):
-                point = (i_star + n, s - n * region.inv.k2 + n2 * 19)
+                point = (i_star + n, s - n * region.params.inv.k2 + n2 * 19)
                 assert region_contains(region, point), (n, n2, s)
 
 
@@ -286,7 +286,7 @@ def trace_curves_union_find(params, window):
     if gen.poly.g == 0:
         return []
     region = non_zero_region(params, gen)
-    inv, poly = gen.inv, gen.poly
+    inv, poly = params.inv, gen.poly
 
     arrows = {}  # (i, j) -> (sign, translate)
     rows = {}
@@ -352,6 +352,46 @@ def test_trace_curves_11_2_window():
     assert covered_translates(params, window, generate(params)) == full
     for translate in full:
         assert sum(1 for c in curves if c.translate == translate) == 1
+
+
+def covered_translates_cells(params, window):
+    """Translates with a region cell in the window whose cells in rows
+    j0..j1 all lie in columns i0..i1, read off translate_index cell by
+    cell.  The columns of one translate that meet those rows are
+    consecutive, so a translate leaves the window exactly when column
+    i0 - 1 or i1 + 1 meets it."""
+    region = non_zero_region(params)
+    rows = range(window.j0, window.j1 + 1)
+
+    def translates(cols):
+        return {region.translate_index((i, j)) for i in cols for j in rows} - {None}
+
+    inside = translates(range(window.i0, window.i1 + 1))
+    return sorted(inside - translates((window.i0 - 1, window.i1 + 1)))
+
+
+def test_covered_translates_match_translate_index():
+    """covered_translates equals the cell-by-cell reading on the fundamental
+    window and two seeded windows of every nontrivial pair with p <= 60,
+    the pairs with 2g >= p (overlapping columns) included."""
+    assert covered_translates(SurgeryParams(16, 7), Window(7, 19, 4, 36)) == [5, 6, 7, 8]
+    assert -3 in covered_translates(SurgeryParams(26, 5), Window(-22, 16, -12, 46))
+    rng = random.Random(14)
+    checked = wide = 0
+    for params in canonical_params(60):
+        p, gen = params.p, generate(params)
+        if gen.poly.g == 0:
+            continue
+        wide += 2 * gen.poly.g >= p
+        windows = [fundamental_window(params)]
+        for _ in range(2):
+            i0, j0 = rng.randint(-p, p), rng.randint(-2 * p, 2 * p)
+            windows.append(Window(i0, i0 + rng.randint(0, p), j0, j0 + rng.randint(0, 3 * p)))
+        for window in windows:
+            expected = covered_translates_cells(params, window)
+            assert covered_translates(params, window, gen) == expected, (params, window)
+            checked += 1
+    assert checked == 810 and wide > 1
 
 
 def test_trace_curves_arrows_j_monotone():

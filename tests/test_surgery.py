@@ -140,6 +140,26 @@ def brute_force_canonical_k(p, k):
     return min(candidates)
 
 
+def test_params_store_their_invariants():
+    """SurgeryParams(p, k) validates exactly the brute-force canonical k,
+    keeps derive_invariants(params) as inv, and leaves inv out of repr,
+    == and hash."""
+    for p, k in coprime_pairs(200):
+        if 2 * k > p:
+            continue
+        expected = brute_force_canonical_k(p, k)
+        if k != expected:
+            with pytest.raises(InvalidParameterError, match=f"expected k = {expected}$"):
+                SurgeryParams(p, k)
+            continue
+        params = SurgeryParams(p, k)
+        assert params.inv == derive_invariants(params), (p, k)
+        other = SurgeryParams(p, k)
+        object.__setattr__(other, "inv", None)
+        assert repr(other) == repr(params) == f"SurgeryParams(p={p}, k={k})"
+        assert other == params and hash(other) == hash(params)
+
+
 def test_canonicalize_against_brute_force_orbit():
     for p, k in coprime_pairs(60):
         expected = brute_force_canonical_k(p, k)

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import lenspoly.surgery
 import lenspoly.sweep
 from lenspoly.alexander import generate
 from lenspoly.lattice import check_lemma
@@ -73,7 +74,7 @@ def is_alternating_full(coeffs):
 def record_full_coeffs(params):
     """The report row with every predicate read on all 2g+1 coefficients."""
     gen = generate(params)
-    inv, g, coeffs = gen.inv, gen.poly.g, gen.poly.coeffs
+    inv, g, coeffs = params.inv, gen.poly.g, gen.poly.coeffs
     top0, top1, top2 = (gen.poly.coefficient(g - n) for n in range(3))
     trivial = coeffs == (1,)
     flat, alternating = is_flat_full(coeffs), is_alternating_full(coeffs)
@@ -430,6 +431,23 @@ def test_resume_refuses_tail_that_is_not_the_next_line(tmp_path, fmt, rows, tail
     with pytest.raises(CheckpointError, match="no newline.*--from-scratch"):
         run_sweep(SweepConfig(max_p=6, out_path=str(out), report_format=fmt))
     assert out.read_bytes() == damaged
+
+
+@pytest.mark.parametrize("p", [2, 3, 8, 101, 600])
+def test_records_check_canonicity_once(monkeypatch, p):
+    """The orbit minimum is taken once per coprime k < p/2, by the
+    _canonical_ks filter; building each SurgeryParams takes none."""
+    calls = []
+    for module in (lenspoly.surgery, lenspoly.sweep):
+        fn = module._orbit_minimum
+
+        def counted(*args, _fn=fn):
+            calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(module, "_orbit_minimum", counted)
+    records, _ = _records_for_p(p)
+    assert records
+    assert len(calls) == sum(1 for k in range(1, (p + 1) // 2) if math.gcd(k, p) == 1)
 
 
 def test_map_over_p_caps_workers(monkeypatch):
