@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render the two worked examples: ASCII to stdout, SVG files to out/.
 
-Usage: python3 scripts/render_examples.py [--out-dir out]
+Usage: PYTHONPATH=src python3 scripts/render_examples.py [--out-dir out]
 """
 
 import argparse

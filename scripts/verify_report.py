@@ -9,7 +9,7 @@ how many parameters fire and how many of those violate the conclusion
 Every row is the sweep's record; the trigger and the violation are the
 sweep's own predicates.
 
-Usage: python3 scripts/verify_report.py [--max-p 600] [--jobs 8]
+Usage: PYTHONPATH=src python3 scripts/verify_report.py [--max-p 600] [--jobs 8]
 """
 
 import argparse
@@ -17,9 +17,8 @@ import sys
 import time
 
 from lenspoly.alexander import generate
-from lenspoly.surgery import InvalidParameterError, SurgeryParams
+from lenspoly.surgery import InvalidParameterError, SurgeryParams, _canonical_ks
 from lenspoly.sweep import (
-    _canonical_ks,
     _check_range,
     _map_over_p,
     _theorem_trigger,

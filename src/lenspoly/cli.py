@@ -282,10 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except IntegrityError as exc:

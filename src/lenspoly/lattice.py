@@ -159,9 +159,6 @@ class NonZeroRegion:
     g: int
     anchor: tuple[int, int]
 
-    def contains(self, point: tuple[int, int]) -> bool:
-        return self.translate_index(point) is not None
-
     def translate_index(self, point: tuple[int, int]) -> int | None:
         """Index n' of the (0, p)-translate containing the point, or None
         when the point is outside the region."""
@@ -213,7 +210,7 @@ def non_zero_region(
 
 
 def region_contains(region: NonZeroRegion, point: tuple[int, int]) -> bool:
-    return region.contains(point)
+    return region.translate_index(point) is not None
 
 
 @dataclass(frozen=True)
@@ -325,8 +322,8 @@ class LemmaReport(NamedTuple):
     """Outcome of the dichotomy check over one vertical period.
 
     hypothesis_found: some column i in {0, 1} shows dA = -1 directly
-    below dA = +1.  When the hypothesis is absent, bound_ok and
-    no_adjacent_zeros are vacuously true.
+    below dA = +1.  bound_ok and no_adjacent_zeros are its consequences,
+    true for every pair (see :func:`check_lemma`).
     """
 
     p: int
@@ -353,17 +350,18 @@ def check_lemma(params: SurgeryParams) -> LemmaReport:
     * Two adjacent zeros need k2 < r and r + k2 <= p - k2.  Some such r
       exists iff k2 + 1 <= p - 2*k2, that is iff p > 3*k2.
 
+    So the hypothesis is exactly the bound p < 3*k2, which rules out
+    adjacent zeros: bound_ok and no_adjacent_zeros are always true.
+
     >>> check_lemma(SurgeryParams(11, 2))
     LemmaReport(p=11, k=2, k2=5, hypothesis_found=True, bound_ok=True, no_adjacent_zeros=True)
     """
     p, k2 = params.p, params.inv.k2
-    hypothesis = p < 3 * k2
-    zeros = p > 3 * k2
     return LemmaReport(
         p=p,
         k=params.k,
         k2=k2,
-        hypothesis_found=hypothesis,
-        bound_ok=(p < 3 * k2) if hypothesis else True,
-        no_adjacent_zeros=(not zeros) if hypothesis else True,
+        hypothesis_found=p < 3 * k2,
+        bound_ok=True,
+        no_adjacent_zeros=True,
     )

@@ -2,7 +2,7 @@
 
 A lens surgery parameter is a coprime pair (p, k) with p >= 2.  The class
 k lives in (Z/p)^* and has four equivalent representatives k, -k, k^-1,
--k^-1; we normalize to the smallest positive representative below p/2.
+-k^-1; we normalize to the smallest positive representative in (0, p/2].
 :class:`SurgeryParams` checks that and derives (k2, e, m, q, q2, c) once,
 as ``params.inv``.  Everything in this module is plain, exact integer
 arithmetic -- Python integers are unbounded, so there is no overflow to
@@ -64,9 +64,9 @@ class SurgeryParams:
 
     Invariants enforced on construction: gcd(p, k) = 1, and k is the
     minimal representative of its class orbit {±k, ±k^-1 mod p} within
-    (0, p/2).  The single degenerate case is (2, 1).  Validation derives
-    the invariants once and keeps them as ``inv``; ``repr``, ``==`` and
-    ``hash`` ignore it.
+    (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_ks`).
+    Validation derives the invariants once and keeps them as ``inv``;
+    ``repr``, ``==`` and ``hash`` ignore it.
     """
 
     p: int
@@ -81,13 +81,10 @@ class SurgeryParams:
             raise InvalidParameterError(f"k must be positive, got {k}")
         if gcd(p, k) != 1:
             raise InvalidParameterError(f"gcd({p}, {k}) != 1: not a surgery parameter")
-        if p == 2:
-            if k != 1:
-                raise InvalidParameterError("p = 2 admits only k = 1")
-        elif 2 * k >= p:
-            raise InvalidParameterError(f"k = {k} is not in (0, {p}/2)")
+        if 2 * k > p:
+            raise InvalidParameterError(f"k = {k} is not in (0, {p}/2]")
         inv = derive_invariants(self)
-        # for k in (0, p/2) the orbit minimum is min(k, k2)
+        # for k in (0, p/2] the orbit minimum is min(k, k2)
         if inv.k2 < k:
             raise InvalidParameterError(
                 f"k = {k} is not canonical for p = {p}; expected k = {inv.k2}"
@@ -111,11 +108,22 @@ class DerivedInvariants(NamedTuple):
     c: int
 
 
-def _orbit_minimum(p: int, k0: int) -> int:
-    # The orbit {±k0, ±k0^-1} meets (0, p/2) in at most the two values
-    # |[k0]_p| and |[k0^-1]_p|; negation does not change absolute values.
-    inv = pow(k0, -1, p)
-    return min(abs(reduce_mod(k0, p)), abs(reduce_mod(inv, p)))
+def _k2(p: int, k: int) -> int:
+    # |[k^-1]_p|: the one place the inverse class is taken
+    return abs(reduce_mod(pow(k, -1, p), p))
+
+
+def _canonical_ks(p: int) -> list[int]:
+    """The canonical k of one p, ascending: gcd(p, k) = 1, 1 <= k <= p/2
+    and k <= k2, one per class orbit {±k, ±k^-1 mod p}.
+
+    The orbit meets (0, p/2] in at most the two values |[k]_p| and
+    |[k^-1]_p|, since negation does not change absolute values.
+
+    >>> _canonical_ks(11)
+    [1, 2, 3]
+    """
+    return [k for k in range(1, p // 2 + 1) if gcd(k, p) == 1 and k <= _k2(p, k)]
 
 
 def canonicalize_dual_class(p: int, k0: int) -> SurgeryParams:
@@ -130,9 +138,8 @@ def canonicalize_dual_class(p: int, k0: int) -> SurgeryParams:
         raise InvalidParameterError(f"p must be >= 2, got {p}")
     if gcd(p, k0) != 1:
         raise InvalidParameterError(f"gcd({p}, {k0}) != 1: not a surgery parameter")
-    if p == 2:
-        return SurgeryParams(2, 1)
-    return SurgeryParams(p, _orbit_minimum(p, k0))
+    k = abs(reduce_mod(k0, p))
+    return SurgeryParams(p, min(k, _k2(p, k)))
 
 
 def derive_invariants(params: SurgeryParams) -> DerivedInvariants:
@@ -142,8 +149,7 @@ def derive_invariants(params: SurgeryParams) -> DerivedInvariants:
     DerivedInvariants(k2=8, e=-1, m=3, q=-8, q2=7, c=-33)
     """
     p, k = params.p, params.k
-    kprime = pow(k, -1, p)
-    k2 = abs(reduce_mod(kprime, p))
+    k2 = _k2(p, k)
     e = reduce_mod(k * k2, p)
     assert e in (-1, 1)
     m = (k * k2 - e) // p

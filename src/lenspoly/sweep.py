@@ -22,7 +22,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
@@ -35,7 +34,7 @@ from .alexander import (
     top_coefficient,
 )
 from .lattice import check_lemma
-from .surgery import InvalidParameterError, SurgeryParams, _orbit_minimum
+from .surgery import InvalidParameterError, SurgeryParams, _canonical_ks
 
 _R = TypeVar("_R")
 
@@ -112,21 +111,13 @@ class SweepSummary:
     elapsed_us: int = 0
 
 
-def _canonical_ks(p: int) -> list[int]:
-    if p == 2:
-        return [1]
-    return [k for k in range(1, (p + 1) // 2)
-            if gcd(k, p) == 1 and _orbit_minimum(p, k) == k]
-
-
 def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
     """Every canonical (p, k) with 2 <= p <= max_p, sorted by (p, k).
 
     One representative per normalization orbit: of the pair {k, k2} the
     smaller is kept (mirror parameters generate identical data).
     """
-    if max_p < 2:
-        raise ValueError("max_p must be >= 2")
+    _check_range(max_p, 1)
     for p in range(2, max_p + 1):
         for k in _canonical_ks(p):
             yield SurgeryParams(p, k)

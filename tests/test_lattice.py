@@ -295,7 +295,7 @@ def trace_curves_union_find(params, window):
             v = a_entry(params, inv, poly, i, j)
             if v == 0:
                 continue
-            assert region.contains((i, j)), (params, i, j)
+            assert region_contains(region, (i, j)), (params, i, j)
             arrows[(i, j)] = (v, region.translate_index((i, j)))
             rows.setdefault(j, []).append(i)
 

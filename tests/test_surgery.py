@@ -141,11 +141,13 @@ def brute_force_canonical_k(p, k):
 
 
 def test_params_store_their_invariants():
-    """SurgeryParams(p, k) validates exactly the brute-force canonical k,
-    keeps derive_invariants(params) as inv, and leaves inv out of repr,
-    == and hash."""
+    """SurgeryParams(p, k) validates exactly the brute-force canonical k
+    in (0, p/2], keeps derive_invariants(params) as inv, and leaves inv
+    out of repr, == and hash."""
     for p, k in coprime_pairs(200):
         if 2 * k > p:
+            with pytest.raises(InvalidParameterError, match=rf"^k = {k} is not in \(0, {p}/2\]$"):
+                SurgeryParams(p, k)
             continue
         expected = brute_force_canonical_k(p, k)
         if k != expected:

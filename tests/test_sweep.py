@@ -114,8 +114,8 @@ def test_enumerate_sorted_and_unique():
 
 
 def test_enumerate_count_matches_brute_force():
-    got = sum(1 for _ in enumerate_params(100))
-    assert got == brute_force_orbit_count(100)
+    got = sum(1 for _ in enumerate_params(300))
+    assert got == brute_force_orbit_count(300)
 
 
 def test_enumerate_rejects_small_max():
@@ -435,19 +435,19 @@ def test_resume_refuses_tail_that_is_not_the_next_line(tmp_path, fmt, rows, tail
 
 @pytest.mark.parametrize("p", [2, 3, 8, 101, 600])
 def test_records_check_canonicity_once(monkeypatch, p):
-    """The orbit minimum is taken once per coprime k < p/2, by the
-    _canonical_ks filter; building each SurgeryParams takes none."""
+    """k2 is taken once per coprime k <= p/2, by the _canonical_ks filter,
+    and once per record, when its SurgeryParams derives the invariants."""
     calls = []
-    for module in (lenspoly.surgery, lenspoly.sweep):
-        fn = module._orbit_minimum
+    fn = lenspoly.surgery._k2
 
-        def counted(*args, _fn=fn):
-            calls.append(args)
-            return _fn(*args)
-        monkeypatch.setattr(module, "_orbit_minimum", counted)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(lenspoly.surgery, "_k2", counted)
     records, _ = _records_for_p(p)
     assert records
-    assert len(calls) == sum(1 for k in range(1, (p + 1) // 2) if math.gcd(k, p) == 1)
+    coprime = sum(1 for k in range(1, p // 2 + 1) if math.gcd(k, p) == 1)
+    assert len(calls) == coprime + len(records)
 
 
 def test_map_over_p_caps_workers(monkeypatch):
