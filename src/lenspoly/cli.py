@@ -51,8 +51,8 @@ _MAX_WINDOW_CELLS = 2**22
 _MAX_GENERATED_P = 2**22
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# every object encoded here is a fresh tree, so there are no cycles to check
+_dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _resolve_params(args) -> SurgeryParams:
@@ -126,7 +126,7 @@ def _cmd_matrix(args) -> int:
     params, window, gen = _generate_in_window(args)
     view = build_view(params, args.kind, window, gen)
     if args.format == "json":
-        print(_dumps(view_to_json(view)))
+        print(view_to_json(view))
     else:
         print(ascii_view(view))
     return 0

@@ -7,7 +7,8 @@ difference, which also has a direct three-case formula on the residue
 reads column 0: ``A[i, j] = A[0, t]`` and ``dA[i, j] = dA[0, t]`` with
 ``t = (j + k2*i) mod p``.  With u = e*k = k2^-1 (mod p) and
 ``strided[y] = A[y, 0]`` this reads ``A[i, j] = strided[(i + u*j) mod p]``
-(likewise dA), so a window row is one slice of ``strided`` repeated.  All
+(likewise dA), so a window row is one slice of ``strided`` repeated, and
+a view keeps only that repeated period and one start per row.  All
 nonzero A entries live in a staircase region made of columns of 2g+1
 cells, repeating under the translation ``v = (1, -k2)`` and the vertical
 period ``(0, p)``.
@@ -44,6 +45,10 @@ class Window:
 
     def is_empty(self) -> bool:
         return self.i0 > self.i1 or self.j0 > self.j1
+
+    def width(self) -> int:
+        """Cells per row (columns i0..i1), 0 when i0 > i1."""
+        return max(self.i1 - self.i0 + 1, 0)
 
 
 def fundamental_window(params: SurgeryParams) -> Window:
@@ -84,27 +89,36 @@ def da_entry(params: SurgeryParams, inv: DerivedInvariants, i: int, j: int) -> i
 
 @dataclass(frozen=True)
 class LatticeView:
-    """Immutable window snapshot of A or dA entries.
+    """Immutable window snapshot of A or dA entries, one period plus row starts.
 
-    rows[m] holds the entries of row j0+m (rows listed by increasing j),
-    rows[m][n] the entry at (i0+n, j0+m).
+    Row j0+m is the slice ``period[starts[m]:starts[m] + width]``: the
+    strided period repeated so that every row is one contiguous slice
+    (empty when the window has no rows).  ``rows`` materializes them,
+    rows[m][n] being the entry at (i0+n, j0+m), rows listed by increasing j.
     """
 
     kind: str
     window: Window
-    rows: tuple[tuple[int, ...], ...]
+    period: tuple[int, ...]
+    starts: tuple[int, ...]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        width = self.window.width()
+        return tuple(self.period[s:s + width] for s in self.starts)
 
 
 def build_view(
     params: SurgeryParams, kind: str, window: Window, gen: GeneratedPolynomial | None = None
 ) -> LatticeView:
-    """Materialize a window of A or dA entries.
+    """A window of A or dA entries, as one period and a start per row.
 
     Cell (i, j) equals the column-0 entry at t = (j + k2*i) mod p (see
     the module docstring), so :func:`a_entry`, and for dA :func:`da_entry`,
     run once per residue t.  That column is reordered to strided[y] =
     column[k2*y mod p], and row j is the slice of it, repeated, from
-    (i0 + u*j) mod p: A[i, j] = strided[(i + u*j) mod p], u = e*k.  A
+    (i0 + u*j) mod p: A[i, j] = strided[(i + u*j) mod p], u = e*k.  The
+    view keeps the repeated period and the row starts, not the rows.  A
     views use the raw generator output, so anomalous parameters remain
     inspectable.  dA views check the case split against A[0, t] - A[-1, t]
     on every residue, which covers every cell, refusing to return on any
@@ -124,12 +138,13 @@ def build_view(
             if val != diff:
                 raise IntegrityError(p, params.k, f"dA case split gives {val} but "
                                      f"A-difference gives {diff} at (0, {t})", index=0)
-    width, u = max(window.i1 - window.i0 + 1, 0), inv.e * params.k
+    u = inv.e * params.k
+    starts = tuple((window.i0 + u * j) % p for j in range(window.j0, window.j1 + 1))
     strided = [column[inv.k2 * y % p] for y in range(p)]
-    ext = tuple(strided * -(-(p - 1 + width) // p))  # every row start s < p fits
-    rows = tuple(ext[s:s + width] for s in
-                 ((window.i0 + u * j) % p for j in range(window.j0, window.j1 + 1)))
-    return LatticeView(kind=kind, window=window, rows=rows)
+    # every row start s < p fits; a window without rows gets no repeats
+    repeats = -(-(p - 1 + window.width()) // p) if starts else 0
+    return LatticeView(kind=kind, window=window, period=tuple(strided * repeats),
+                       starts=starts)
 
 
 def region_anchor(params: SurgeryParams, inv: DerivedInvariants, g: int) -> tuple[int, int]:

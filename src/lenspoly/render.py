@@ -6,6 +6,8 @@ byte-identical across runs for the same window, which the tests rely on.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .lattice import LatticeView, NonZeroCurve, NonZeroRegion, Window
 from .surgery import SurgeryParams
 
@@ -17,14 +19,16 @@ _CURVE_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085
 
 
 def ascii_view(view: LatticeView) -> str:
-    """One character per cell ('+', '-', '.'), rows printed top (j1) down to j0."""
+    """One character per cell ('+', '-', '.'), rows printed top (j1) down to j0.
+
+    The period is drawn once; cell n sits at offset 2n, so each row is one
+    slice of it.
+    """
     if view.window.is_empty():
         return ""
-    lines = []
-    for row in reversed(view.rows):
-        chars = {v: "+" if v > 0 else "-" if v < 0 else "." for v in set(row)}
-        lines.append(" ".join(map(chars.__getitem__, row)))
-    return "\n".join(lines)
+    text = " ".join("+" if v > 0 else "-" if v < 0 else "." for v in view.period)
+    w = view.window.width()
+    return "\n".join(text[2 * s:2 * (s + w) - 1] for s in reversed(view.starts))
 
 
 def ascii_curves(window: Window, curves: list[NonZeroCurve]) -> str:
@@ -40,14 +44,21 @@ def ascii_curves(window: Window, curves: list[NonZeroCurve]) -> str:
     return "\n".join(" ".join(row) for row in reversed(grid))
 
 
-def view_to_json(view: LatticeView) -> dict:
-    """{"kind", "i0", "j0", "rows"} with rows listed by increasing j."""
-    return {
-        "kind": view.kind,
-        "i0": view.window.i0,
-        "j0": view.window.j0,
-        "rows": [list(row) for row in view.rows],
-    }
+def view_to_json(view: LatticeView) -> str:
+    """The compact JSON text of {"kind", "i0", "j0", "rows"}, rows listed by
+    increasing j.
+
+    The period is encoded once, each cell after a comma: cell n is
+    text[pos[n]:pos[n + 1]], so each row is one slice of that text (empty
+    for a window without columns, as no bound is negative).
+    """
+    cells = [f",{v}" for v in view.period]
+    text = "".join(cells)
+    pos = list(accumulate(map(len, cells), initial=0))
+    w = view.window.width()
+    rows = ",".join(f"[{text[pos[s] + 1:pos[s + w]]}]" for s in view.starts)
+    i0, j0 = view.window.i0, view.window.j0
+    return f'{{"kind":"{view.kind}","i0":{i0},"j0":{j0},"rows":[{rows}]}}'
 
 
 def svg_curves(

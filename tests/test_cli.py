@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -132,6 +133,19 @@ def test_curve_and_matrix_generate_once(capsys, monkeypatch, tmp_path, command):
     extra = ("--svg", str(tmp_path / "c.svg")) if command == "curve" else ("--kind", "dA")
     assert run_cli(capsys, command, "-p", "19", "-k", "7", *extra)[0] == 0
     assert calls == {"generate": 1, "derive_invariants": 1}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_matrix_never_materializes_rows(capsys, monkeypatch, fmt):
+    """matrix renders each row as a slice of the view's encoded period,
+    so it never reads LatticeView.rows."""
+    def rows(view):
+        raise AssertionError("LatticeView.rows was read")
+
+    monkeypatch.setattr(lenspoly.lattice.LatticeView, "rows", property(rows))
+    for kind in ("A", "dA"):
+        assert run_cli(capsys, "matrix", "-p", "101", "-k", "30", "--kind", kind,
+                       "--format", fmt)[0] == 0, kind
 
 
 def _sha(text):
@@ -374,6 +388,22 @@ def test_invalid_parameters_exit_2(capsys):
         code, out, err = run_cli(capsys, "verify", *flags)
         assert (code, out) == (2, "")
         assert "must be >= " in err
+
+
+def test_matrix_without_rows_stays_small(capsys):
+    """A window with no rows passes the cell limit at any width; its view
+    allocates no row period for that width."""
+    window = ("--i0", "0", "--i1", "10000000", "--j0", "1", "--j1", "0")
+    tracemalloc.start()
+    try:
+        json_run = run_cli(capsys, "matrix", "-p", "11", "-k", "2", *window, "--format", "json")
+        text_run = run_cli(capsys, "matrix", "-p", "11", "-k", "2", *window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json_run[:2] == (0, '{"kind":"A","i0":0,"j0":1,"rows":[]}\n')
+    assert text_run[:2] == (0, "\n")
+    assert peak < 10 * 2**20
 
 
 def test_generating_commands_refuse_huge_p(capsys, monkeypatch):

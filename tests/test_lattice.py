@@ -1,5 +1,6 @@
 """A/dA windows, the non-zero region, curve tracing, and the dichotomy scan."""
 
+import json
 import math
 import os
 import pathlib
@@ -129,27 +130,34 @@ def test_da_case_split_matches_interval_tests(p, k, i, j):
     assert da_entry(params, inv, i, j) == expected
 
 
+def view_windows(params, rng):
+    """Fundamental, negative, wider-than-p and empty windows, windows at
+    least 3p + 1 wide (the repeated row slice must reach the last column
+    from any start), windows starting at i0 >= 2p, single-column and
+    single-row windows, and two random ones drawn from ``rng``."""
+    p = params.p
+    windows = [fundamental_window(params), Window(-p - 2, p + 1, -2, 1),
+               Window(0, -1, 0, 2), Window(0, 2, 1, 0),
+               Window(-p, 2 * p + 1, 0, p - 1),  # 3p + 2 wide, every row start
+               Window(2 * p, 2 * p + 3, -1, p + 1), Window(3 * p + 1, 5 * p, 2 * p, 2 * p + 2),
+               Window(3, 3, -p - 1, p + 1), Window(-p - 1, p + 1, 5, 5), Window(-1, -1, 7, 7)]
+    for _ in range(2):
+        i0, j0 = rng.randint(-3 * p, -1), rng.randint(-3 * p, -1)
+        windows.append(Window(i0, i0 + rng.randint(0, 8), j0, j0 + rng.randint(0, 2 * p)))
+    return windows
+
+
 def test_build_view_da_equals_difference():
     """Every A and dA cell equals its per-cell formula, and dA is the A
-    difference, on fundamental, negative, wider-than-p and empty windows,
-    windows at least 3p + 1 wide (the repeated row slice must reach the
-    last column from any start), windows starting at i0 >= 2p, and
-    single-column and single-row windows; p = 2 and p = 3 included."""
+    difference, on every window of :func:`view_windows`; p = 2 and p = 3
+    included."""
     rng = random.Random(7)
     seen_p = set()
     for params in canonical_params(50):
-        p, gen = params.p, generate(params)
+        gen = generate(params)
         inv, poly = params.inv, gen.poly
-        seen_p.add(p)
-        windows = [fundamental_window(params), Window(-p - 2, p + 1, -2, 1),
-                   Window(0, -1, 0, 2), Window(0, 2, 1, 0),
-                   Window(-p, 2 * p + 1, 0, p - 1),  # 3p + 2 wide, every row start
-                   Window(2 * p, 2 * p + 3, -1, p + 1), Window(3 * p + 1, 5 * p, 2 * p, 2 * p + 2),
-                   Window(3, 3, -p - 1, p + 1), Window(-p - 1, p + 1, 5, 5), Window(-1, -1, 7, 7)]
-        for _ in range(2):
-            i0, j0 = rng.randint(-3 * p, -1), rng.randint(-3 * p, -1)
-            windows.append(Window(i0, i0 + rng.randint(0, 8), j0, j0 + rng.randint(0, 2 * p)))
-        for w in windows:
+        seen_p.add(params.p)
+        for w in view_windows(params, rng):
             a = build_view(params, "A", w, gen)
             da = build_view(params, "dA", w, gen)  # internally cross-checks both definitions
             width, height = max(0, w.i1 - w.i0 + 1), max(0, w.j1 - w.j0 + 1)
@@ -197,7 +205,7 @@ def test_build_view_da_self_check(capsys, monkeypatch, cell):
 def test_view_json_shape():
     params = SurgeryParams(11, 2)
     view = build_view(params, "dA", Window(0, 2, 0, 1))
-    blob = view_to_json(view)
+    blob = json.loads(view_to_json(view))
     assert blob["kind"] == "dA"
     assert blob["i0"] == 0 and blob["j0"] == 0
     assert blob["rows"] == [[1, -1, 0], [-1, 1, 1]]  # increasing j
@@ -695,6 +703,34 @@ def cell_char(v):
     if v < 0:
         return "-"
     return "."
+
+
+def test_view_encoders_match_per_cell():
+    """view_to_json and ascii_view against json.dumps and cell_char of
+    rows built by one a_entry or da_entry call per cell, on every window
+    of :func:`view_windows`; p = 2, p = 3 and (8, 3), whose entries reach
+    +-2, included."""
+    rng = random.Random(7)
+    largest = {}  # (p, k) -> largest |entry| seen
+    for params in canonical_params(50):
+        gen = generate(params)
+        inv, poly = params.inv, gen.poly
+        pk = (params.p, params.k)
+        entries = {"A": lambda i, j: a_entry(params, inv, poly, i, j),
+                   "dA": lambda i, j: da_entry(params, inv, i, j)}
+        for w in view_windows(params, rng):
+            for kind, entry in entries.items():
+                rows = [[entry(i, j) for i in range(w.i0, w.i1 + 1)]
+                        for j in range(w.j0, w.j1 + 1)]
+                largest[pk] = max([largest.get(pk, 0), *(abs(v) for row in rows for v in row)])
+                view = build_view(params, kind, w, gen)
+                expected = json.dumps({"kind": kind, "i0": w.i0, "j0": w.j0, "rows": rows},
+                                      separators=(",", ":"))
+                assert view_to_json(view) == expected, (params, kind, w)
+                expected = "" if w.is_empty() else "\n".join(
+                    " ".join(map(cell_char, row)) for row in reversed(rows))
+                assert ascii_view(view) == expected, (params, kind, w)
+    assert largest[(2, 1)] == largest[(3, 1)] == 1 and largest[(8, 3)] == 2
 
 
 def test_ascii_view_matches_per_cell():
