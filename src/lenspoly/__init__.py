@@ -22,7 +22,6 @@ from .alexander import (
 )
 from .lattice import (
     LatticeView,
-    LemmaReport,
     NonZeroCurve,
     NonZeroRegion,
     Window,
@@ -69,7 +68,6 @@ __all__ = [
     "IntegrityError",
     "InvalidParameterError",
     "LatticeView",
-    "LemmaReport",
     "NonZeroCurve",
     "NonZeroRegion",
     "SurgeryParams",

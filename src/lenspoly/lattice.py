@@ -3,22 +3,19 @@
 The A-matrix spreads the periodic coefficients over Z^2 via
 ``A[i, j] = abar_{k2*(i + j*e*k - c)}`` and dA is its horizontal
 difference, which also has a direct three-case formula on the residue
-``[q2*i + k2*j]_p``.  Since k2*e*k = 1 and q2 = k2^2 (mod p), every cell
-reads column 0: ``A[i, j] = A[0, t]`` and ``dA[i, j] = dA[0, t]`` with
-``t = (j + k2*i) mod p``.  With u = e*k = k2^-1 (mod p) and
-``strided[y] = A[y, 0]`` this reads ``A[i, j] = strided[(i + u*j) mod p]``
-(likewise dA), so a window row is one slice of ``strided`` repeated, and
-a view keeps only that repeated period and one start per row.  All
-nonzero A entries live in a staircase region made of columns of 2g+1
-cells, repeating under the translation ``v = (1, -k2)`` and the vertical
-period ``(0, p)``.
+``[q2*i + k2*j]_p``.  Both are p-periodic in i, and with u = e*k =
+k2^-1 (mod p), so that q2*u = k2, every cell reads row 0:
+``A[i, j] = A[(i + u*j) mod p, 0]`` (likewise dA).  A window row is
+therefore one slice of row 0 repeated, and a view keeps only that
+repeated period and one start per row.  All nonzero A entries live in a
+staircase region made of columns of 2g+1 cells, repeating under the
+translation ``v = (1, -k2)`` and the vertical period ``(0, p)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
-from typing import NamedTuple
 
 from .alexander import (
     GeneratedPolynomial,
@@ -91,10 +88,10 @@ def da_entry(params: SurgeryParams, inv: DerivedInvariants, i: int, j: int) -> i
 class LatticeView:
     """Immutable window snapshot of A or dA entries, one period plus row starts.
 
-    Row j0+m is the slice ``period[starts[m]:starts[m] + width]``: the
-    strided period repeated so that every row is one contiguous slice
-    (empty when the window has no rows).  ``rows`` materializes them,
-    rows[m][n] being the entry at (i0+n, j0+m), rows listed by increasing j.
+    Row j0+m is the slice ``period[starts[m]:starts[m] + width]``: row 0
+    repeated so that every row is one contiguous slice (empty when the
+    window has no rows).  ``rows`` materializes them, rows[m][n] being
+    the entry at (i0+n, j0+m), rows listed by increasing j.
     """
 
     kind: str
@@ -113,15 +110,12 @@ def build_view(
 ) -> LatticeView:
     """A window of A or dA entries, as one period and a start per row.
 
-    Cell (i, j) equals the column-0 entry at t = (j + k2*i) mod p (see
-    the module docstring), so :func:`a_entry`, and for dA :func:`da_entry`,
-    run once per residue t.  That column is reordered to strided[y] =
-    column[k2*y mod p], and row j is the slice of it, repeated, from
-    (i0 + u*j) mod p: A[i, j] = strided[(i + u*j) mod p], u = e*k.  The
-    view keeps the repeated period and the row starts, not the rows.  A
-    views use the raw generator output, so anomalous parameters remain
-    inspectable.  dA views check the case split against A[0, t] - A[-1, t]
-    on every residue, which covers every cell, refusing to return on any
+    :func:`a_entry`, and for dA :func:`da_entry`, run once on each cell
+    (y, 0) of row 0, and row j is the slice of row 0, repeated, from
+    (i0 + u*j) mod p (see the module docstring).  A views use the raw
+    generator output, so anomalous parameters remain inspectable.  dA
+    views check the case split against A[y, 0] - A[y-1, 0] on every
+    cell of row 0, which covers every cell, refusing to return on any
     mismatch.  ``gen`` may be passed when the caller has already run
     :func:`generate`.
     """
@@ -130,21 +124,19 @@ def build_view(
     if gen is None:
         gen = generate(params)
     inv, poly, p = params.inv, gen.poly, params.p
-    column = [a_entry(params, inv, poly, 0, t) for t in range(p)]
+    row = [a_entry(params, inv, poly, y, 0) for y in range(p)]
     if kind == "dA":
-        a_column, column = column, [da_entry(params, inv, 0, t) for t in range(p)]
-        for t, val in enumerate(column):
-            diff = a_column[t] - a_column[(t - inv.k2) % p]
+        a_row, row = row, [da_entry(params, inv, y, 0) for y in range(p)]
+        for y, val in enumerate(row):
+            diff = a_row[y] - a_row[y - 1]
             if val != diff:
                 raise IntegrityError(p, params.k, f"dA case split gives {val} but "
-                                     f"A-difference gives {diff} at (0, {t})", index=0)
+                                     f"A-difference gives {diff} at ({y}, 0)", index=y)
     u = inv.e * params.k
     starts = tuple((window.i0 + u * j) % p for j in range(window.j0, window.j1 + 1))
-    strided = [column[inv.k2 * y % p] for y in range(p)]
     # every row start s < p fits; a window without rows gets no repeats
     repeats = -(-(p - 1 + window.width()) // p) if starts else 0
-    return LatticeView(kind=kind, window=window, period=tuple(strided * repeats),
-                       starts=starts)
+    return LatticeView(kind=kind, window=window, period=tuple(row * repeats), starts=starts)
 
 
 def region_anchor(params: SurgeryParams, inv: DerivedInvariants, g: int) -> tuple[int, int]:
@@ -333,24 +325,8 @@ def covered_translates(
     return out
 
 
-class LemmaReport(NamedTuple):
-    """Outcome of the dichotomy check over one vertical period.
-
-    hypothesis_found: some column i in {0, 1} shows dA = -1 directly
-    below dA = +1.  bound_ok and no_adjacent_zeros are its consequences,
-    true for every pair (see :func:`check_lemma`).
-    """
-
-    p: int
-    k: int
-    k2: int
-    hypothesis_found: bool
-    bound_ok: bool
-    no_adjacent_zeros: bool
-
-
-def check_lemma(params: SurgeryParams) -> LemmaReport:
-    """Decide the (-1, +1) vertical pattern and its promised consequences in O(1).
+def check_lemma(params: SurgeryParams) -> bool:
+    """Whether the (-1, +1) vertical dA pattern occurs, decided in O(1).
 
     In column i, dA[i, j] depends only on r = (q2*i + k2*j) mod p: it is
     +1 when r = 0 or r > p - k2, -1 when 1 <= r <= k2, and 0 otherwise
@@ -366,17 +342,9 @@ def check_lemma(params: SurgeryParams) -> LemmaReport:
       exists iff k2 + 1 <= p - 2*k2, that is iff p > 3*k2.
 
     So the hypothesis is exactly the bound p < 3*k2, which rules out
-    adjacent zeros: bound_ok and no_adjacent_zeros are always true.
+    adjacent zeros: the lemma's two conclusions hold for every pair.
 
-    >>> check_lemma(SurgeryParams(11, 2))
-    LemmaReport(p=11, k=2, k2=5, hypothesis_found=True, bound_ok=True, no_adjacent_zeros=True)
+    >>> check_lemma(SurgeryParams(11, 2)), check_lemma(SurgeryParams(11, 1))
+    (True, False)
     """
-    p, k2 = params.p, params.inv.k2
-    return LemmaReport(
-        p=p,
-        k=params.k,
-        k2=k2,
-        hypothesis_found=p < 3 * k2,
-        bound_ok=True,
-        no_adjacent_zeros=True,
-    )
+    return params.p < 3 * params.inv.k2

@@ -79,10 +79,18 @@ def test_matrix_json_da(capsys):
 def test_lemma_json(capsys):
     code, out, _ = run_cli(capsys, "lemma", "-p", "11", "-k", "2", "--format", "json")
     assert code == 0
-    assert json.loads(out) == {
-        "p": 11, "k": 2, "k2": 5,
-        "hypothesis_found": True, "bound_ok": True, "no_adjacent_zeros": True,
-    }
+    assert json.loads(out) == {"p": 11, "k": 2, "k2": 5, "hypothesis_found": True}
+    assert out == '{"p":11,"k":2,"k2":5,"hypothesis_found":true}\n'
+
+
+@pytest.mark.parametrize("k, line", [
+    ("2", "hypothesis_found = true (p = 11, 3*k2 = 15)"),
+    ("1", "hypothesis_found = false (p = 11, 3*k2 = 3)"),
+])
+def test_lemma_text(capsys, k, line):
+    code, out, _ = run_cli(capsys, "lemma", "-p", "11", "-k", k)
+    assert code == 0
+    assert out == line + "\n"
 
 
 def test_curve_json_and_svg(capsys, tmp_path):
@@ -545,6 +553,15 @@ def run_module(*argv):
         [sys.executable, "-m", "lenspoly", *argv],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def test_readme_library_block_runs():
+    """The README's Library code block runs as written; its asserts hold."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Library\n\n```python\n", 1)[1]
+    namespace = {}
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), namespace)
+    assert json.loads(namespace["text"])["kind"] == "dA"
 
 
 def test_module_entry_point():

@@ -180,26 +180,27 @@ def test_build_view_rejects_unknown_kind():
 
 @pytest.mark.parametrize("cell", [(-1, -11), (3, 4)], ids=["corner", "interior"])
 def test_build_view_da_self_check(capsys, monkeypatch, cell):
-    """A dA case split that disagrees with the A difference on one residue
-    is an integrity failure at that residue's column-0 cell, exit 4.  The
-    view evaluates only (0, t), t = (j + k2*i) mod p, so the fault is
-    injected at the residue of each window cell: 6 and 8 on (11, 2)."""
+    """A dA case split that disagrees with the A difference on one cell of
+    row 0 is an integrity failure at that cell, exit 4.  The view evaluates
+    only (y, 0), and cell (i, j) reads (y, 0) with y = (i + u*j) mod p,
+    u = e*k, so the fault is injected at the y of each window cell: 10 and
+    6 on (11, 2)."""
     params, inv = _pk(11, 2)
-    t = (cell[1] + inv.k2 * cell[0]) % params.p
-    assert t == {(-1, -11): 6, (3, 4): 8}[cell]
+    y = (cell[0] + inv.e * params.k * cell[1]) % params.p
+    assert y == {(-1, -11): 10, (3, 4): 6}[cell]
     case_split = lenspoly.lattice.da_entry
 
     def flipped(params, inv, i, j):
-        return case_split(params, inv, i, j) + ((i, j) == (0, t))
+        return case_split(params, inv, i, j) + ((i, j) == (y, 0))
 
     monkeypatch.setattr(lenspoly.lattice, "da_entry", flipped)
-    with pytest.raises(IntegrityError, match=rf"at \(0, {t}\)$") as exc_info:
+    with pytest.raises(IntegrityError, match=rf"at \({y}, 0\)$") as exc_info:
         build_view(params, "dA", fundamental_window(params))  # i -1..6, j -11..11
-    assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (11, 2, 0)
+    assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (11, 2, y)
     assert main(["matrix", "-p", "11", "-k", "2", "--kind", "dA"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"at (0, {t})" in captured.err
+    assert f"at ({y}, 0)" in captured.err
 
 
 def test_view_json_shape():
@@ -297,15 +298,16 @@ def trace_curves_union_find(params, window):
     inv, poly = params.inv, gen.poly
 
     arrows = {}  # (i, j) -> (sign, translate)
-    rows = {}
+    rows = {}  # (j, translate) -> [i]
     for j in range(window.j0, window.j1 + 1):
         for i in range(window.i0, window.i1 + 1):
             v = a_entry(params, inv, poly, i, j)
             if v == 0:
                 continue
-            assert region_contains(region, (i, j)), (params, i, j)
-            arrows[(i, j)] = (v, region.translate_index((i, j)))
-            rows.setdefault(j, []).append(i)
+            tr = region.translate_index((i, j))
+            assert tr is not None, (params, i, j)
+            arrows[(i, j)] = (v, tr)
+            rows.setdefault((j, tr), []).append(i)
 
     parent = {pt: pt for pt in arrows}
 
@@ -326,9 +328,8 @@ def trace_curves_union_find(params, window):
         right = (i + 1, j)
         if right in arrows and arrows[right] == (sign, tr):
             union((i, j), right)
-        for i2 in rows.get(j - 1, ()):
-            if arrows[(i2, j - 1)][1] == tr:
-                union((i, j), (i2, j - 1))
+        for i2 in rows.get((j - 1, tr), ()):
+            union((i, j), (i2, j - 1))
 
     groups = {}
     for pt in arrows:
@@ -473,13 +474,9 @@ def test_trace_curves_nonzero_outside_region(capsys, monkeypatch):
 
 
 def test_check_lemma_examples():
-    report = check_lemma(SurgeryParams(11, 2))
-    assert report.hypothesis_found
-    assert report.bound_ok
-    assert report.no_adjacent_zeros
-    report = check_lemma(SurgeryParams(7, 2))
-    assert report.hypothesis_found
-    assert report.bound_ok
+    assert check_lemma(SurgeryParams(11, 2)) is True
+    assert check_lemma(SurgeryParams(7, 2)) is True
+    assert check_lemma(SurgeryParams(11, 1)) is False  # p = 11 > 3 = 3*k2
 
 
 def _da_from_residue(r, p, k2):
@@ -523,10 +520,8 @@ def test_lemma_hypothesis_iff_bound():
         inv = derive_invariants(params)
         hypothesis, zeros = _lemma_scan(params.p, inv.k2, inv.q2 % params.p)
         assert (hypothesis, zeros) == (params.p < 3 * inv.k2, params.p > 3 * inv.k2), params
-        report = check_lemma(params)
-        assert report.hypothesis_found == hypothesis, params
-        assert report.bound_ok == ((params.p < 3 * inv.k2) if hypothesis else True), params
-        assert report.no_adjacent_zeros == ((not zeros) if hypothesis else True), params
+        assert check_lemma(params) == hypothesis, params
+        assert not (hypothesis and zeros), params
 
 
 def test_lemma_scan_against_direct_window_scan():
@@ -542,10 +537,8 @@ def test_lemma_scan_against_direct_window_scan():
                     found = True
                 if col[j] == 0 and col[j + 1] == 0:
                     adjacent_zeros = True
-        report = check_lemma(params)
-        assert report.hypothesis_found == found, params
-        if found:
-            assert report.no_adjacent_zeros == (not adjacent_zeros), params
+        assert check_lemma(params) == found, params
+        assert not (found and adjacent_zeros), params
 
 
 # ----------------------------------------------------------------- rendering
