@@ -136,7 +136,7 @@ def _cmd_curve(args) -> int:
     params, window, gen = _generate_in_window(args)
     curves = trace_curves(params, window, gen)
     if args.svg:
-        region = non_zero_region(params, gen) if curves else None
+        region = non_zero_region(params, gen) if gen.poly.g else None
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg_curves(params, window, curves, region))
     if args.format == "json":

@@ -173,31 +173,15 @@ class NonZeroRegion:
         n, s = divmod(y + (x - self.anchor[0]) * self.params.inv.k2, self.params.p)
         return n if s <= 2 * self.g else None
 
-    def row_spans(self, j: int, i0: int, i1: int) -> list[tuple[int, int, int]]:
-        """The (translate, lo, hi) i-ranges of the region in row j, columns
-        i0..i1, in ascending i.
-
-        Cell (i, j) lies in translate n iff p*n <= j + (i - i*)*k2 <=
-        p*n + min(2g, p - 1); the cap keeps overlapping columns (2g >= p)
-        in the one translate that :meth:`translate_index` gives them.
-        """
-        p, k2, istar = self.params.p, self.params.inv.k2, self.anchor[0]
-        top = min(2 * self.g, p - 1) - j
-        spans = []
-        for n in range((j + (i0 - istar) * k2) // p, (j + (i1 - istar) * k2) // p + 1):
-            lo = max(i0, istar - (j - p * n) // k2)  # i* + ceil((p*n - j)/k2)
-            hi = min(i1, istar + (p * n + top) // k2)
-            if lo <= hi:
-                spans.append((n, lo, hi))
-        return spans
-
     def column_span(self, translate: int, j0: int, j1: int) -> tuple[int, int]:
         """Inclusive x-range of this translate's columns meeting rows j0..j1.
 
         Column x = i* + n of translate r covers y in
-        [-n*k2 + p*r, -n*k2 + p*r + min(2g, p - 1)], capped as in
-        :meth:`row_spans`; intersecting with [j0, j1] bounds n on both
-        sides.  Returns (lo, hi); empty when lo > hi.
+        [-n*k2 + p*r, -n*k2 + p*r + min(2g, p - 1)]: the residue s is at
+        most p - 1, so when 2g >= p the column is cut after p cells and
+        :meth:`translate_index` puts the rest in translate r + 1.
+        Intersecting with [j0, j1] bounds n on both sides.  Returns (lo,
+        hi); empty when lo > hi.
         """
         p, k2 = self.params.p, self.params.inv.k2
         n_lo = -((j1 - p * translate) // k2)  # ceil((p*r - j1)/k2)

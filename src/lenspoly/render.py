@@ -81,14 +81,17 @@ def svg_curves(
         f'<!-- p={params.p} k={params.k} window i=[{i0},{i1}] j=[{j0},{j1}] -->',
     ]
     if region is not None and not window.is_empty():
+        p, k2, cap = params.p, params.inv.k2, 2 * region.g
         rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(i1 - i0 + 1)]
         for j in range(j0, j1 + 1):
             y = _MARGIN + (j1 - j) * _CELL
             tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
                      for fill in _STRIP_FILLS]
-            for tr, lo, hi in region.row_spans(j, i0, i1):
-                tail = tails[tr % 2]
-                parts.append((tail + "\n").join(rect_x[lo - i0:hi - i0 + 1]) + tail)
+            base = j - region.anchor[0] * k2  # translate_index divides base + i*k2 by p
+            for i, x in zip(range(i0, i1 + 1), rect_x):
+                tr, s = divmod(base + i * k2, p)
+                if s <= cap:
+                    parts.append(x + tails[tr % 2])
     # cell centres; lattice j grows upward, SVG y grows downward
     cx = {i: _MARGIN + (i - i0) * _CELL + _CELL // 2 for i in range(i0, i1 + 1)}
     cy = {j: _MARGIN + (j1 - j) * _CELL + _CELL // 2 for j in range(j0, j1 + 1)}

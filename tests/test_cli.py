@@ -116,6 +116,19 @@ def test_curve_json_and_svg(capsys, tmp_path):
     assert text.count("<polyline") == len(blob["components"])
 
 
+def test_curve_svg_shades_region_without_arrows(capsys, tmp_path):
+    """A window of a nontrivial pair that holds no arrow still shades its
+    region cells: (3, -19) of (19, 7) lies in translate -1."""
+    svg_path = tmp_path / "z.svg"
+    code, out, _ = run_cli(capsys, "curve", "-p", "19", "-k", "7", "--i0", "3", "--i1", "3",
+                           "--j0", "-19", "--j1", "-19", "--svg", str(svg_path))
+    assert code == 0
+    assert set(out.split()) == {"."}
+    text = svg_path.read_text()
+    assert text.count("<rect") == 1
+    assert '<rect x="10" y="10" width="20" height="20" fill="#d7d7d7"/>' in text
+
+
 def test_curve_text_for_trivial_parameter(capsys):
     code, out, _ = run_cli(capsys, "curve", "-p", "7", "-k", "1",
                            "--i0", "0", "--i1", "3", "--j0", "0", "--j1", "2")

@@ -652,41 +652,22 @@ def span_windows(params, rng):
     ]
 
 
-def test_row_spans_match_translate_index():
-    """Every window cell lies in at most one span per row, the one whose
-    translate translate_index gives it, and spans come in ascending i."""
-    rng = random.Random(9)
+def test_svg_curves_match_per_cell():
+    """svg_curves against the per-cell oracle, with and without a region,
+    on every window of :func:`span_windows`; pairs with 2g >= p, whose
+    columns overlap, included."""
+    rng = random.Random(11)
     overlapping = 0
     for params in canonical_params(60):
         gen = generate(params)
-        if gen.poly.g == 0:
-            continue
-        region = non_zero_region(params, gen)
-        overlapping += 2 * gen.poly.g >= params.p
-        for window in span_windows(params, rng):
-            for j in range(window.j0, window.j1 + 1):
-                spans = region.row_spans(j, window.i0, window.i1)
-                seen = {}
-                last = window.i0 - 1
-                for n, lo, hi in spans:
-                    assert last < lo <= hi <= window.i1, (params, window, j, spans)
-                    last = hi
-                    seen.update((i, n) for i in range(lo, hi + 1))
-                for i in range(window.i0, window.i1 + 1):
-                    assert seen.get(i) == region.translate_index((i, j)), (params, i, j)
-    assert overlapping > 0  # (8, 3) and the other pairs with 2g >= p are covered
-
-
-def test_svg_curves_match_per_cell():
-    rng = random.Random(11)
-    for params in canonical_params(60):
-        gen = generate(params)
         region = non_zero_region(params, gen) if gen.poly.g else None
+        overlapping += 2 * gen.poly.g >= params.p
         for window in span_windows(params, rng):
             curves = trace_curves(params, window, gen)
             for reg in (region, None):
                 assert svg_curves(params, window, curves, reg) == \
                     svg_curves_per_cell(params, window, curves, reg), (params, window)
+    assert overlapping > 0  # (8, 3) and the other pairs with 2g >= p are covered
 
 
 def cell_char(v):
