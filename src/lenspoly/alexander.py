@@ -125,25 +125,56 @@ def _residue_values(params: SurgeryParams) -> tuple[list[int], int, int]:
     return values, (arc_start - q2 * inv.c) % p, q2 * params.k % p
 
 
-def generate(params: SurgeryParams) -> GeneratedPolynomial:
-    """Run the generator and symmetrize, without the normalization gate.
+def _period(params: SurgeryParams) -> tuple[list[int], int]:
+    """(rot, step) with a_i = rot[-i*step mod p] for every i, once
+    a_i = a_{-i} is checked across the whole period.
 
-    Checks symmetry a_i = a_{-i} across the whole period, on the residue
-    order (a failure would be an implementation bug: IntegrityError at the
-    first bad i), gathers only a_0..a_{p/2} and reports the t = 1 value
-    verbatim.
+    The check runs on the residue order; a failure would be an
+    implementation bug: IntegrityError at the first bad i.
+
+    >>> _period(SurgeryParams(7, 2))
+    ([-1, 0, 0, 1, 1, 0, 0], 4)
     """
-    p, h = params.p, params.p // 2
+    p = params.p
     values, l0, step = _residue_values(params)
-    rot = values[l0:] + values[:l0]  # rot[x] = values[l0 + x]: a_i = rot[-i*step mod p]
+    rot = values[l0:] + values[:l0]  # rot[x] = values[l0 + x]
     if rot[1:] != rot[:0:-1]:
-        bad = next(i for i in range(1, h + 1) if rot[-i * step % p] != rot[i * step % p])
+        bad = next(i for i in range(1, p // 2 + 1) if rot[-i * step % p] != rot[i * step % p])
         raise IntegrityError(p, params.k, "a_i != a_-i", index=bad)
+    return rot, step
+
+
+def _gather(rot: list[int], step: int) -> GeneratedPolynomial:
+    """The polynomial of a checked period, from a_0..a_{p/2} alone, with
+    its value at t = 1."""
+    p, h = len(rot), len(rot) // 2
     # a comprehension gathers faster than map(rot.__getitem__, map(mod, ...))
     half = [rot[x % p] for x in range(0, -step * (h + 1), -step)]  # a_0..a_h
     g = next(compress(range(h, 0, -1), reversed(half)), 0)  # the last nonzero a_i, i >= 1
     poly = SymmetricLaurentPolynomial(g=g, coeffs=tuple(half[g:0:-1] + half[:g + 1]))
     return GeneratedPolynomial(poly, 2 * sum(half) - half[0])  # sum(poly.coeffs)
+
+
+def _top_terms(rot: list[int], step: int) -> tuple[int, int, int, int]:
+    """(g, a_g, a_{g-1}, a_{g-2}) of a checked period, scanning down from
+    a_{p/2} to the first nonzero term.  As in :func:`top_coefficient`,
+    a_{g-n} is a_{|g-n|} when |g-n| <= g and 0 otherwise.
+
+    >>> _top_terms(*_period(SurgeryParams(7, 2)))  # t - 1 + t^-1: a_{g-2} = a_-1
+    (1, 1, -1, 1)
+    >>> _top_terms(*_period(SurgeryParams(19, 7)))
+    (5, 1, -1, 0)
+    """
+    p = len(rot)
+    g = next((i for i in range(p // 2, 0, -1) if rot[-i * step % p]), 0)
+    return (g, *(rot[-abs(g - n) * step % p] if abs(g - n) <= g else 0 for n in range(3)))
+
+
+def generate(params: SurgeryParams) -> GeneratedPolynomial:
+    """Run the generator and symmetrize, without the normalization gate:
+    the checked period (:func:`_period`), gathered, with the t = 1 value
+    reported verbatim."""
+    return _gather(*_period(params))
 
 
 def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:

@@ -7,8 +7,11 @@ progress: rows come in ascending (p, k), one flushed batch per p, so a
 resume keeps the rows of every complete p, drops the rest and continues.
 
 A :class:`SweepRecord` is one report row: its fields are the columns, in
-order.  ``verify`` folds its violations over the same per-p record stream
-that ``run_sweep`` writes.
+order.  ``verify`` works by p too, but it generates and checks every
+pair's period and reads only its top three coefficients off it; the
+record is built only for a pair with the pattern (1, -1, nonzero) or with
+k = 2, as no other pair is the hypothesis of the theorem or of either
+direction of the corollary.
 
 Report files carry no timing: each worker times its batch of one p, and
 the per-p and total wall-clock microseconds go to a side file
@@ -27,6 +30,9 @@ from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import (
     GeneratedPolynomial,
+    _gather,
+    _period,
+    _top_terms,
     generate,
     is_alternating,
     is_flat,
@@ -125,7 +131,7 @@ def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
 
 def compute_record(params: SurgeryParams, gen: GeneratedPolynomial | None = None) -> SweepRecord:
     """The report row of one parameter; ``gen`` may be passed when the
-    caller has already run :func:`generate`."""
+    caller already has the generator's output for it."""
     if gen is None:
         gen = generate(params)
     inv, poly = params.inv, gen.poly
@@ -163,9 +169,16 @@ def _records_for_p(p: int) -> tuple[list[SweepRecord], int]:
     return records, (time.perf_counter_ns() - start) // 1000
 
 
+def _top_trigger(top0: int, top1: int, top2: int) -> bool:
+    """The theorem's hypothesis on a_g, a_{g-1}, a_{g-2}: (1, -1, nonzero).
+    The trivial polynomial, whose a_{g-1} is 0, never meets it."""
+    return top0 == 1 and top1 == -1 and top2 != 0
+
+
 def _theorem_trigger(record: SweepRecord) -> bool:
-    # nontrivial with top coefficients (1, -1, nonzero)
-    return (not record.trivial) and record.top_sign_ok and record.alpha2 != 0
+    # a row keeps a_g only through top_sign_ok, which says a_g = 1 when
+    # a_{g-1} = -1 (the row is then nontrivial)
+    return _top_trigger(1 if record.top_sign_ok else 0, record.alpha1, record.alpha2)
 
 
 def is_theorem_violation(record: SweepRecord) -> bool:
@@ -230,22 +243,43 @@ def _map_over_p(
         yield from zip(ps, pool.imap(worker, ps, chunksize=4))
 
 
+def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
+    """The theorem and corollary violations of one p: every pair's period
+    is generated and checked, and only a pair that meets the trigger or
+    has k = 2 gets its record, from that same period."""
+    theorem: list[Violation] = []
+    corollary: list[Violation] = []
+    for k in _canonical_ks(p):
+        params = SurgeryParams(p, k)
+        rot, step = _period(params)
+        if k == 2 or _top_trigger(*_top_terms(rot, step)[1:]):
+            record = compute_record(params, _gather(rot, step))
+            theorem.extend(_theorem_violations(record))
+            corollary.extend(_corollary_violations(record))
+    return theorem, corollary
+
+
 def verify(max_p: int, jobs: int = 1) -> tuple[list[Violation], list[Violation]]:
     """(theorem violations, corollary violations) for every canonical
-    parameter with p <= max_p, each record computed once.
+    parameter with p <= max_p, in ascending (p, k).
 
     Theorem: the top-coefficient pattern (1, -1, nonzero) forces the
     T(2, 2g+1) polynomial with k = 2.  Corollary, both directions: the
     pattern holds iff k = 2 and p is 4g+1 or 4g+3 (in which case the
     polynomial is T(2, 2g+1)'s).  Violations are data, not errors.
+
+    Every pair's whole period is generated and checked for a_i = a_{-i},
+    and its top three coefficients are read off it.  A pair without the
+    pattern and with k != 2 is the hypothesis of neither statement, so it
+    can hold no violation; only the other pairs (225 of the 3,272 with
+    p <= 200) get a full record, which the violation predicates read.
     """
     _check_range(max_p, jobs)
     theorem: list[Violation] = []
     corollary: list[Violation] = []
-    for _, (records, _) in _map_over_p(_records_for_p, 2, max_p, jobs):
-        for record in records:
-            theorem.extend(_theorem_violations(record))
-            corollary.extend(_corollary_violations(record))
+    for _, (th, co) in _map_over_p(_violations_for_p, 2, max_p, jobs):
+        theorem += th
+        corollary += co
     return theorem, corollary
 
 

@@ -12,7 +12,9 @@ from lenspoly.alexander import (
     GeneratedPolynomial,
     IntegrityError,
     SymmetricLaurentPolynomial,
+    _period,
     _residue_values,
+    _top_terms,
     format_polynomial,
     generate,
     is_alternating,
@@ -283,6 +285,21 @@ def test_top_coefficient():
     assert top_coefficient(trivial, 0) == 1
     assert top_coefficient(trivial, 1) == 0
     assert top_coefficient(t25, 99) == 0  # far past the bottom end
+
+
+def test_top_terms_match_top_coefficient_up_to_300():
+    """The period reader's (g, a_g, a_{g-1}, a_{g-2}) equals generate's g
+    and top_coefficient(poly, n) for n = 0, 1, 2 on every canonical pair
+    with p <= 300, where g = 0 (k = 1), g = 1 and g = 2 all occur."""
+    genera = set()
+    for params in enumerate_params(300):
+        poly = generate(params).poly
+        top = _top_terms(*_period(params))
+        assert top == (poly.g, *(top_coefficient(poly, n) for n in range(3))), params
+        genera.add(top[0])
+    assert {0, 1, 2} <= genera
+    # g = 1: a_{g-2} is a_-1 = a_1 = 1, not 0
+    assert _top_terms(*_period(SurgeryParams(5, 2))) == (1, 1, -1, 1)
 
 
 def test_predicates():

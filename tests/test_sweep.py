@@ -11,11 +11,12 @@ import sys
 
 import pytest
 
+import lenspoly.alexander
 import lenspoly.surgery
 import lenspoly.sweep
-from lenspoly.alexander import generate
+from lenspoly.alexander import IntegrityError, generate
 from lenspoly.lattice import check_lemma
-from lenspoly.surgery import SurgeryParams, reduce_mod
+from lenspoly.surgery import SurgeryParams, _canonical_ks, reduce_mod
 from lenspoly.sweep import (
     CSV_COLUMNS,
     CheckpointError,
@@ -26,7 +27,9 @@ from lenspoly.sweep import (
     _parse_row,
     _records_for_p,
     _serialize_batch,
+    _theorem_trigger,
     _theorem_violations,
+    _violations_for_p,
     compute_record,
     enumerate_params,
     run_sweep,
@@ -222,6 +225,50 @@ def test_verify_folds_the_parsed_report(tmp_path):
 
 def test_verify_with_jobs_matches_serial():
     assert verify(80, jobs=3) == verify(80)
+
+
+def test_verify_builds_records_only_for_candidates(monkeypatch):
+    """verify(200) builds the records of the 225 pairs that meet the
+    trigger or have k = 2, and of no other of the 3,272 pairs; with a
+    reader that never fires, of the k = 2 pairs alone."""
+    records = [compute_record(params) for params in enumerate_params(200)]
+    assert len(records) == 3272
+    candidates = [(r.p, r.k) for r in records if _theorem_trigger(r) or r.k == 2]
+    calls = []
+    fn = lenspoly.sweep.compute_record
+
+    def counted(params, gen=None):
+        calls.append((params.p, params.k))
+        return fn(params, gen)
+    monkeypatch.setattr(lenspoly.sweep, "compute_record", counted)
+    verify(200)
+    assert len(calls) == 225
+    assert calls == candidates
+    # k = 2 gets its record whatever its top coefficients read
+    calls.clear()
+    monkeypatch.setattr(lenspoly.sweep, "_top_terms", lambda rot, step: (0, 0, 0, 0))
+    verify(200)
+    assert calls == [(p, 2) for p in range(5, 201, 2)]
+
+
+def test_verify_checks_symmetry_off_the_candidates(monkeypatch):
+    """verify checks a_i = a_-i on the pairs it builds no record for:
+    a break planted in (13, 5), where g = 6, the trigger does not fire and
+    k != 2, raises IntegrityError for that pair."""
+    params = SurgeryParams(13, 5)
+    record = compute_record(params)
+    assert record.g == 6 and not _theorem_trigger(record)
+    residue_values = lenspoly.alexander._residue_values
+
+    def broken(params):
+        values, l0, step = residue_values(params)
+        if (params.p, params.k) == (13, 5):
+            values[(l0 - step) % 13] += 1  # a_1 != a_-1
+        return values, l0, step
+    monkeypatch.setattr(lenspoly.alexander, "_residue_values", broken)
+    with pytest.raises(IntegrityError) as exc_info:
+        verify(13)
+    assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (13, 5, 1)
 
 
 def run_verify_report(*flags):
@@ -432,10 +479,17 @@ def test_resume_refuses_tail_that_is_not_the_next_line(tmp_path, fmt, rows, tail
     assert out.read_bytes() == damaged
 
 
-@pytest.mark.parametrize("p", [2, 3, 8, 101, 600])
-def test_records_check_canonicity_once(monkeypatch, p):
+@pytest.mark.parametrize(
+    "worker, p",
+    [(w, p) for w in (_records_for_p, _violations_for_p) for p in (2, 3, 8, 101, 600)],
+    ids=[f"{prefix}{p}" for prefix in ("", "verify-") for p in (2, 3, 8, 101, 600)],
+)
+def test_records_check_canonicity_once(monkeypatch, worker, p):
     """k2 is taken once per coprime k <= p/2, by the _canonical_ks filter,
-    and once per record, when its SurgeryParams derives the invariants."""
+    and once per pair, when its SurgeryParams derives the invariants: by
+    the sweep's worker and by verify's, which builds some of the records
+    from the SurgeryParams it made for the period."""
+    pairs = len(_canonical_ks(p))
     calls = []
     fn = lenspoly.surgery._k2
 
@@ -443,10 +497,9 @@ def test_records_check_canonicity_once(monkeypatch, p):
         calls.append(args)
         return fn(*args)
     monkeypatch.setattr(lenspoly.surgery, "_k2", counted)
-    records, _ = _records_for_p(p)
-    assert records
+    worker(p)
     coprime = sum(1 for k in range(1, p // 2 + 1) if math.gcd(k, p) == 1)
-    assert len(calls) == coprime + len(records)
+    assert len(calls) == coprime + pairs
 
 
 def test_map_over_p_caps_workers(monkeypatch):
