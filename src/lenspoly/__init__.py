@@ -43,7 +43,6 @@ from .surgery import (
     SurgeryParams,
     canonicalize_dual_class,
     derive_invariants,
-    interval_contains,
     reduce_mod,
 )
 from .sweep import (
@@ -91,7 +90,6 @@ __all__ = [
     "format_polynomial",
     "fundamental_window",
     "generate",
-    "interval_contains",
     "is_alternating",
     "is_flat",
     "is_trivial",

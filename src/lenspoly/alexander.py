@@ -88,57 +88,57 @@ class GeneratedPolynomial(NamedTuple):
     delta_one: int
 
 
-def _residue_values(params: SurgeryParams) -> tuple[list[int], int, int]:
-    """(values, l0, step) with abar_i = values[(l0 - i*step) mod p], in O(p + k) total.
+def _residue_values(params: SurgeryParams) -> tuple[list[int], int]:
+    """(rot, step) with abar_i = rot[-i*step mod p], in O(p + k) total.
 
     The membership test asks whether q2*j + q2*(k*i + c) mod p lands in a
-    fixed cyclic arc of k2 consecutive residues (the residue image of
-    I_{e*k2}: 1..k2 when e = 1, 0 and p-k2+1..p-1 when e = -1).  Moving
-    the shift onto the arc, a_i = e*(W(l_i) - m), where W(l) counts the
-    residues S = {q2*j mod p : j = 1..k} in the arc l..l+k2-1 (cyclic)
-    and l_i = arc_start - q2*(k*i + c) mod p: values[l] = e*(W(l) - m).
+    fixed cyclic arc of k2 consecutive residues starting at arc_start
+    (the residue image of I_{e*k2}: 1..k2 when e = 1, 0 and
+    p-k2+1..p-1 when e = -1).  Moving the rest onto the arc,
+    a_i = e*(W(x_i) - m), where W(x) counts the residues
+    S = {q2*(j + c) - arc_start mod p : j = 1..k} in the arc x..x+k2-1
+    (cyclic) and x_i = -i*step mod p with step = q2*k mod p:
+    rot[x] = e*(W(x) - m).
 
-    * W over all starts: W(l+1) - W(l) = [l+k2 in S] - [l in S], so one
+    * W over all starts: W(x+1) - W(x) = [x+k2 in S] - [x in S], so one
       loop over S writes the steps of e*(W - m) and counts W(0), and one
       ``accumulate`` sums them.
-    * The starts: l_i = l0 - i*step with step = q2*k mod p.  Since
-      q2 = k2^2 and k*k2 = e (mod p), step = e*k2 (mod p), a unit, never
-      0: the starts l_i run through every residue once, so a_i = a_-i for
-      all i says exactly that ``values`` is symmetric about l0.
+    * Since q2 = k2^2 and k*k2 = e (mod p), step = e*k2 (mod p), a unit,
+      never 0: the starts x_i run through every residue once, so
+      a_i = a_-i for all i says exactly that ``rot`` is symmetric about 0.
 
     >>> _residue_values(SurgeryParams(7, 2))
-    ([0, 0, -1, 0, 0, 1, 1], 2, 4)
+    ([-1, 0, 0, 1, 1, 0, 0], 4)
     """
     p, inv = params.p, params.inv
     k2, e = inv.k2, inv.e
     q2 = inv.q2 % p
-    steps = [0] * p  # steps[l] = values[l+1] - values[l], cyclic
+    arc_start = 1 if e > 0 else (1 - k2) % p
+    steps = [0] * p  # steps[x] = rot[x+1] - rot[x], cyclic
     first = 0  # W(0)
-    r = 0
+    r = (q2 * inv.c - arc_start) % p  # the walk runs over S
     for _ in range(params.k):
         r = (r + q2) % p
         steps[r] -= e
         steps[r - k2] += e  # r - k2 > -p wraps as an index
         first += r < k2
-    values = list(accumulate(steps[:p - 1], initial=e * (first - inv.m)))
-    arc_start = 1 if e > 0 else (1 - k2) % p
-    return values, (arc_start - q2 * inv.c) % p, q2 * params.k % p
+    rot = list(accumulate(steps[:p - 1], initial=e * (first - inv.m)))
+    return rot, q2 * params.k % p
 
 
 def _period(params: SurgeryParams) -> tuple[list[int], int]:
-    """(rot, step) with a_i = rot[-i*step mod p] for every i, once
-    a_i = a_{-i} is checked across the whole period.
+    """(rot, step) of :func:`_residue_values`, once a_i = a_{-i} is
+    checked across the whole period.
 
-    The check runs on the residue order; a failure would be an
-    implementation bug: IntegrityError at the first bad i.
+    A failure would be an implementation bug: IntegrityError at the
+    first bad i.
 
     >>> _period(SurgeryParams(7, 2))
     ([-1, 0, 0, 1, 1, 0, 0], 4)
     """
-    p = params.p
-    values, l0, step = _residue_values(params)
-    rot = values[l0:] + values[:l0]  # rot[x] = values[l0 + x]
+    rot, step = _residue_values(params)
     if rot[1:] != rot[:0:-1]:
+        p = params.p
         bad = next(i for i in range(1, p // 2 + 1) if rot[-i * step % p] != rot[i * step % p])
         raise IntegrityError(p, params.k, "a_i != a_-i", index=bad)
     return rot, step

@@ -3,7 +3,7 @@
 The A-matrix spreads the periodic coefficients over Z^2 via
 ``A[i, j] = abar_{k2*(i + j*e*k - c)}`` and dA is its horizontal
 difference, which also has a direct three-case formula on the residue
-``[q2*i + k2*j]_p``.  Both are p-periodic in i, and with u = e*k =
+``(q2*i + k2*j) mod p``.  Both are p-periodic in i, and with u = e*k =
 k2^-1 (mod p), so that q2*u = k2, every cell reads row 0:
 ``A[i, j] = A[(i + u*j) mod p, 0]`` (likewise dA).  A window row is
 therefore one slice of row 0 repeated, and a view keeps only that
@@ -23,12 +23,7 @@ from .alexander import (
     SymmetricLaurentPolynomial,
     generate,
 )
-from .surgery import (
-    DerivedInvariants,
-    SurgeryParams,
-    interval_contains,
-    reduce_mod,
-)
+from .surgery import DerivedInvariants, SurgeryParams, reduce_mod
 
 
 @dataclass(frozen=True)
@@ -71,15 +66,16 @@ def a_entry(
 
 
 def da_entry(params: SurgeryParams, inv: DerivedInvariants, i: int, j: int) -> int:
-    """dA[i, j] by the case split on r = [q2*i + k2*j]_p.
+    """dA[i, j] by the case split on r = (q2*i + k2*j) mod p.
 
-    +1 when r is in I_{-k2}, -1 when r is in I_{k2}, 0 otherwise.  Equals
-    A[i, j] - A[i-1, j] identically; views assert that.
+    +1 when r = 0 or r > p - k2, -1 when 1 <= r <= k2, 0 otherwise (the
+    ranges are disjoint because k2 <= p/2).  Equals A[i, j] - A[i-1, j]
+    identically; views assert that.
     """
-    r = reduce_mod((inv.q2 * i + inv.k2 * j) % params.p, params.p)
-    if interval_contains(-inv.k2, r):
+    r = (inv.q2 * i + inv.k2 * j) % params.p
+    if r == 0 or r > params.p - inv.k2:
         return 1
-    if interval_contains(inv.k2, r):
+    if r <= inv.k2:
         return -1
     return 0
 
@@ -312,9 +308,8 @@ def covered_translates(
 def check_lemma(params: SurgeryParams) -> bool:
     """Whether the (-1, +1) vertical dA pattern occurs, decided in O(1).
 
-    In column i, dA[i, j] depends only on r = (q2*i + k2*j) mod p: it is
-    +1 when r = 0 or r > p - k2, -1 when 1 <= r <= k2, and 0 otherwise
-    (the ranges are disjoint because k2 <= p/2).  Stepping j by one adds
+    In column i, dA[i, j] depends only on r = (q2*i + k2*j) mod p, by the
+    case split of :func:`da_entry`.  Stepping j by one adds
     k2 to r, and gcd(k2, p) = 1, so over one vertical period each column
     meets every residue exactly once, and with it every step r -> r + k2.
     Both columns i = 0, 1 therefore show the same patterns:

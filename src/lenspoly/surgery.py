@@ -14,7 +14,7 @@ Conventions used throughout the package:
   representative in the half-open interval (-p/2, p/2].  See
   :func:`reduce_mod`.
 * ``I_ell`` denotes the signed interval {1, ..., ell} for ell > 0 and
-  {ell+1, ..., 0} for ell < 0.  See :func:`interval_contains`.
+  {ell+1, ..., 0} for ell < 0.
 """
 
 from __future__ import annotations
@@ -42,20 +42,6 @@ def reduce_mod(i: int, p: int) -> int:
         raise ValueError(f"modulus must be positive, got {p}")
     r = i % p
     return r if 2 * r <= p else r - p
-
-
-def interval_contains(ell: int, x: int) -> bool:
-    """Membership test for the signed interval I_ell.
-
-    I_ell = {1, ..., ell} when ell > 0 and {ell+1, ..., 0} when ell < 0.
-    Two comparisons decide membership; ell = 0 names no interval and is
-    rejected.
-    """
-    if ell == 0:
-        raise ValueError("signed interval I_0 is undefined (ell must be nonzero)")
-    if ell > 0:
-        return 1 <= x <= ell
-    return ell < x <= 0
 
 
 @dataclass(frozen=True)

@@ -189,39 +189,39 @@ def is_lemma_violation(record: SweepRecord) -> bool:
     return record.lemma_hypothesis and not (record.lemma_bound_ok and record.lemma_zeros_ok)
 
 
-def _theorem_violations(record: SweepRecord) -> list[Violation]:
-    if not is_theorem_violation(record):
-        return []
-    reasons = []
-    if not record.torus2_match:
-        reasons.append("polynomial is not the T(2, 2g+1) polynomial")
-    if record.k != 2:
-        reasons.append(f"k = {record.k} != 2")
-    return [Violation(p=record.p, k=record.k, reason="; ".join(reasons))]
-
-
-def _corollary_violations(record: SweepRecord) -> list[Violation]:
-    out = []
+def _violations(record: SweepRecord) -> tuple[list[Violation], list[Violation]]:
+    """The theorem and the corollary violations of one record, as in
+    :func:`verify`."""
+    p, k, g = record.p, record.k, record.g
     pattern = _theorem_trigger(record)
-    equiv = record.k == 2 and record.p in (4 * record.g + 1, 4 * record.g + 3)
-    if pattern and not equiv:
-        out.append(Violation(
-            p=record.p, k=record.k,
-            reason=f"forward: pattern holds but (k, p) = ({record.k}, {record.p}) "
-                   f"is not (2, 4g+1) or (2, 4g+3) for g = {record.g}",
+    p_ok = p in (4 * g + 1, 4 * g + 3)
+    not_torus = "polynomial is not the T(2, 2g+1) polynomial"
+    theorem: list[Violation] = []
+    corollary: list[Violation] = []
+    if pattern and not (record.torus2_match and k == 2):  # as is_theorem_violation
+        reasons = []
+        if not record.torus2_match:
+            reasons.append(not_torus)
+        if k != 2:
+            reasons.append(f"k = {k} != 2")
+        theorem.append(Violation(p=p, k=k, reason="; ".join(reasons)))
+    if pattern and not (k == 2 and p_ok):
+        corollary.append(Violation(
+            p=p, k=k,
+            reason=f"forward: pattern holds but (k, p) = ({k}, {p}) "
+                   f"is not (2, 4g+1) or (2, 4g+3) for g = {g}",
         ))
-    if record.k == 2:
+    if k == 2:
         problems = []
         if not record.torus2_match:
-            problems.append("polynomial is not the T(2, 2g+1) polynomial")
-        if record.p not in (4 * record.g + 1, 4 * record.g + 3):
-            problems.append(f"p = {record.p} is not 4g+1 or 4g+3 for g = {record.g}")
+            problems.append(not_torus)
+        if not p_ok:
+            problems.append(f"p = {p} is not 4g+1 or 4g+3 for g = {g}")
         if not pattern:
             problems.append("top coefficients are not (1, -1, nonzero)")
         if problems:
-            out.append(Violation(p=record.p, k=record.k,
-                                 reason="reverse: " + "; ".join(problems)))
-    return out
+            corollary.append(Violation(p=p, k=k, reason="reverse: " + "; ".join(problems)))
+    return theorem, corollary
 
 
 def _map_over_p(
@@ -253,9 +253,9 @@ def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
         params = SurgeryParams(p, k)
         rot, step = _period(params)
         if k == 2 or _top_trigger(*_top_terms(rot, step)[1:]):
-            record = compute_record(params, _gather(rot, step))
-            theorem.extend(_theorem_violations(record))
-            corollary.extend(_corollary_violations(record))
+            th, co = _violations(compute_record(params, _gather(rot, step)))
+            theorem += th
+            corollary += co
     return theorem, corollary
 
 

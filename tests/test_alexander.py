@@ -89,9 +89,9 @@ def residue_table_loop(params, inv):
 def full_period_table(params):
     """abar_i for i = 0..p-1, gathered from the kernel's residue-ordered
     values over the whole period."""
-    values, l0, step = _residue_values(params)
+    rot, step = _residue_values(params)
     p = params.p
-    return [values[x % p] for x in range(l0, l0 - step * p, -step)]
+    return [rot[-i * step % p] for i in range(p)]
 
 
 def generate_full_period(params):
@@ -353,10 +353,10 @@ def test_symmetric_type_validation():
 
 def test_generate_reports_first_asymmetric_index(monkeypatch):
     params = SurgeryParams(19, 7)
-    values, l0, step = _residue_values(params)
-    values[(l0 - 4 * step) % 19] += 1  # a_4 != a_-4
-    values[(l0 + 2 * step) % 19] += 1  # a_-2 != a_2: the first bad index
-    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params: (values, l0, step))
+    rot, step = _residue_values(params)
+    rot[-4 * step % 19] += 1  # a_4 != a_-4
+    rot[2 * step % 19] += 1  # a_-2 != a_2: the first bad index
+    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params: (rot, step))
     with pytest.raises(IntegrityError) as exc_info:
         generate(params)
     err = exc_info.value

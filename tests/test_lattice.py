@@ -32,12 +32,7 @@ from lenspoly.lattice import (
     trace_curves,
 )
 from lenspoly.render import ascii_curves, ascii_view, svg_curves, view_to_json
-from lenspoly.surgery import (
-    SurgeryParams,
-    derive_invariants,
-    interval_contains,
-    reduce_mod,
-)
+from lenspoly.surgery import SurgeryParams, derive_invariants, reduce_mod
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -111,6 +106,18 @@ def test_da_zero_count_per_period():
         assert zeros == max(params.p - 2 * inv.k2, 0), params
 
 
+def da_by_signed_intervals(params, inv, i, j):
+    """The paper's form of dA: with the balanced residue r = [q2*i + k2*j]_p,
+    +1 when r is in I_{-k2} = {-k2+1, ..., 0}, -1 when r is in
+    I_{k2} = {1, ..., k2}, 0 otherwise."""
+    r = reduce_mod(inv.q2 * i + inv.k2 * j, params.p)
+    if -inv.k2 < r <= 0:
+        return 1
+    if 1 <= r <= inv.k2:
+        return -1
+    return 0
+
+
 @given(st.integers(2, 200), st.integers(1, 200), st.integers(-50, 50), st.integers(-50, 50))
 def test_da_case_split_matches_interval_tests(p, k, i, j):
     if math.gcd(p, k) != 1 or 2 * k > p:
@@ -120,14 +127,17 @@ def test_da_case_split_matches_interval_tests(p, k, i, j):
     except ValueError:
         return
     inv = derive_invariants(params)
-    r = reduce_mod(inv.q2 * i + inv.k2 * j, p)
-    if interval_contains(-inv.k2, r):
-        expected = 1
-    elif interval_contains(inv.k2, r):
-        expected = -1
-    else:
-        expected = 0
-    assert da_entry(params, inv, i, j) == expected
+    assert da_entry(params, inv, i, j) == da_by_signed_intervals(params, inv, i, j)
+
+
+def test_da_case_split_matches_interval_tests_on_every_residue():
+    """Every residue class of every canonical pair with p <= 200: q2 is a
+    unit, so the cells (i, 0), 0 <= i < p, meet every r once."""
+    for params in canonical_params(200):
+        p, inv = params.p, params.inv
+        assert sorted(inv.q2 * i % p for i in range(p)) == list(range(p))
+        for i in range(p):
+            assert da_entry(params, inv, i, 0) == da_by_signed_intervals(params, inv, i, 0), (params, i)
 
 
 def view_windows(params, rng):

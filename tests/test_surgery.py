@@ -1,4 +1,4 @@
-"""Balanced residues, signed intervals, and parameter canonicalization."""
+"""Balanced residues and parameter canonicalization."""
 
 import math
 
@@ -11,7 +11,6 @@ from lenspoly.surgery import (
     SurgeryParams,
     canonicalize_dual_class,
     derive_invariants,
-    interval_contains,
     reduce_mod,
 )
 
@@ -51,48 +50,6 @@ def test_reduce_mod_congruent_and_in_range(i, p):
 @given(st.integers(-10**6, 10**6), st.integers(2, 10**4))
 def test_reduce_mod_idempotent(i, p):
     assert reduce_mod(reduce_mod(i, p), p) == reduce_mod(i, p)
-
-
-# --------------------------------------------------------- interval_contains
-
-
-def test_interval_contains_positive_direction():
-    # I_3 = {1, 2, 3}
-    assert interval_contains(3, 1)
-    assert interval_contains(3, 3)
-    assert not interval_contains(3, 0)
-    assert not interval_contains(3, 4)
-    assert not interval_contains(3, -1)
-
-
-def test_interval_contains_negative_direction():
-    # I_{-3} = {-2, -1, 0}
-    assert interval_contains(-3, 0)
-    assert interval_contains(-3, -2)
-    assert not interval_contains(-3, -3)
-    assert not interval_contains(-3, 1)
-
-
-def test_interval_zero_rejected():
-    with pytest.raises(ValueError):
-        interval_contains(0, 0)
-
-
-@given(st.integers(-50, 50).filter(lambda e: e != 0), st.integers(-60, 60))
-def test_interval_matches_enumeration(ell, x):
-    if ell > 0:
-        members = set(range(1, ell + 1))
-    else:
-        members = set(range(ell + 1, 1))
-    assert interval_contains(ell, x) == (x in members)
-
-
-@given(st.integers(1, 50), st.integers(-60, 60))
-def test_interval_negation_symmetry(ell, x):
-    """x in I_ell  iff  -x in -I_ell = I_{-ell} shifted; concretely
-    I_{-ell} = -I_ell + 0 shift is false in general, but
-    x in I_ell iff (x - ell - ... ) -- simplest truth: 1-x in I_{-ell}."""
-    assert interval_contains(ell, x) == interval_contains(-ell, x - ell)
 
 
 # ------------------------------------------------------------- SurgeryParams

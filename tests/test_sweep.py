@@ -22,13 +22,13 @@ from lenspoly.sweep import (
     CheckpointError,
     SweepConfig,
     SweepRecord,
-    _corollary_violations,
+    Violation,
     _map_over_p,
     _parse_row,
     _records_for_p,
     _serialize_batch,
     _theorem_trigger,
-    _theorem_violations,
+    _violations,
     _violations_for_p,
     compute_record,
     enumerate_params,
@@ -217,10 +217,35 @@ def test_verify_folds_the_parsed_report(tmp_path):
     out = tmp_path / "r.csv"
     run_sweep(SweepConfig(max_p=200, out_path=str(out)))
     records = [_parse_row(line, "csv") for line in out.read_text().splitlines()[1:]]
+    folded = [_violations(r) for r in records]
     assert verify(200) == (
-        [v for r in records for v in _theorem_violations(r)],
-        [v for r in records for v in _corollary_violations(r)],
+        [v for th, _ in folded for v in th],
+        [v for _, co in folded for v in co],
     )
+
+
+def test_violations_name_every_failed_conclusion():
+    """Each conclusion a record fails gets its reason, on records edited
+    from (11, 2), whose T(2, 5) polynomial meets the pattern with p = 4g+3.
+    No canonical k = 2 pair lacks the pattern, so only an edited record
+    reaches the reverse direction's last reason."""
+    record = compute_record(SurgeryParams(11, 2))
+    assert _violations(record) == ([], [])
+    assert _violations(record._replace(alpha2=0)) == ([], [
+        Violation(11, 2, "reverse: top coefficients are not (1, -1, nonzero)"),
+    ])
+    not_torus = "polynomial is not the T(2, 2g+1) polynomial"
+    assert _violations(record._replace(torus2_match=False, g=3)) == ([
+        Violation(11, 2, not_torus),
+    ], [
+        Violation(11, 2, "forward: pattern holds but (k, p) = (2, 11) "
+                         "is not (2, 4g+1) or (2, 4g+3) for g = 3"),
+        Violation(11, 2, f"reverse: {not_torus}; p = 11 is not 4g+1 or 4g+3 for g = 3"),
+    ])
+    assert _violations(record._replace(k=3)) == ([Violation(11, 3, "k = 3 != 2")], [
+        Violation(11, 3, "forward: pattern holds but (k, p) = (3, 11) "
+                         "is not (2, 4g+1) or (2, 4g+3) for g = 2"),
+    ])
 
 
 def test_verify_with_jobs_matches_serial():
@@ -261,10 +286,10 @@ def test_verify_checks_symmetry_off_the_candidates(monkeypatch):
     residue_values = lenspoly.alexander._residue_values
 
     def broken(params):
-        values, l0, step = residue_values(params)
+        rot, step = residue_values(params)
         if (params.p, params.k) == (13, 5):
-            values[(l0 - step) % 13] += 1  # a_1 != a_-1
-        return values, l0, step
+            rot[-step % 13] += 1  # a_1 != a_-1
+        return rot, step
     monkeypatch.setattr(lenspoly.alexander, "_residue_values", broken)
     with pytest.raises(IntegrityError) as exc_info:
         verify(13)
