@@ -45,6 +45,11 @@ class IntegrityError(Exception):
         where = f"(p={p}, k={k}" + (f", i={index})" if index is not None else ")")
         super().__init__(f"{where}: {detail}")
 
+    def __reduce__(self):
+        # args holds only the message, so rebuild from the fields: a pool
+        # worker's error must unpickle in the caller
+        return (type(self), (self.p, self.k, self.detail, self.index))
+
 
 @dataclass(frozen=True)
 class SymmetricLaurentPolynomial:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .alexander import (
@@ -38,6 +37,7 @@ from .surgery import (
 from .sweep import (
     CheckpointError,
     SweepConfig,
+    _encode_json,
     run_sweep,
     verify,
 )
@@ -49,10 +49,6 @@ _MAX_WINDOW_CELLS = 2**22
 # Largest p that poly, matrix and curve accept: generate holds O(p) lists
 # (a peak RSS above 100 MB at p = 4,000,037).
 _MAX_GENERATED_P = 2**22
-
-
-# every object encoded here is a fresh tree, so there are no cycles to check
-_dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _resolve_params(args) -> SurgeryParams:
@@ -83,9 +79,9 @@ def _window_from_args(args, params: SurgeryParams) -> Window:
     elif any(v is None for v in given):
         raise InvalidParameterError("window flags --i0 --i1 --j0 --j1 must all be given together")
     else:
-        window = Window(i0=args.i0, i1=args.i1, j0=args.j0, j1=args.j1)
+        window = Window(*given)
     # a window with no columns still has one (empty) row per j
-    cells = max(window.i1 - window.i0 + 1, 1) * (window.j1 - window.j0 + 1)
+    cells = max(window.width(), 1) * (window.j1 - window.j0 + 1)
     if cells > _MAX_WINDOW_CELLS:
         raise InvalidParameterError(
             f"window of {cells} cells exceeds the limit of {_MAX_WINDOW_CELLS}"
@@ -103,7 +99,7 @@ def _generate_in_window(args) -> tuple[SurgeryParams, Window, GeneratedPolynomia
 def _cmd_invariants(args) -> int:
     params = _resolve_params(args)
     if args.format == "json":
-        print(_dumps({"p": params.p, "k": params.k, **params.inv._asdict()}))
+        print(_encode_json({"p": params.p, "k": params.k, **params.inv._asdict()}))
     else:
         print(f"p = {params.p}")
         print(f"k = {params.k}")
@@ -116,7 +112,7 @@ def _cmd_poly(args) -> int:
     params = _resolve_generated_params(args)
     poly = polynomial(params)
     if args.format == "json":
-        print(_dumps(polynomial_to_json(poly)))
+        print(_encode_json(polynomial_to_json(poly)))
     else:
         print(format_polynomial(poly))
     return 0
@@ -140,13 +136,7 @@ def _cmd_curve(args) -> int:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg_curves(params, window, curves, region))
     if args.format == "json":
-        print(_dumps({
-            "i0": window.i0, "i1": window.i1, "j0": window.j0, "j1": window.j1,
-            "components": [
-                {"id": c.id, "translate": c.translate, "arrows": c.arrows}
-                for c in curves
-            ],
-        }))
+        print(_encode_json({**window._asdict(), "components": [c._asdict() for c in curves]}))
     else:
         print(ascii_curves(window, curves))
     return 0
@@ -156,7 +146,7 @@ def _cmd_lemma(args) -> int:
     params = _resolve_params(args)
     found, k2 = check_lemma(params), params.inv.k2
     if args.format == "json":
-        print(_dumps({"p": params.p, "k": params.k, "k2": k2, "hypothesis_found": found}))
+        print(_encode_json({"p": params.p, "k": params.k, "k2": k2, "hypothesis_found": found}))
     else:
         print(f"hypothesis_found = {str(found).lower()} (p = {params.p}, 3*k2 = {3 * k2})")
     return 0

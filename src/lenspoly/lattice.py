@@ -14,8 +14,8 @@ translation ``v = (1, -k2)`` and the vertical period ``(0, p)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, groupby
+from typing import NamedTuple
 
 from .alexander import (
     GeneratedPolynomial,
@@ -26,8 +26,7 @@ from .alexander import (
 from .surgery import DerivedInvariants, SurgeryParams, reduce_mod
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Inclusive lattice rectangle i0..i1 x j0..j1.  May be empty (i0 > i1)."""
 
     i0: int
@@ -80,8 +79,7 @@ def da_entry(params: SurgeryParams, inv: DerivedInvariants, i: int, j: int) -> i
     return 0
 
 
-@dataclass(frozen=True)
-class LatticeView:
+class LatticeView(NamedTuple):
     """Immutable window snapshot of A or dA entries, one period plus row starts.
 
     Row j0+m is the slice ``period[starts[m]:starts[m] + width]``: row 0
@@ -149,8 +147,7 @@ def region_anchor(params: SurgeryParams, inv: DerivedInvariants, g: int) -> tupl
     return (istar, 0)
 
 
-@dataclass(frozen=True)
-class NonZeroRegion:
+class NonZeroRegion(NamedTuple):
     """The staircase region containing every nonzero A entry.
 
     Cell (x, y) belongs iff s = (y + (x - i*)*k2) mod p satisfies
@@ -200,8 +197,7 @@ def region_contains(region: NonZeroRegion, point: tuple[int, int]) -> bool:
     return region.translate_index(point) is not None
 
 
-@dataclass(frozen=True)
-class NonZeroCurve:
+class NonZeroCurve(NamedTuple):
     """One connected component of linked arrows.
 
     arrows is a tuple of (i, j, sign) sorted by non-increasing j (ties by

@@ -73,11 +73,12 @@ class SweepRecord(NamedTuple):
 CSV_COLUMNS = SweepRecord._fields
 _CSV_HEADER = ",".join(CSV_COLUMNS)
 _COLUMN_TYPES = tuple(get_type_hints(SweepRecord).values())  # int or bool
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+# the compact JSON of report rows and of the CLI: every object encoded is
+# a fresh tree, so there are no cycles to check
+_encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     p: int
     k: int
     reason: str
@@ -198,7 +199,7 @@ def _violations(record: SweepRecord) -> tuple[list[Violation], list[Violation]]:
     not_torus = "polynomial is not the T(2, 2g+1) polynomial"
     theorem: list[Violation] = []
     corollary: list[Violation] = []
-    if pattern and not (record.torus2_match and k == 2):  # as is_theorem_violation
+    if is_theorem_violation(record):
         reasons = []
         if not record.torus2_match:
             reasons.append(not_torus)
@@ -306,7 +307,8 @@ def _parse_row(line: str, fmt: str) -> SweepRecord:
     """Inverse of the row serialization: a line is a row only if
     serializing the record it parses to gives back exactly that line.
 
-    Raises ValueError, KeyError or TypeError on a line that is not a
+    Raises ValueError, KeyError, TypeError, OverflowError (an infinite
+    number) or RecursionError (deep nesting) on a line that is not a
     report row of this format.
     """
     if fmt == "csv":
@@ -368,7 +370,7 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                 continue
             try:
                 record = _parse_row(line[:-1].decode(), fmt)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
             if (record.p, record.k) != (p, ks[len(batch)]):
                 raise refuse(f"line {n} holds ({record.p}, {record.k}), but the next "

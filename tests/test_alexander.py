@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,15 @@ def test_polynomial_rejects_nonunit_evaluation():
     assert err.k == 3
     with pytest.raises(IntegrityError):
         polynomial(SurgeryParams(10, 3))
+
+
+def test_integrity_error_survives_pickling():
+    """A pool worker's IntegrityError crosses to the caller by pickle."""
+    err = pickle.loads(pickle.dumps(IntegrityError(13, 5, "a_i != a_-i", index=1)))
+    assert (err.p, err.k, err.index, err.detail) == (13, 5, 1, "a_i != a_-i")
+    assert str(err) == "(p=13, k=5, i=1): a_i != a_-i"
+    err = pickle.loads(pickle.dumps(IntegrityError(8, 3, "Delta(1) = 3")))
+    assert (err.index, str(err)) == (None, "(p=8, k=3): Delta(1) = 3")
 
 
 def test_generate_is_permissive_where_polynomial_is_strict():

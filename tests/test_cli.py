@@ -516,6 +516,27 @@ def test_resume_damaged_single_row_exit_3(capsys, tmp_path, fmt):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("old, new", [
+    ('"p":2', '"p":Infinity'),
+    ('"p":2', '"p":1e400'),
+    (None, "[" * 100_000),
+], ids=["infinity", "1e400", "deep-nesting"])
+def test_resume_unparsable_jsonl_row_exit_3(capsys, tmp_path, old, new):
+    """A row whose number overflows an int, or whose nesting is too deep
+    to parse, refuses the resume (exit 3) and leaves the report as it was."""
+    out = tmp_path / "r.jsonl"
+    assert run_cli(capsys, "sweep", "--max-p", "5", "--out", str(out), "--format", "jsonl")[0] == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert old is None or lines[0].startswith('{' + old + ',')
+    lines[0] = lines[0].replace(old, new, 1) if old else new + "\n"
+    out.write_text("".join(lines))
+    before = out.read_bytes()
+    code, _, err = run_cli(capsys, "sweep", "--max-p", "6", "--out", str(out), "--format", "jsonl")
+    assert code == 3
+    assert "line 1 is not a jsonl report row" in err
+    assert out.read_bytes() == before
+
+
 def test_resume_without_checkpoint_file_exit_3(capsys, tmp_path):
     """Without a checkpoint file the report alone decides: a finished
     report with a line that is not a row is refused, not overwritten."""

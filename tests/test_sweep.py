@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 
@@ -296,6 +297,55 @@ def test_verify_checks_symmetry_off_the_candidates(monkeypatch):
     assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (13, 5, 1)
 
 
+_POOL_SCRIPT = """
+import multiprocessing, os, sys
+import lenspoly.alexander
+from lenspoly.alexander import IntegrityError
+from lenspoly.cli import main
+from lenspoly.sweep import SweepConfig, run_sweep, verify
+
+residue_values = lenspoly.alexander._residue_values
+
+def broken(params):
+    rot, step = residue_values(params)
+    if (params.p, params.k) == (13, 5):
+        rot[-step % 13] += 1  # a_1 != a_-1
+    return rot, step
+
+lenspoly.alexander._residue_values = broken
+multiprocessing.set_start_method("fork")  # so the workers inherit the break
+os.cpu_count = lambda: 2  # so one CPU still gets a pool of two
+for run in (lambda: verify(13, jobs=2),
+            lambda: run_sweep(SweepConfig(max_p=13, out_path=sys.argv[1], jobs=2))):
+    try:
+        run()
+    except IntegrityError as exc:
+        print(exc.p, exc.k, exc.index)
+print(main(["verify", "--max-p", "13", "--jobs", "2"]))
+"""
+
+
+def test_worker_integrity_error_reaches_the_caller(tmp_path):
+    """An IntegrityError raised in a pool worker ends verify, the sweep
+    and the CLI (exit 4) in the caller; a hang fails by the timeout."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _POOL_SCRIPT, str(tmp_path / "r.csv")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the pool workers too
+        proc.communicate()
+        pytest.fail("a worker's IntegrityError did not reach the caller within 60 s")
+    assert out == "13 5 1\n13 5 1\n4\n", err
+    assert "integrity error: (p=13, k=5, i=1): a_i != a_-i" in err
+
+
 def run_verify_report(*flags):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -467,6 +517,9 @@ def test_resume_keeping_every_row_rewrites_nothing(tmp_path):
     ("jsonl", (4, 1), '"p":4', '"p":4.0'),
     ("jsonl", (5, 2), '{"p":5,"k":2', '{"k":2,"p":5'),
     ("jsonl", (5, 1), '"p":5,', '"p": 5,'),
+    ("jsonl", (3, 1), '"p":3', '"p":Infinity'),  # OverflowError in int()
+    ("jsonl", (4, 1), '"p":4', '"p":1e400'),     # parses as infinity too
+    pytest.param("jsonl", (5, 2), "{", "[" * 100_000 + "{", id="jsonl-deep-nesting"),
 ])
 def test_resume_refuses_rows_that_are_not_exact(tmp_path, fmt, pair, old, new):
     """A line counts as a row only if it is exactly the serialization of
