@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from lenspoly.alexander import generate
+from lenspoly.alexander import _gather, _period
 from lenspoly.surgery import InvalidParameterError, SurgeryParams, _canonical_ks
 from lenspoly.sweep import (
     _check_range,
@@ -28,8 +28,8 @@ from lenspoly.sweep import (
 
 
 def _record_and_unit(params):
-    gen = generate(params)
-    return compute_record(params, gen), gen.delta_one == 1
+    period = _period(params)
+    return compute_record(params, period), _gather(*period).delta_one == 1
 
 
 def _rows_for_p(p):

@@ -12,9 +12,6 @@ from .alexander import (
     SymmetricLaurentPolynomial,
     format_polynomial,
     generate,
-    is_alternating,
-    is_flat,
-    is_trivial,
     polynomial,
     polynomial_to_json,
     top_coefficient,
@@ -90,9 +87,6 @@ __all__ = [
     "format_polynomial",
     "fundamental_window",
     "generate",
-    "is_alternating",
-    "is_flat",
-    "is_trivial",
     "non_zero_region",
     "polynomial",
     "polynomial_to_json",

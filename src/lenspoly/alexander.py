@@ -175,6 +175,45 @@ def _top_terms(rot: list[int], step: int) -> tuple[int, int, int, int]:
     return (g, *(rot[-abs(g - n) * step % p] if abs(g - n) <= g else 0 for n in range(3)))
 
 
+def _alternation(rot: list[int], step: int, g: int) -> tuple[bool, bool]:
+    """(alternating, strictly) for a checked period of genus g: whether
+    consecutive nonzero coefficients have opposite signs, and whether
+    moreover none of a_{-g}..a_g is 0.  The scan reads a_g, a_{g-1}, ...,
+    a_0 and stops at the first two nonzero terms in a row with one sign.
+    a_0..a_g decide it, by symmetry, but for one case: a_0 = 0 puts the
+    two copies of the first nonzero a_i (i > 0) side by side, with one sign.
+
+    >>> _alternation(*_period(SurgeryParams(7, 2)), 1)  # t - 1 + t^-1
+    (True, True)
+    >>> _alternation(*_period(SurgeryParams(8, 3)), 4)  # a_4..a_0 = 2, -1, 0, 1, -1
+    (True, False)
+    >>> _alternation(*_period(SurgeryParams(11, 3)), 3)  # a_3..a_0 = 1, -1, 0, 1
+    (True, False)
+    >>> _alternation(*_period(SurgeryParams(19, 7)), 5)  # a_5..a_0 = 1, -1, 0, 1, -1, 1
+    (True, False)
+    >>> _alternation(*_period(SurgeryParams(15, 4)), 7)  # stops at a_5: 1, -1, -1
+    (False, False)
+
+    Hand-made periods, step a unit: t^2 - t - t^-1 + t^-2 (a_0 = 0), and
+    the constants 0, 1 and 2.
+
+    >>> _alternation([0, 1, -1, -1, 1], 2, 2)
+    (False, False)
+    >>> [_alternation([a0, 0, 0], 1, 0) for a0 in (0, 1, 2)]
+    [(True, False), (True, True), (True, True)]
+    """
+    p, prev, strictly = len(rot), 0, True
+    for x in range(-g * step, step, step):  # a_i sits at -i*step, i = g..0
+        a = rot[x % p]
+        if a:
+            if a * prev > 0:
+                return False, False
+            prev = a
+        else:
+            strictly = False
+    return bool(rot[0]) or not g, strictly
+
+
 def generate(params: SurgeryParams) -> GeneratedPolynomial:
     """Run the generator and symmetrize, without the normalization gate:
     the checked period (:func:`_period`), gathered, with the t = 1 value
@@ -227,30 +266,6 @@ def top_coefficient(poly: SymmetricLaurentPolynomial, n: int) -> int:
     if n < 0:
         raise ValueError("n must be non-negative")
     return poly.coefficient(poly.g - n)
-
-
-def is_trivial(poly: SymmetricLaurentPolynomial) -> bool:
-    return poly.g == 0 and poly.coeffs == (1,)
-
-
-def is_flat(poly: SymmetricLaurentPolynomial) -> bool:
-    half = poly.coeffs[poly.g:]  # a_0..a_g decide it: the type is symmetric
-    return -1 <= min(half) and max(half) <= 1
-
-
-def is_alternating(poly: SymmetricLaurentPolynomial) -> bool:
-    """Consecutive nonzero coefficients have opposite signs: the nonzero
-    ones at even positions share the first one's sign, the rest the other.
-    a_0..a_g decide it, by symmetry, but for one pair: a_0 = 0 puts the two
-    copies of the first nonzero a_i (i > 0) side by side, with one sign."""
-    half = poly.coeffs[poly.g:]
-    if not half[0]:
-        return not any(half)
-    nonzero = list(filter(None, half))
-    evens, odds = nonzero[0::2], nonzero[1::2]
-    if nonzero[0] > 0:
-        return min(evens) > 0 and max(odds, default=-1) < 0
-    return max(evens) < 0 and min(odds, default=1) > 0
 
 
 def format_polynomial(poly: SymmetricLaurentPolynomial) -> str:

@@ -81,7 +81,7 @@ def _window_from_args(args, params: SurgeryParams) -> Window:
     else:
         window = Window(*given)
     # a window with no columns still has one (empty) row per j
-    cells = max(window.width(), 1) * (window.j1 - window.j0 + 1)
+    cells = max(window.width(), 1) * window.height()
     if cells > _MAX_WINDOW_CELLS:
         raise InvalidParameterError(
             f"window of {cells} cells exceeds the limit of {_MAX_WINDOW_CELLS}"
@@ -165,12 +165,9 @@ def _cmd_sweep(args) -> int:
     print(f"records: {summary.records} (resumed from p = {summary.resumed_from})"
           if summary.resumed_from is not None else f"records: {summary.records}")
     print(f"nontrivial: {summary.nontrivial}")
-    print(f"top_sign_ok: {summary.top_sign_ok}/{summary.nontrivial} "
-          f"({100.0 * summary.top_sign_ok / nontrivial:.1f}%)")
-    print(f"flat: {summary.flat}/{summary.nontrivial} "
-          f"({100.0 * summary.flat / nontrivial:.1f}%)")
-    print(f"alternating: {summary.alternating}/{summary.nontrivial} "
-          f"({100.0 * summary.alternating / nontrivial:.1f}%)")
+    for name in ("top_sign_ok", "flat", "alternating"):
+        count = getattr(summary, name)
+        print(f"{name}: {count}/{summary.nontrivial} ({100.0 * count / nontrivial:.1f}%)")
     print(f"theorem violations: {summary.theorem_violations}")
     print(f"lemma violations: {summary.lemma_violations}")
     print(f"report: {args.out}")

@@ -41,6 +41,10 @@ class Window(NamedTuple):
         """Cells per row (columns i0..i1), 0 when i0 > i1."""
         return max(self.i1 - self.i0 + 1, 0)
 
+    def height(self) -> int:
+        """Rows (j0..j1), 0 when j0 > j1."""
+        return max(self.j1 - self.j0 + 1, 0)
+
 
 def fundamental_window(params: SurgeryParams) -> Window:
     """Default window: i in [-1, k2+1], j in [-p, p].

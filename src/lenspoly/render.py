@@ -35,9 +35,7 @@ def ascii_curves(window: Window, curves: list[NonZeroCurve]) -> str:
     """Arrow overlay: '>' for +1 arrows, '<' for -1 arrows, '.' elsewhere."""
     if window.is_empty():
         return ""
-    width = window.i1 - window.i0 + 1
-    height = window.j1 - window.j0 + 1
-    grid = [["."] * width for _ in range(height)]
+    grid = [["."] * window.width() for _ in range(window.height())]
     for curve in curves:
         for i, j, sign in curve.arrows:
             grid[j - window.j0][i - window.i0] = ">" if sign > 0 else "<"
@@ -72,17 +70,18 @@ def svg_curves(
     oriented arrow segment on every nonzero entry.  ``curves`` are those
     :func:`trace_curves` returns for ``window``."""
     i0, i1, j0, j1 = window.i0, window.i1, window.j0, window.j1
-    width = (i1 - i0 + 1) * _CELL + 2 * _MARGIN if not window.is_empty() else 2 * _MARGIN
-    height = (j1 - j0 + 1) * _CELL + 2 * _MARGIN if not window.is_empty() else 2 * _MARGIN
+    empty = window.is_empty()
+    width = 2 * _MARGIN + (0 if empty else window.width() * _CELL)
+    height = 2 * _MARGIN + (0 if empty else window.height() * _CELL)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<!-- p={params.p} k={params.k} window i=[{i0},{i1}] j=[{j0},{j1}] -->',
     ]
-    if region is not None and not window.is_empty():
+    if region is not None and not empty:
         p, k2, cap = params.p, params.inv.k2, 2 * region.g
-        rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(i1 - i0 + 1)]
+        rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(window.width())]
         for j in range(j0, j1 + 1):
             y = _MARGIN + (j1 - j) * _CELL
             tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'

@@ -13,14 +13,12 @@ from lenspoly.alexander import (
     GeneratedPolynomial,
     IntegrityError,
     SymmetricLaurentPolynomial,
+    _alternation,
     _period,
     _residue_values,
     _top_terms,
     format_polynomial,
     generate,
-    is_alternating,
-    is_flat,
-    is_trivial,
     polynomial,
     polynomial_to_json,
     top_coefficient,
@@ -28,6 +26,7 @@ from lenspoly.alexander import (
 )
 from lenspoly.surgery import SurgeryParams, derive_invariants
 from lenspoly.sweep import enumerate_params
+from test_sweep import is_alternating_full, is_flat_full
 
 
 def coefficient_naive(p, k, i):
@@ -313,20 +312,23 @@ def test_top_terms_match_top_coefficient_up_to_300():
 
 
 def test_predicates():
-    t25 = torus_polynomial(2, 5)
-    assert is_flat(t25) and is_alternating(t25) and not is_trivial(t25)
-    p197 = polynomial(SurgeryParams(19, 7))
-    assert is_flat(p197) and is_alternating(p197)
-    assert is_trivial(polynomial(SurgeryParams(9, 1)))
-    bumpy = SymmetricLaurentPolynomial(g=2, coeffs=(1, -1, -1, -1, 1))
-    assert is_flat(bumpy)
-    assert not is_alternating(bumpy)
-    tall = SymmetricLaurentPolynomial(g=1, coeffs=(2, -3, 2))
-    assert not is_flat(tall)
-    hollow = SymmetricLaurentPolynomial(g=2, coeffs=(1, -1, 0, -1, 1))
-    assert is_flat(hollow)
-    assert not is_alternating(hollow)  # a_0 = 0 puts a_-1 = a_1 side by side
-    assert is_alternating(SymmetricLaurentPolynomial(g=0, coeffs=(0,)))
+    """The full-coefficient oracles on hand-made polynomials, and the
+    period scan on each one's period (step 1, p = 2g + 1): rot lists
+    a_0..a_g, then a_g..a_1."""
+    cases = [  # coefficients, flat, alternating
+        (torus_polynomial(2, 5).coeffs, True, True),
+        (polynomial(SurgeryParams(19, 7)).coeffs, True, True),
+        ((1, -1, -1, -1, 1), True, False),  # bumpy
+        ((2, -3, 2), False, True),  # tall
+        ((1, -1, 0, -1, 1), True, False),  # hollow: a_0 = 0 puts a_-1 = a_1 side by side
+        ((0,), True, True),
+    ]
+    for coeffs, flat, alternating in cases:
+        assert (is_flat_full(coeffs), is_alternating_full(coeffs)) == (flat, alternating), coeffs
+        g = len(coeffs) // 2
+        rot = list(coeffs[g:] + coeffs[:g:-1])
+        strictly = alternating and 0 not in coeffs
+        assert _alternation(rot, 1, g) == (alternating, strictly), coeffs
 
 
 # ------------------------------------------------------------ serialization

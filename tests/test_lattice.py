@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lenspoly.lattice
-from lenspoly.alexander import IntegrityError, generate, is_alternating, is_flat
+from lenspoly.alexander import IntegrityError, generate
 from lenspoly.cli import main
 from lenspoly.lattice import (
     NonZeroCurve,
@@ -33,6 +33,7 @@ from lenspoly.lattice import (
 )
 from lenspoly.render import ascii_curves, ascii_view, svg_curves, view_to_json
 from lenspoly.surgery import SurgeryParams, derive_invariants, reduce_mod
+from test_sweep import is_alternating_full, is_flat_full
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -442,7 +443,7 @@ def test_single_component_per_covered_translate():
         out = generate(params)
         if out.poly.g == 0 or out.delta_one != 1:
             continue
-        if not (is_flat(out.poly) and is_alternating(out.poly)):
+        if not (is_flat_full(out.poly.coeffs) and is_alternating_full(out.poly.coeffs)):
             continue
         window = window_for_translates(params, [-2, -1, 0, 1, 2], -3 * params.p, 3 * params.p)
         curves = trace_curves(params, window, out)

@@ -263,9 +263,9 @@ def test_verify_builds_records_only_for_candidates(monkeypatch):
     calls = []
     fn = lenspoly.sweep.compute_record
 
-    def counted(params, gen=None):
+    def counted(params, period=None):
         calls.append((params.p, params.k))
-        return fn(params, gen)
+        return fn(params, period)
     monkeypatch.setattr(lenspoly.sweep, "compute_record", counted)
     verify(200)
     assert len(calls) == 225
