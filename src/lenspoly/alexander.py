@@ -21,8 +21,10 @@ Two access layers exist on purpose:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 from math import gcd
 from typing import NamedTuple
 
@@ -93,8 +95,11 @@ class GeneratedPolynomial(NamedTuple):
     delta_one: int
 
 
-def _residue_values(params: SurgeryParams) -> tuple[list[int], int]:
-    """(rot, step) with abar_i = rot[-i*step mod p], in O(p + k) total.
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}  # slot bytes -> typecode
+
+
+def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
+    """(w, step, e, m) with abar_i = e*(w[-i*step mod p] - m), in O(p + k).
 
     The membership test asks whether q2*j + q2*(k*i + c) mod p lands in a
     fixed cyclic arc of k2 consecutive residues starting at arc_start
@@ -102,80 +107,100 @@ def _residue_values(params: SurgeryParams) -> tuple[list[int], int]:
     p-k2+1..p-1 when e = -1).  Moving the rest onto the arc,
     a_i = e*(W(x_i) - m), where W(x) counts the residues
     S = {q2*(j + c) - arc_start mod p : j = 1..k} in the arc x..x+k2-1
-    (cyclic) and x_i = -i*step mod p with step = q2*k mod p:
-    rot[x] = e*(W(x) - m).
+    (cyclic) and x_i = -i*step mod p with step = q2*k mod p: w[x] = W(x).
 
-    * W over all starts: W(x+1) - W(x) = [x+k2 in S] - [x in S], so one
-      loop over S writes the steps of e*(W - m) and counts W(0), and one
-      ``accumulate`` sums them.
+    * Every W at once, in C: with slots of b bits and I = the sum of
+      2^(b*x) over the x in S, twice round the period,
+      ((I << b*k2) - I) // (2^b - 1) holds W(x) in slot x + k2 - 1.
+      A window of k2 <= p/2 residues holds at most k < 2^b of S, so no
+      slot carries.  Slots have 1, 2, 4 or 8 bytes, from k.bit_length();
+      w is ``bytes`` for 1-byte slots and an ``array`` otherwise.
     * Since q2 = k2^2 and k*k2 = e (mod p), step = e*k2 (mod p), a unit,
       never 0: the starts x_i run through every residue once, so
-      a_i = a_-i for all i says exactly that ``rot`` is symmetric about 0.
+      a_i = a_-i for all i says exactly that ``w`` is symmetric about 0.
 
-    >>> _residue_values(SurgeryParams(7, 2))
-    ([-1, 0, 0, 1, 1, 0, 0], 4)
+    >>> _residue_values(SurgeryParams(7, 2))  # a_0 = -(2 - 1), a_1 = -(w[3] - 1)
+    (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
     """
-    p, inv = params.p, params.inv
+    p, k, inv = params.p, params.k, params.inv
     k2, e = inv.k2, inv.e
     q2 = inv.q2 % p
     arc_start = 1 if e > 0 else (1 - k2) % p
-    steps = [0] * p  # steps[x] = rot[x+1] - rot[x], cyclic
-    first = 0  # W(0)
-    r = (q2 * inv.c - arc_start) % p  # the walk runs over S
-    for _ in range(params.k):
-        r = (r + q2) % p
-        steps[r] -= e
-        steps[r - k2] += e  # r - k2 > -p wraps as an index
-        first += r < k2
-    rot = list(accumulate(steps[:p - 1], initial=e * (first - inv.m)))
-    return rot, q2 * params.k % p
+    first = (q2 * (inv.c + 1) - arc_start) % p  # j = 1
+    ind = bytearray(p)  # ind[x] = [x in S]
+    for r in range(first, first + q2 * k, q2):
+        ind[r % p] = 1
+    size = 1 << ((k.bit_length() - 1) >> 3).bit_length()  # bytes per slot
+    slots = bytearray((p + k2 - 1) * size)  # the period, then its first k2 - 1 slots
+    slots[::size] = ind + ind[:k2 - 1]
+    box = int.from_bytes(slots, "little")
+    del ind, slots  # at the CLI's largest p, each intermediate is tens of MB
+    box = (box << 8 * size * k2) - box
+    box //= (1 << 8 * size) - 1
+    w = box.to_bytes((p + 2 * k2 - 1) * size, "little")[(k2 - 1) * size:(k2 - 1 + p) * size]
+    if size > 1:
+        w = array(_ARRAY_CODES[size], w)
+        if sys.byteorder == "big":
+            w.byteswap()
+    return w, q2 * k % p, e, inv.m
 
 
-def _period(params: SurgeryParams) -> tuple[list[int], int]:
-    """(rot, step) of :func:`_residue_values`, once a_i = a_{-i} is
+def _period(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
+    """(w, step, e, m) of :func:`_residue_values`, once a_i = a_{-i} is
     checked across the whole period.
 
     A failure would be an implementation bug: IntegrityError at the
     first bad i.
 
     >>> _period(SurgeryParams(7, 2))
-    ([-1, 0, 0, 1, 1, 0, 0], 4)
+    (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
     """
-    rot, step = _residue_values(params)
-    if rot[1:] != rot[:0:-1]:
+    w, step, e, m = period = _residue_values(params)
+    if w[1:] != w[:0:-1]:
         p = params.p
-        bad = next(i for i in range(1, p // 2 + 1) if rot[-i * step % p] != rot[i * step % p])
+        bad = next(i for i in range(1, p // 2 + 1) if w[-i * step % p] != w[i * step % p])
         raise IntegrityError(p, params.k, "a_i != a_-i", index=bad)
-    return rot, step
+    return period
 
 
-def _gather(rot: list[int], step: int) -> GeneratedPolynomial:
+def _gather(w: bytes | array, step: int, e: int, m: int) -> GeneratedPolynomial:
     """The polynomial of a checked period, from a_0..a_{p/2} alone, with
     its value at t = 1."""
-    p, h = len(rot), len(rot) // 2
-    # a comprehension gathers faster than map(rot.__getitem__, map(mod, ...))
-    half = [rot[x % p] for x in range(0, -step * (h + 1), -step)]  # a_0..a_h
+    p, h = len(w), len(w) // 2
+    # a comprehension gathers faster than map(w.__getitem__, map(mod, ...))
+    half = [e * (w[x % p] - m) for x in range(0, -step * (h + 1), -step)]  # a_0..a_h
     g = next(compress(range(h, 0, -1), reversed(half)), 0)  # the last nonzero a_i, i >= 1
     poly = SymmetricLaurentPolynomial(g=g, coeffs=tuple(half[g:0:-1] + half[:g + 1]))
     return GeneratedPolynomial(poly, 2 * sum(half) - half[0])  # sum(poly.coeffs)
 
 
-def _top_terms(rot: list[int], step: int) -> tuple[int, int, int, int]:
+def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, int, int]:
     """(g, a_g, a_{g-1}, a_{g-2}) of a checked period, scanning down from
-    a_{p/2} to the first nonzero term.  As in :func:`top_coefficient`,
-    a_{g-n} is a_{|g-n|} when |g-n| <= g and 0 otherwise.
+    a_{p/2} to the first nonzero term, where the count is not m.  As in
+    :func:`top_coefficient`, a_{g-n} is a_{|g-n|} when |g-n| <= g and 0
+    otherwise.
 
     >>> _top_terms(*_period(SurgeryParams(7, 2)))  # t - 1 + t^-1: a_{g-2} = a_-1
     (1, 1, -1, 1)
     >>> _top_terms(*_period(SurgeryParams(19, 7)))
     (5, 1, -1, 0)
     """
-    p = len(rot)
-    g = next((i for i in range(p // 2, 0, -1) if rot[-i * step % p]), 0)
-    return (g, *(rot[-abs(g - n) * step % p] if abs(g - n) <= g else 0 for n in range(3)))
+    p = len(w)
+    g = next((i for i in range(p // 2, 0, -1) if w[-i * step % p] != m), 0)
+    return (g, *(e * (w[-abs(g - n) * step % p] - m) if abs(g - n) <= g else 0
+                 for n in range(3)))
 
 
-def _alternation(rot: list[int], step: int, g: int) -> tuple[bool, bool]:
+def _is_flat(w: bytes | array, m: int) -> bool:
+    """Whether every a_i of a period is -1, 0 or 1: every count is m - 1,
+    m or m + 1.  For 1-byte slots, ``translate`` deletes those counts and
+    must leave nothing."""
+    if isinstance(w, bytes):  # m <= k/2 < 128, as k2 <= p/2
+        return not w.translate(None, bytes(range(max(m - 1, 0), m + 2)))
+    return m - 1 <= min(w) and max(w) <= m + 1
+
+
+def _alternation(w: bytes | array, step: int, e: int, m: int, g: int) -> tuple[bool, bool]:
     """(alternating, strictly) for a checked period of genus g: whether
     consecutive nonzero coefficients have opposite signs, and whether
     moreover none of a_{-g}..a_g is 0.  The scan reads a_g, a_{g-1}, ...,
@@ -194,24 +219,25 @@ def _alternation(rot: list[int], step: int, g: int) -> tuple[bool, bool]:
     >>> _alternation(*_period(SurgeryParams(15, 4)), 7)  # stops at a_5: 1, -1, -1
     (False, False)
 
-    Hand-made periods, step a unit: t^2 - t - t^-1 + t^-2 (a_0 = 0), and
-    the constants 0, 1 and 2.
+    Hand-made periods, step a unit: t^2 - t - t^-1 + t^-2 (a_0 = 0) as
+    counts with e = 1 and m = 1, and the constants 0, 1 and 2 as counts
+    with e = -1 and m = 2.
 
-    >>> _alternation([0, 1, -1, -1, 1], 2, 2)
+    >>> _alternation(bytes([1, 2, 0, 0, 2]), 2, 1, 1, 2)
     (False, False)
-    >>> [_alternation([a0, 0, 0], 1, 0) for a0 in (0, 1, 2)]
+    >>> [_alternation(bytes([2 - a0, 2, 2]), 1, -1, 2, 0) for a0 in (0, 1, 2)]
     [(True, False), (True, True), (True, True)]
     """
-    p, prev, strictly = len(rot), 0, True
+    p, prev, strictly = len(w), 0, True
     for x in range(-g * step, step, step):  # a_i sits at -i*step, i = g..0
-        a = rot[x % p]
+        a = e * (w[x % p] - m)
         if a:
             if a * prev > 0:
                 return False, False
             prev = a
         else:
             strictly = False
-    return bool(rot[0]) or not g, strictly
+    return w[0] != m or not g, strictly
 
 
 def generate(params: SurgeryParams) -> GeneratedPolynomial:

@@ -7,10 +7,12 @@ progress: rows come in ascending (p, k), one flushed batch per p, so a
 resume keeps the rows of every complete p, drops the rest and continues.
 
 A :class:`SweepRecord` is one report row: its fields are the columns, in
-order.  It is read off the pair's checked period and gathers nothing:
-its alternation scan down from a_g stops at the first two nonzero terms
-in a row with one sign, with p <= 640 early on 26,372 of the 31,932
-pairs, a median of 4 coefficients below a_g.  ``verify`` works by p too,
+order.  It is read off the pair's checked period, the window counts of
+:func:`lenspoly.alexander._period`, and gathers nothing: flatness is one
+whole-period test of the counts, and the alternation scan down from a_g
+stops at the first two nonzero terms in a row with one sign, with
+p <= 640 early on 26,372 of the 31,932 pairs, a median of 4 coefficients
+below a_g.  ``verify`` works by p too,
 but it checks every pair's period and reads only its top three
 coefficients off it; it builds the record only for a pair with the
 pattern (1, -1, nonzero) or with k = 2, as no other pair is the
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
-from .alexander import _alternation, _period, _top_terms
+from .alexander import _alternation, _is_flat, _period, _top_terms
 from .lattice import check_lemma
 from .surgery import InvalidParameterError, SurgeryParams, _canonical_ks
 
@@ -123,20 +125,17 @@ def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
             yield SurgeryParams(p, k)
 
 
-def compute_record(
-    params: SurgeryParams, period: tuple[list[int], int] | None = None
-) -> SweepRecord:
+def compute_record(params: SurgeryParams, period: tuple | None = None) -> SweepRecord:
     """The report row of one parameter, read off its checked period
-    ``(rot, step)`` of :func:`_period`, which may be passed when the
+    ``(w, step, e, m)`` of :func:`_period`, which may be passed when the
     caller already has it."""
-    rot, step = period or _period(params)
-    inv = params.inv
-    g, top0, top1, top2 = _top_terms(rot, step)
-    trivial = g == 0 and rot[0] == 1
-    flat = -1 <= min(rot) and max(rot) <= 1  # rot holds every a_i, |i| <= p/2
-    alternating, strictly = _alternation(rot, step, g)
+    w, step, e, m = period or _period(params)
+    g, top0, top1, top2 = _top_terms(w, step, e, m)
+    trivial = g == 0 and top0 == 1  # a_g is a_0 when g = 0
+    flat = _is_flat(w, m)  # w holds the count of every a_i, |i| <= p/2
+    alternating, strictly = _alternation(w, step, e, m, g)
     return SweepRecord(
-        params.p, params.k, inv.k2, inv.e, inv.m, g,
+        params.p, params.k, params.inv.k2, e, m, g,
         alpha1=top1,
         alpha2=top2,
         trivial=trivial,

@@ -14,6 +14,7 @@ from lenspoly.alexander import (
     IntegrityError,
     SymmetricLaurentPolynomial,
     _alternation,
+    _is_flat,
     _period,
     _residue_values,
     _top_terms,
@@ -87,11 +88,11 @@ def residue_table_loop(params, inv):
 
 
 def full_period_table(params):
-    """abar_i for i = 0..p-1, gathered from the kernel's residue-ordered
-    values over the whole period."""
-    rot, step = _residue_values(params)
+    """abar_i for i = 0..p-1, gathered from the kernel's window counts
+    over the whole period."""
+    w, step, e, m = _residue_values(params)
     p = params.p
-    return [rot[-i * step % p] for i in range(p)]
+    return [e * (w[-i * step % p] - m) for i in range(p)]
 
 
 def generate_full_period(params):
@@ -224,6 +225,48 @@ def test_generated_symmetry_up_to_300():
     assert wide[0] == (8, 3) and len(wide) > 1
 
 
+def slot_bytes(w):
+    """The bytes per window count of a period: 1 for ``bytes``."""
+    return 1 if isinstance(w, bytes) else w.itemsize
+
+
+def test_kernel_slot_widths():
+    """The window counts equal the loop oracle's table over the whole
+    period, and flatness read off them equals the full-coefficient
+    oracle's, on each side of the slot boundaries: k = 254 and 255 in
+    1-byte slots, k = 256..278 in 2-byte slots and k = 65,537 in 4-byte
+    slots.  (512, 255), (771, 256), (516, 257) and (131076, 65537) have
+    q2 = 1, so S is one run of k residues and some window holds all k:
+    the largest count that fits its slot, and the smallest that does not
+    fit the narrower one.  (571, 273) is flat; (607, 267) and (705, 278)
+    miss it by one count, m + 2 and m - 2."""
+    cases = {(561, 254): 1, (571, 254): 1, (512, 255): 1, (555, 256): 2, (771, 256): 2,
+             (516, 257): 2, (571, 273): 2, (607, 267): 2, (705, 278): 2, (131076, 65537): 4}
+    for (p, k), size in cases.items():
+        params = SurgeryParams(p, k)
+        w, step, e, m = _residue_values(params)
+        assert slot_bytes(w) == size, (p, k)
+        assert full_period_table(params) == residue_table_loop(params, params.inv), (p, k)
+        flat = is_flat_full(generate(params).poly.coeffs)
+        assert _is_flat(w, m) == flat == ((p, k) == (571, 273)), (p, k)
+        if params.inv.q2 == 1:
+            assert max(w) == k, (p, k)
+
+
+def test_wide_slots_report_first_asymmetric_index(monkeypatch):
+    """A break planted in the 2-byte counts of (555, 256) is found at its
+    first bad index, as in 1-byte slots."""
+    params = SurgeryParams(555, 256)
+    w, step, e, m = _residue_values(params)
+    assert slot_bytes(w) == 2
+    w[-9 * step % 555] += 1  # a_9 != a_-9
+    w[3 * step % 555] -= 1  # a_-3 != a_3: the first bad index
+    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params: (w, step, e, m))
+    with pytest.raises(IntegrityError) as exc_info:
+        generate(params)
+    assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (555, 256, 3)
+
+
 # --------------------------------------------------------- torus closed form
 
 
@@ -314,7 +357,7 @@ def test_top_terms_match_top_coefficient_up_to_300():
 def test_predicates():
     """The full-coefficient oracles on hand-made polynomials, and the
     period scan on each one's period (step 1, p = 2g + 1): rot lists
-    a_0..a_g, then a_g..a_1."""
+    a_0..a_g, then a_g..a_1, read as counts with e = 1 and m = 0."""
     cases = [  # coefficients, flat, alternating
         (torus_polynomial(2, 5).coeffs, True, True),
         (polynomial(SurgeryParams(19, 7)).coeffs, True, True),
@@ -328,7 +371,7 @@ def test_predicates():
         g = len(coeffs) // 2
         rot = list(coeffs[g:] + coeffs[:g:-1])
         strictly = alternating and 0 not in coeffs
-        assert _alternation(rot, 1, g) == (alternating, strictly), coeffs
+        assert _alternation(rot, 1, 1, 0, g) == (alternating, strictly), coeffs
 
 
 # ------------------------------------------------------------ serialization
@@ -365,10 +408,11 @@ def test_symmetric_type_validation():
 
 def test_generate_reports_first_asymmetric_index(monkeypatch):
     params = SurgeryParams(19, 7)
-    rot, step = _residue_values(params)
-    rot[-4 * step % 19] += 1  # a_4 != a_-4
-    rot[2 * step % 19] += 1  # a_-2 != a_2: the first bad index
-    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params: (rot, step))
+    w, step, e, m = _residue_values(params)
+    w = bytearray(w)
+    w[-4 * step % 19] += 1  # a_4 != a_-4
+    w[2 * step % 19] += 1  # a_-2 != a_2: the first bad index
+    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params: (w, step, e, m))
     with pytest.raises(IntegrityError) as exc_info:
         generate(params)
     err = exc_info.value

@@ -272,7 +272,7 @@ def test_verify_builds_records_only_for_candidates(monkeypatch):
     assert calls == candidates
     # k = 2 gets its record whatever its top coefficients read
     calls.clear()
-    monkeypatch.setattr(lenspoly.sweep, "_top_terms", lambda rot, step: (0, 0, 0, 0))
+    monkeypatch.setattr(lenspoly.sweep, "_top_terms", lambda w, step, e, m: (0, 0, 0, 0))
     verify(200)
     assert calls == [(p, 2) for p in range(5, 201, 2)]
 
@@ -287,10 +287,11 @@ def test_verify_checks_symmetry_off_the_candidates(monkeypatch):
     residue_values = lenspoly.alexander._residue_values
 
     def broken(params):
-        rot, step = residue_values(params)
+        w, step, e, m = residue_values(params)
         if (params.p, params.k) == (13, 5):
-            rot[-step % 13] += 1  # a_1 != a_-1
-        return rot, step
+            w = bytearray(w)
+            w[-step % 13] += 1  # a_1 != a_-1
+        return w, step, e, m
     monkeypatch.setattr(lenspoly.alexander, "_residue_values", broken)
     with pytest.raises(IntegrityError) as exc_info:
         verify(13)
@@ -307,10 +308,11 @@ from lenspoly.sweep import SweepConfig, run_sweep, verify
 residue_values = lenspoly.alexander._residue_values
 
 def broken(params):
-    rot, step = residue_values(params)
+    w, step, e, m = residue_values(params)
     if (params.p, params.k) == (13, 5):
-        rot[-step % 13] += 1  # a_1 != a_-1
-    return rot, step
+        w = bytearray(w)
+        w[-step % 13] += 1  # a_1 != a_-1
+    return w, step, e, m
 
 lenspoly.alexander._residue_values = broken
 multiprocessing.set_start_method("fork")  # so the workers inherit the break
