@@ -29,7 +29,6 @@ from .lattice import (
     da_entry,
     fundamental_window,
     non_zero_region,
-    region_anchor,
     region_contains,
     trace_curves,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "polynomial",
     "polynomial_to_json",
     "reduce_mod",
-    "region_anchor",
     "region_contains",
     "run_sweep",
     "svg_curves",

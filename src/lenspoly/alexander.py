@@ -24,7 +24,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd
 from typing import NamedTuple
 
@@ -123,18 +122,17 @@ def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int
     (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
     """
     p, k, inv = params.p, params.k, params.inv
-    k2, e = inv.k2, inv.e
-    q2 = inv.q2 % p
+    k2, e, q2 = inv.k2, inv.e, inv.q2 % p
     arc_start = 1 if e > 0 else (1 - k2) % p
     first = (q2 * (inv.c + 1) - arc_start) % p  # j = 1
-    ind = bytearray(p)  # ind[x] = [x in S]
-    for r in range(first, first + q2 * k, q2):
-        ind[r % p] = 1
     size = 1 << ((k.bit_length() - 1) >> 3).bit_length()  # bytes per slot
-    slots = bytearray((p + k2 - 1) * size)  # the period, then its first k2 - 1 slots
-    slots[::size] = ind + ind[:k2 - 1]
+    n = p * size
+    slots = bytearray(n + (k2 - 1) * size)  # the period, then its first k2 - 1 slots
+    for r in range(first * size, (first + q2 * k) * size, q2 * size):
+        slots[r % n] = 1  # slot x holds [x in S]
+    slots[n:] = slots[:(k2 - 1) * size]
     box = int.from_bytes(slots, "little")
-    del ind, slots  # at the CLI's largest p, each intermediate is tens of MB
+    del slots  # at the CLI's largest p, each intermediate is tens of MB
     box = (box << 8 * size * k2) - box
     box //= (1 << 8 * size) - 1
     w = box.to_bytes((p + 2 * k2 - 1) * size, "little")[(k2 - 1) * size:(k2 - 1 + p) * size]
@@ -164,13 +162,12 @@ def _period(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
 
 
 def _gather(w: bytes | array, step: int, e: int, m: int) -> GeneratedPolynomial:
-    """The polynomial of a checked period, from a_0..a_{p/2} alone, with
-    its value at t = 1."""
-    p, h = len(w), len(w) // 2
+    """The polynomial of a checked period, from a_0..a_g alone (g as
+    :func:`_top_terms` finds it), with its value at t = 1."""
+    p, g = len(w), _top_terms(w, step, e, m)[0]
     # a comprehension gathers faster than map(w.__getitem__, map(mod, ...))
-    half = [e * (w[x % p] - m) for x in range(0, -step * (h + 1), -step)]  # a_0..a_h
-    g = next(compress(range(h, 0, -1), reversed(half)), 0)  # the last nonzero a_i, i >= 1
-    poly = SymmetricLaurentPolynomial(g=g, coeffs=tuple(half[g:0:-1] + half[:g + 1]))
+    half = [e * (w[x % p] - m) for x in range(0, -step * (g + 1), -step)]  # a_0..a_g
+    poly = SymmetricLaurentPolynomial(g=g, coeffs=tuple(half[:0:-1] + half))
     return GeneratedPolynomial(poly, 2 * sum(half) - half[0])  # sum(poly.coeffs)
 
 

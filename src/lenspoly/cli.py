@@ -46,8 +46,8 @@ _MAX_PRINTED_VIOLATIONS = 25
 # Cells a matrix or curve window may hold: the default window of every
 # p <= 2000 fits, since (999 + 3) * (2*2000 + 1) = 4,009,002.
 _MAX_WINDOW_CELLS = 2**22
-# Largest p that poly, matrix and curve accept: generate holds O(p) lists
-# (a peak RSS above 100 MB at p = 4,000,037).
+# Largest p that poly, matrix and curve accept: generate holds packed window
+# counts and one big-int box sum (a peak RSS of 114 MB at p = 4,000,037).
 _MAX_GENERATED_P = 2**22
 
 

@@ -137,20 +137,6 @@ def build_view(
     return LatticeView(kind=kind, window=window, period=tuple(row * repeats), starts=starts)
 
 
-def region_anchor(params: SurgeryParams, inv: DerivedInvariants, g: int) -> tuple[int, int]:
-    """The anchor (i*, 0), 0 <= i* < p, where the column carries alpha_0.
-
-    Solves k2*(i* - c) = -g mod p; since k2^{-1} = e*k mod p this is
-    i* = c - g*e*k mod p.
-    """
-    if g < 1:
-        raise ValueError("trivial polynomial has no non-zero region")
-    p = params.p
-    istar = (inv.c - g * inv.e * params.k) % p
-    assert (inv.k2 * (istar - inv.c) + g) % p == 0
-    return (istar, 0)
-
-
 class NonZeroRegion(NamedTuple):
     """The staircase region containing every nonzero A entry.
 
@@ -161,13 +147,13 @@ class NonZeroRegion(NamedTuple):
 
     params: SurgeryParams
     g: int
-    anchor: tuple[int, int]
+    istar: int
 
     def translate_index(self, point: tuple[int, int]) -> int | None:
         """Index n' of the (0, p)-translate containing the point, or None
         when the point is outside the region."""
         x, y = point
-        n, s = divmod(y + (x - self.anchor[0]) * self.params.inv.k2, self.params.p)
+        n, s = divmod(y + (x - self.istar) * self.params.inv.k2, self.params.p)
         return n if s <= 2 * self.g else None
 
     def column_span(self, translate: int, j0: int, j1: int) -> tuple[int, int]:
@@ -183,18 +169,27 @@ class NonZeroRegion(NamedTuple):
         p, k2 = self.params.p, self.params.inv.k2
         n_lo = -((j1 - p * translate) // k2)  # ceil((p*r - j1)/k2)
         n_hi = (p * translate + min(2 * self.g, p - 1) - j0) // k2
-        return (self.anchor[0] + n_lo, self.anchor[0] + n_hi)
+        return (self.istar + n_lo, self.istar + n_hi)
 
 
 def non_zero_region(
     params: SurgeryParams, gen: GeneratedPolynomial | None = None
 ) -> NonZeroRegion:
-    """The region of a nontrivial polynomial; ``gen`` as in :func:`build_view`."""
+    """The region of a nontrivial polynomial, ``gen`` as in :func:`build_view`,
+    anchored at the column i*, 0 <= i* < p, that carries alpha_0 in row 0:
+    k2*(i* - c) = -g mod p and k2^{-1} = e*k mod p give i* = c - g*e*k mod p.
+
+    >>> [non_zero_region(SurgeryParams(p, k)).istar for p, k in ((11, 2), (19, 7))]
+    [0, 2]
+    """
     if gen is None:
         gen = generate(params)
-    g = gen.poly.g
-    return NonZeroRegion(params=params, g=g,
-                         anchor=region_anchor(params, params.inv, g))
+    g, inv, p = gen.poly.g, params.inv, params.p
+    if g < 1:
+        raise ValueError("trivial polynomial has no non-zero region")
+    istar = (inv.c - g * inv.e * params.k) % p
+    assert (inv.k2 * (istar - inv.c) + g) % p == 0
+    return NonZeroRegion(params=params, g=g, istar=istar)
 
 
 def region_contains(region: NonZeroRegion, point: tuple[int, int]) -> bool:
@@ -249,7 +244,7 @@ def trace_curves(
     p, k2, cap = params.p, params.inv.k2, 2 * gen.poly.g
     cols = range(window.i0, window.i1 + 1)
     for j, row in zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows)):
-        base = j - region.anchor[0] * k2  # translate_index divides base + i*k2 by p
+        base = j - region.istar * k2  # translate_index divides base + i*k2 by p
         for i, v in zip(cols, row):
             if v == 0:
                 continue
@@ -293,8 +288,7 @@ def covered_translates(
     if gen.poly.g == 0 or window.is_empty():
         return []
     region = non_zero_region(params, gen)
-    istar = region.anchor[0]
-    k2, p = params.inv.k2, params.p
+    istar, k2, p = region.istar, params.inv.k2, params.p
     r_lo = (window.j0 + (window.i0 - istar) * k2) // p - 1
     r_hi = (window.j1 + (window.i1 - istar) * k2) // p + 1
     out = []

@@ -86,7 +86,7 @@ def svg_curves(
             y = _MARGIN + (j1 - j) * _CELL
             tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
                      for fill in _STRIP_FILLS]
-            base = j - region.anchor[0] * k2  # translate_index divides base + i*k2 by p
+            base = j - region.istar * k2  # translate_index divides base + i*k2 by p
             for i, x in zip(range(i0, i1 + 1), rect_x):
                 tr, s = divmod(base + i * k2, p)
                 if s <= cap:

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,42 @@ def generate_full_period(params):
     return GeneratedPolynomial(poly=poly, delta_one=sum(coeffs))
 
 
+def torsion_identity_holds(params, poly):
+    """Whether poly passes the Reidemeister-torsion condition of a lens
+    space surgery (Fintushel-Stern): in Z[t]/(t^p - 1),
+
+        Delta(t) * (t^k - 1) * (t^k2 - 1) = s * t^n * (1 - t)^2 + c * N
+
+    for a sign s = +-1, some n, some integer c and N = 1 + t + ... + t^(p-1).
+    Derived from the torsion, not from the counting formula, in O(p):
+    reduce Delta mod t^p - 1, multiply by the two binomials as shifted
+    differences, and find c as the most common value, since at most three
+    residues differ from it.  For p <= 5 no majority finds c: try every n.
+    """
+    p = params.p
+    f = [0] * p
+    for i, a in enumerate(poly.coeffs, -poly.g):
+        f[i % p] += a
+    for shift in (params.k, params.inv.k2):
+        f = [f[(x - shift) % p] - f[x] for x in range(p)]  # times t^shift - 1
+
+    def fits(n, s):
+        rest = [0] * p  # s * t^n * (1 - 2t + t^2)
+        for d, b in enumerate((s, -2 * s, s)):
+            rest[(n + d) % p] += b
+        c = f[0] - rest[0]
+        return all(v - r == c for v, r in zip(f, rest))
+
+    if p <= 5:
+        starts = range(p)
+    else:
+        c = Counter(f).most_common(1)[0][0]
+        starts = [x for x, v in enumerate(f) if v != c]
+        if len(starts) > 3:
+            return False
+    return any(fits(n, s) for n in starts for s in (1, -1))
+
+
 # ------------------------------------------------ the table against the formula
 
 
@@ -137,6 +174,36 @@ def test_bulk_table_matches_naive_random_p(p):
         for i in (-(p // 2), -1, 0, 1, p // 2, p // 3):
             from_table = poly.coefficient(i) if abs(i) <= poly.g else 0
             assert from_table == coefficient_naive(p, k, i), (p, k, i)
+
+
+# ----------------------------------------------- the torsion identity oracle
+
+
+def test_torsion_identity_iff_normalized_up_to_300():
+    """The torsion condition, which never restates the counting formula,
+    holds exactly on the pairs whose generated polynomial is 1 at t = 1,
+    on every canonical pair with p <= 300."""
+    held = checked = 0
+    for params in enumerate_params(300):
+        gen = generate(params)
+        holds = torsion_identity_holds(params, gen.poly)
+        assert holds == (gen.delta_one == 1), (params.p, params.k, gen.delta_one)
+        held += holds
+        checked += 1
+    assert (checked, held) == (7189, 5872)
+
+
+def test_torsion_identity_examples():
+    """t - 1 + t^-1, the (2, 3) torus knot's polynomial, passes for
+    (7, 2) and fails once its middle term is 0; the unknot's polynomial 1
+    passes for (5, 1), the lens space its 5-surgery gives, and fails for
+    (5, 2)."""
+    params = SurgeryParams(7, 2)
+    trefoil = SymmetricLaurentPolynomial(g=1, coeffs=(1, -1, 1))
+    assert torsion_identity_holds(params, trefoil)
+    assert not torsion_identity_holds(params, SymmetricLaurentPolynomial(1, (1, 0, 1)))
+    assert torsion_identity_holds(SurgeryParams(5, 1), SymmetricLaurentPolynomial(0, (1,)))
+    assert not torsion_identity_holds(SurgeryParams(5, 2), SymmetricLaurentPolynomial(0, (1,)))
 
 
 # -------------------------------------------------------------- polynomial()
@@ -232,14 +299,15 @@ def slot_bytes(w):
 
 def test_kernel_slot_widths():
     """The window counts equal the loop oracle's table over the whole
-    period, and flatness read off them equals the full-coefficient
-    oracle's, on each side of the slot boundaries: k = 254 and 255 in
-    1-byte slots, k = 256..278 in 2-byte slots and k = 65,537 in 4-byte
-    slots.  (512, 255), (771, 256), (516, 257) and (131076, 65537) have
-    q2 = 1, so S is one run of k residues and some window holds all k:
-    the largest count that fits its slot, and the smallest that does not
-    fit the narrower one.  (571, 273) is flat; (607, 267) and (705, 278)
-    miss it by one count, m + 2 and m - 2."""
+    period, generate (gathering a_0..a_g from them) equals the generator
+    read off that table, and flatness read off them equals the
+    full-coefficient oracle's, on each side of the slot boundaries: k =
+    254 and 255 in 1-byte slots, k = 256..278 in 2-byte slots and k =
+    65,537 in 4-byte slots.  (512, 255), (771, 256), (516, 257) and
+    (131076, 65537) have q2 = 1, so S is one run of k residues and some
+    window holds all k: the largest count that fits its slot, and the
+    smallest that does not fit the narrower one.  (571, 273) is flat;
+    (607, 267) and (705, 278) miss it by one count, m + 2 and m - 2."""
     cases = {(561, 254): 1, (571, 254): 1, (512, 255): 1, (555, 256): 2, (771, 256): 2,
              (516, 257): 2, (571, 273): 2, (607, 267): 2, (705, 278): 2, (131076, 65537): 4}
     for (p, k), size in cases.items():
@@ -247,7 +315,9 @@ def test_kernel_slot_widths():
         w, step, e, m = _residue_values(params)
         assert slot_bytes(w) == size, (p, k)
         assert full_period_table(params) == residue_table_loop(params, params.inv), (p, k)
-        flat = is_flat_full(generate(params).poly.coeffs)
+        gen = generate(params)
+        assert gen == generate_full_period(params), (p, k)
+        flat = is_flat_full(gen.poly.coeffs)
         assert _is_flat(w, m) == flat == ((p, k) == (571, 273)), (p, k)
         if params.inv.q2 == 1:
             assert max(w) == k, (p, k)

@@ -27,7 +27,6 @@ from lenspoly.lattice import (
     da_entry,
     fundamental_window,
     non_zero_region,
-    region_anchor,
     region_contains,
     trace_curves,
 )
@@ -228,18 +227,12 @@ def test_view_json_shape():
 
 def test_region_anchor_11_2():
     params, inv = _pk(11, 2)
-    assert region_anchor(params, inv, 2) == (0, 0)
+    assert non_zero_region(params).istar == 0
     poly = generate(params).poly
     column = [a_entry(params, inv, poly, 0, 0 + s) for s in range(5)]
     assert column == [1, -1, 1, -1, 1]
     # one v = (1, -k2) translate carries the same bottom coefficient
     assert a_entry(params, inv, poly, 1, -5) == 1
-
-
-def test_region_anchor_requires_positive_genus():
-    params, inv = _pk(7, 1)
-    with pytest.raises(ValueError):
-        region_anchor(params, inv, 0)
 
 
 def test_region_contains_examples():
@@ -252,7 +245,7 @@ def test_region_contains_examples():
 def test_region_contains_matches_translated_columns():
     region = non_zero_region(SurgeryParams(19, 7))
     g = region.g
-    i_star, _ = region.anchor
+    i_star = region.istar
     for n in range(-3, 4):
         for n2 in range(-2, 3):
             for s in range(2 * g + 1):
@@ -465,13 +458,13 @@ def test_trace_curves_match_union_find_fundamental():
 
 def test_trace_curves_nonzero_outside_region(capsys, monkeypatch):
     """A region that misses a nonzero entry is an integrity failure, exit 4."""
-    anchor = lenspoly.lattice.region_anchor
+    region_of = lenspoly.lattice.non_zero_region
 
-    def shifted(params, inv, g):
-        i_star, j_star = anchor(params, inv, g)
-        return (i_star + 1, j_star)
+    def shifted(params, gen=None):
+        region = region_of(params, gen)
+        return region._replace(istar=region.istar + 1)
 
-    monkeypatch.setattr(lenspoly.lattice, "region_anchor", shifted)
+    monkeypatch.setattr(lenspoly.lattice, "non_zero_region", shifted)
     params = SurgeryParams(11, 2)
     with pytest.raises(IntegrityError, match="outside the non-zero region"):
         trace_curves(params, fundamental_window(params))
