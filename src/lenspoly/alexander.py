@@ -10,9 +10,9 @@ for |i| <= p/2, extended periodically as abar_i = a_{[i]_p}.
 Two access layers exist on purpose:
 
 * :func:`generate` runs the counting formula on any canonical parameter
-  and reports the raw outcome, including the value at t = 1.  Some
-  parameters (they never correspond to actual lens surgeries; the first
-  is (8, 3)) yield output that is not normalized to 1 at t = 1.  Sweeps
+  and reports the raw outcome, including the value at t = 1: 1 + a_g
+  when 2g = p (none is a lens surgery; the first is (8, 3)), and 1
+  otherwise, as a_i over one period Z/p sum to e*(k*k2 - p*m) = 1.  Sweeps
   and lattice views work on this layer so anomalies stay observable.
 * :func:`polynomial` is the strict layer: it refuses, with
   :class:`IntegrityError`, any output that is asymmetric or not
@@ -88,7 +88,7 @@ class SymmetricLaurentPolynomial:
 
 
 class GeneratedPolynomial(NamedTuple):
-    """Raw generator outcome: the symmetrized polynomial plus its t=1 value."""
+    """Raw generator outcome: the symmetrized polynomial and its t=1 value, 1 + [2g = p]*a_g."""
 
     poly: SymmetricLaurentPolynomial
     delta_one: int
@@ -245,7 +245,7 @@ def generate(params: SurgeryParams) -> GeneratedPolynomial:
 
 
 def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:
-    """Strict generator: returns the polynomial or raises IntegrityError.
+    """Strict generator: the polynomial, or IntegrityError if 2g = p (then Delta(1) != 1).
 
     >>> polynomial(SurgeryParams(7, 2)).coeffs
     (1, -1, 1)

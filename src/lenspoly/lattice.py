@@ -197,10 +197,10 @@ def region_contains(region: NonZeroRegion, point: tuple[int, int]) -> bool:
 
 
 class NonZeroCurve(NamedTuple):
-    """One connected component of linked arrows.
+    """One connected component of linked arrows, in region translate ``translate``.
 
-    arrows is a tuple of (i, j, sign) sorted by non-increasing j (ties by
-    increasing i); translate is the region translate the component lives in.
+    arrows is a tuple of (i, j, A[i, j]): each arrow carries its nonzero entry,
+    whose sign is its direction; sorted by non-increasing j (ties by increasing i).
     """
 
     id: int
@@ -239,7 +239,7 @@ def trace_curves(
     region = non_zero_region(params, gen)
     view = build_view(params, "A", window, gen)
 
-    # translate -> j -> arrows (i, j, sign), rows by decreasing j, i increasing
+    # translate -> j -> arrows (i, j, entry), rows by decreasing j, i increasing
     translates: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     p, k2, cap = params.p, params.inv.k2, 2 * gen.poly.g
     cols = range(window.i0, window.i1 + 1)

@@ -32,7 +32,7 @@ def ascii_view(view: LatticeView) -> str:
 
 
 def ascii_curves(window: Window, curves: list[NonZeroCurve]) -> str:
-    """Arrow overlay: '>' for +1 arrows, '<' for -1 arrows, '.' elsewhere."""
+    """Arrow overlay: '>' for positive entries, '<' for negative ones, '.' elsewhere."""
     if window.is_empty():
         return ""
     grid = [["."] * window.width() for _ in range(window.height())]

@@ -259,20 +259,13 @@ def test_generate_is_permissive_where_polynomial_is_strict():
 
 
 def test_strict_gate_matches_delta_one_up_to_300():
-    for p in range(2, 301):
-        for k in range(1, p // 2 + 1):
-            if math.gcd(p, k) != 1:
-                continue
-            try:
-                params = SurgeryParams(p, k)
-            except ValueError:
-                continue
-            out = generate(params)
-            if out.delta_one == 1:
-                assert polynomial(params).coeffs == out.poly.coeffs
-            else:
-                with pytest.raises(IntegrityError):
-                    polynomial(params)
+    for params in enumerate_params(300):
+        out = generate(params)
+        if out.delta_one == 1:
+            assert polynomial(params).coeffs == out.poly.coeffs
+        else:
+            with pytest.raises(IntegrityError):
+                polynomial(params)
 
 
 def test_generated_symmetry_up_to_300():

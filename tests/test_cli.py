@@ -3,7 +3,6 @@
 import argparse
 import hashlib
 import json
-import math
 import os
 import pathlib
 import random
@@ -19,7 +18,7 @@ import lenspoly.lattice
 import lenspoly.surgery
 from lenspoly.alexander import IntegrityError, polynomial
 from lenspoly.cli import main
-from lenspoly.surgery import SurgeryParams
+from lenspoly.sweep import enumerate_params
 
 
 def run_cli(capsys, *argv):
@@ -230,16 +229,7 @@ def test_noncanonical_k_notice(capsys):
 
 
 def test_round_trip_100_random_parameters(capsys):
-    pool = []
-    for p in range(2, 301):
-        for k in range(1, p // 2 + 1):
-            if math.gcd(p, k) != 1:
-                continue
-            try:
-                pool.append(SurgeryParams(p, k))
-            except ValueError:
-                pass
-    sample = random.Random(0xC11).sample(pool, 100)
+    sample = random.Random(0xC11).sample(list(enumerate_params(300)), 100)
     for params in sample:
         code, out, _ = run_cli(capsys, "poly", "-p", str(params.p), "-k", str(params.k),
                                "--format", "json")

@@ -32,6 +32,7 @@ from lenspoly.lattice import (
 )
 from lenspoly.render import ascii_curves, ascii_view, svg_curves, view_to_json
 from lenspoly.surgery import SurgeryParams, derive_invariants, reduce_mod
+from lenspoly.sweep import enumerate_params
 from test_sweep import is_alternating_full, is_flat_full
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -40,19 +41,6 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 def _pk(p, k):
     params = SurgeryParams(p, k)
     return params, derive_invariants(params)
-
-
-def canonical_params(max_p):
-    out = []
-    for p in range(2, max_p + 1):
-        for k in range(1, p // 2 + 1):
-            if math.gcd(p, k) != 1:
-                continue
-            try:
-                out.append(SurgeryParams(p, k))
-            except ValueError:
-                pass
-    return out
 
 
 # ------------------------------------------------------------------- entries
@@ -77,7 +65,7 @@ def test_da_entry_examples():
 
 def test_difference_identity_random_params():
     rng = random.Random(1234)
-    pool = canonical_params(120)
+    pool = list(enumerate_params(120))
     for params in rng.sample(pool, 40):
         inv = derive_invariants(params)
         poly = generate(params).poly
@@ -100,7 +88,7 @@ def test_da_periodicity():
 
 def test_da_zero_count_per_period():
     """Exactly max(p - 2*k2, 0) residue classes map to 0."""
-    for params in canonical_params(60):
+    for params in enumerate_params(60):
         inv = derive_invariants(params)
         zeros = sum(1 for j in range(params.p) if da_entry(params, inv, 0, j) == 0)
         assert zeros == max(params.p - 2 * inv.k2, 0), params
@@ -133,7 +121,7 @@ def test_da_case_split_matches_interval_tests(p, k, i, j):
 def test_da_case_split_matches_interval_tests_on_every_residue():
     """Every residue class of every canonical pair with p <= 200: q2 is a
     unit, so the cells (i, 0), 0 <= i < p, meet every r once."""
-    for params in canonical_params(200):
+    for params in enumerate_params(200):
         p, inv = params.p, params.inv
         assert sorted(inv.q2 * i % p for i in range(p)) == list(range(p))
         for i in range(p):
@@ -163,7 +151,7 @@ def test_build_view_da_equals_difference():
     included."""
     rng = random.Random(7)
     seen_p = set()
-    for params in canonical_params(50):
+    for params in enumerate_params(50):
         gen = generate(params)
         inv, poly = params.inv, gen.poly
         seen_p.add(params.p)
@@ -254,7 +242,7 @@ def test_region_contains_matches_translated_columns():
 
 
 def test_nonzero_entries_lie_in_region():
-    for params in canonical_params(80):
+    for params in enumerate_params(80):
         out = generate(params)
         if out.poly.g == 0:
             continue
@@ -391,7 +379,7 @@ def test_covered_translates_match_translate_index():
     assert -3 in covered_translates(SurgeryParams(26, 5), Window(-22, 16, -12, 46))
     rng = random.Random(14)
     checked = wide = 0
-    for params in canonical_params(60):
+    for params in enumerate_params(60):
         p, gen = params.p, generate(params)
         if gen.poly.g == 0:
             continue
@@ -432,7 +420,7 @@ def test_single_component_per_covered_translate():
     """One curve per fully-visible region translate, on parameters whose
     polynomial looks realizable (flat, alternating, unit sum)."""
     checked = 0
-    for params in canonical_params(100):
+    for params in enumerate_params(100):
         out = generate(params)
         if out.poly.g == 0 or out.delta_one != 1:
             continue
@@ -451,7 +439,7 @@ def test_single_component_per_covered_translate():
 
 
 def test_trace_curves_match_union_find_fundamental():
-    for params in canonical_params(60):
+    for params in enumerate_params(60):
         window = fundamental_window(params)
         assert trace_curves(params, window) == trace_curves_union_find(params, window), params
 
@@ -520,7 +508,7 @@ def _lemma_scan(p, k2, q2):
 def test_lemma_hypothesis_iff_bound():
     """The closed-form check agrees with the O(p) scan, whose -1/+1 pattern
     appears exactly when p < 3*k2 and adjacent zeros exactly when p > 3*k2."""
-    for params in canonical_params(600):
+    for params in enumerate_params(600):
         inv = derive_invariants(params)
         hypothesis, zeros = _lemma_scan(params.p, inv.k2, inv.q2 % params.p)
         assert (hypothesis, zeros) == (params.p < 3 * inv.k2, params.p > 3 * inv.k2), params
@@ -530,7 +518,7 @@ def test_lemma_hypothesis_iff_bound():
 
 def test_lemma_scan_against_direct_window_scan():
     """Redo the scan with da_entry directly over a 2 x (2p) window."""
-    for params in canonical_params(120):
+    for params in enumerate_params(120):
         inv = derive_invariants(params)
         found = False
         adjacent_zeros = False
@@ -662,7 +650,7 @@ def test_svg_curves_match_per_cell():
     columns overlap, included."""
     rng = random.Random(11)
     overlapping = 0
-    for params in canonical_params(60):
+    for params in enumerate_params(60):
         gen = generate(params)
         region = non_zero_region(params, gen) if gen.poly.g else None
         overlapping += 2 * gen.poly.g >= params.p
@@ -690,7 +678,7 @@ def test_view_encoders_match_per_cell():
     +-2, included."""
     rng = random.Random(7)
     largest = {}  # (p, k) -> largest |entry| seen
-    for params in canonical_params(50):
+    for params in enumerate_params(50):
         gen = generate(params)
         inv, poly = params.inv, gen.poly
         pk = (params.p, params.k)
@@ -715,7 +703,7 @@ def test_ascii_view_matches_per_cell():
     """ascii_view against one cell_char call per cell, on A and dA views
     (non-flat pairs such as (8, 3) included, whose entries reach 2)."""
     rng = random.Random(12)
-    for params in canonical_params(50):
+    for params in enumerate_params(50):
         gen = generate(params)
         for window in span_windows(params, rng):
             for kind in ("A", "dA"):
@@ -729,7 +717,7 @@ def test_ascii_view_matches_per_cell():
 @given(st.integers(0, 10**6))
 def test_trace_windows_never_crash(seed):
     rng = random.Random(seed)
-    pool = canonical_params(60)
+    pool = list(enumerate_params(60))
     params = rng.choice(pool)
     i0 = rng.randint(-10, 10)
     j0 = rng.randint(-30, 30)

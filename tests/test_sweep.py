@@ -15,7 +15,7 @@ import pytest
 import lenspoly.alexander
 import lenspoly.surgery
 import lenspoly.sweep
-from lenspoly.alexander import IntegrityError, generate
+from lenspoly.alexander import IntegrityError, _period, generate
 from lenspoly.lattice import check_lemma
 from lenspoly.surgery import SurgeryParams, _canonical_ks, reduce_mod
 from lenspoly.sweep import (
@@ -33,6 +33,7 @@ from lenspoly.sweep import (
     _violations_for_p,
     compute_record,
     enumerate_params,
+    is_theorem_violation,
     run_sweep,
     verify,
     verify_theorem,
@@ -171,15 +172,29 @@ def test_compute_record_trivial():
 def test_record_predicates_match_definitions_up_to_300():
     """The record's builtin-pass predicates against their literal
     definitions, and the whole record against the one read on all 2g+1
-    coefficients, on every canonical pair with p <= 300."""
+    coefficients, on every canonical pair with p <= 300.
+
+    Also the two identities that put unit evaluation and the L-space
+    domain on the record: the window counts sum to k*k2 = p*m + e, so the
+    a_i over one period sum to 1 and Delta(1) = 1 + [2g = p]*a_g; and a
+    flat, alternating polynomial has Delta(1) = a_g = 1."""
+    wide = 0
     for params in enumerate_params(300):
-        r = compute_record(params)
+        period = _period(params)
+        r = compute_record(params, period)
         assert r == record_full_coeffs(params), params
-        coeffs = generate(params).poly.coeffs
+        assert sum(period[0]) == params.k * r.k2, params
+        out = generate(params)
+        coeffs = out.poly.coeffs
         nonzero = [c for c in coeffs if c]
         assert r.flat == all(abs(c) <= 1 for c in coeffs), params
         assert r.alternating == all(x * y < 0 for x, y in zip(nonzero, nonzero[1:])), params
         assert r.torus2_match == (coeffs == torus2_coeffs(r.g)), params
+        wide += 2 * r.g == r.p
+        assert out.delta_one == 1 + (coeffs[-1] if 2 * r.g == r.p else 0), params
+        if r.flat and r.alternating:
+            assert out.delta_one == 1 == coeffs[-1], params
+    assert wide == 7189 - 5872  # the pairs where the torsion identity fails
 
 
 # ---------------------------------------------------------------- verifiers
@@ -393,6 +408,15 @@ def test_report_bytes_pinned_up_to_600():
         "727d10bd8bd0bd1faff7d11ff012c86736e0c413b53550d167d03ff49fbfde84")
     assert hashlib.sha256(_serialize_batch(records, "jsonl").encode()).hexdigest() == (
         "5e9df7e73016eb474c36dfd9de6179d58e060e78b45a0143ee38e57045abb396")
+    # Delta(1) != 1 exactly when 2g = p: acceptance 6's pairs
+    assert sum(2 * r.g == r.p for r in records) == 5484
+    # the L-space domain (Delta(1) = 1, flat, alternating, a_g = 1) is
+    # flat and alternating, as those force Delta(1) = a_g = 1
+    lspace = [r for r in records if r.flat and r.alternating]
+    assert len(lspace) == 3422
+    assert sum(map(_theorem_trigger, lspace)) == 298
+    assert not any(map(is_theorem_violation, lspace))
+    assert not any(not r.trivial and r.alpha1 != -1 for r in lspace)
 
 
 def test_csv_columns_contract():
