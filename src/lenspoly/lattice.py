@@ -149,12 +149,16 @@ class NonZeroRegion(NamedTuple):
     g: int
     istar: int
 
-    def translate_index(self, point: tuple[int, int]) -> int | None:
-        """Index n' of the (0, p)-translate containing the point, or None
-        when the point is outside the region."""
-        x, y = point
-        n, s = divmod(y + (x - self.istar) * self.params.inv.k2, self.params.p)
-        return n if s <= 2 * self.g else None
+    def row_translates(self, j: int, i0: int, i1: int) -> list[int | None]:
+        """Translate index of each cell (i0..i1, j), None outside the region.
+
+        >>> non_zero_region(SurgeryParams(11, 2)).row_translates(0, -1, 6)
+        [None, 0, None, None, 1, None, 2, None]
+        """
+        p, k2, cap = self.params.p, self.params.inv.k2, 2 * self.g
+        t0 = j + (i0 - self.istar) * k2
+        return [t // p if t % p <= cap else None
+                for t in range(t0, t0 + (i1 - i0 + 1) * k2, k2)]
 
     def column_span(self, translate: int, j0: int, j1: int) -> tuple[int, int]:
         """Inclusive x-range of this translate's columns meeting rows j0..j1.
@@ -162,7 +166,7 @@ class NonZeroRegion(NamedTuple):
         Column x = i* + n of translate r covers y in
         [-n*k2 + p*r, -n*k2 + p*r + min(2g, p - 1)]: the residue s is at
         most p - 1, so when 2g >= p the column is cut after p cells and
-        :meth:`translate_index` puts the rest in translate r + 1.
+        :meth:`row_translates` puts the rest in translate r + 1.
         Intersecting with [j0, j1] bounds n on both sides.  Returns (lo,
         hi); empty when lo > hi.
         """
@@ -193,7 +197,8 @@ def non_zero_region(
 
 
 def region_contains(region: NonZeroRegion, point: tuple[int, int]) -> bool:
-    return region.translate_index(point) is not None
+    x, y = point
+    return region.row_translates(y, x, x)[0] is not None
 
 
 class NonZeroCurve(NamedTuple):
@@ -214,12 +219,12 @@ def trace_curves(
     """Arrows on nonzero A entries, grouped into curve components.
 
     Every arrow links to each arrow of its region translate in the row
-    below, and to an equal-sign horizontal neighbour of its translate.
-    Within one translate the components are therefore:
+    below, and to a horizontal neighbour of its translate with an equal
+    entry.  Within one translate the components are therefore:
 
     * a maximal run of two or more consecutive non-empty rows, whole;
     * in a run of a single row, each stretch of consecutive i with one
-      sign (the row splits at every gap in i and every sign change).
+      entry (the row splits at every gap in i and every entry change).
 
     Components come back ordered by translate index, then by first arrow.
 
@@ -241,15 +246,12 @@ def trace_curves(
 
     # translate -> j -> arrows (i, j, entry), rows by decreasing j, i increasing
     translates: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
-    p, k2, cap = params.p, params.inv.k2, 2 * gen.poly.g
     cols = range(window.i0, window.i1 + 1)
     for j, row in zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows)):
-        base = j - region.istar * k2  # translate_index divides base + i*k2 by p
-        for i, v in zip(cols, row):
+        for i, v, tr in zip(cols, row, region.row_translates(j, window.i0, window.i1)):
             if v == 0:
                 continue
-            tr, s = divmod(base + i * k2, p)
-            if s > cap:
+            if tr is None:
                 raise IntegrityError(
                     params.p, params.k,
                     f"nonzero entry at ({i}, {j}) outside the non-zero region",
@@ -265,7 +267,7 @@ def trace_curves(
             if len(run_rows) > 1:
                 components.append((tr, tuple(chain.from_iterable(run_rows))))
                 continue
-            # in a lone row, i - position and the sign are constant exactly along a piece
+            # in a lone row, i - position and the entry are constant exactly along a piece
             for _, piece in groupby(enumerate(run_rows[0]),
                                     key=lambda na: (na[1][0] - na[0], na[1][2])):
                 components.append((tr, tuple(arrow for _, arrow in piece)))

@@ -65,10 +65,10 @@ def svg_curves(
     curves: list[NonZeroCurve],
     region: NonZeroRegion | None,
 ) -> str:
-    """SVG 1.1 document: one shaded square per region cell, row by row and
-    filled by translate parity, one polyline per component, and an
-    oriented arrow segment on every nonzero entry.  ``curves`` are those
-    :func:`trace_curves` returns for ``window``."""
+    """SVG 1.1 document: one shaded square per region cell, filled by
+    translate parity (one :meth:`NonZeroRegion.row_translates` per row),
+    one polyline per component, and an oriented arrow on every nonzero
+    entry.  ``curves`` are those :func:`trace_curves` returns for ``window``."""
     i0, i1, j0, j1 = window.i0, window.i1, window.j0, window.j1
     empty = window.is_empty()
     width = 2 * _MARGIN + (0 if empty else window.width() * _CELL)
@@ -80,16 +80,13 @@ def svg_curves(
         f'<!-- p={params.p} k={params.k} window i=[{i0},{i1}] j=[{j0},{j1}] -->',
     ]
     if region is not None and not empty:
-        p, k2, cap = params.p, params.inv.k2, 2 * region.g
         rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(window.width())]
         for j in range(j0, j1 + 1):
             y = _MARGIN + (j1 - j) * _CELL
             tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
                      for fill in _STRIP_FILLS]
-            base = j - region.istar * k2  # translate_index divides base + i*k2 by p
-            for i, x in zip(range(i0, i1 + 1), rect_x):
-                tr, s = divmod(base + i * k2, p)
-                if s <= cap:
+            for x, tr in zip(rect_x, region.row_translates(j, i0, i1)):
+                if tr is not None:
                     parts.append(x + tails[tr % 2])
     # cell centres; lattice j grows upward, SVG y grows downward
     cx = {i: _MARGIN + (i - i0) * _CELL + _CELL // 2 for i in range(i0, i1 + 1)}

@@ -26,7 +26,7 @@ from lenspoly.alexander import (
     top_coefficient,
     torus_polynomial,
 )
-from lenspoly.surgery import SurgeryParams, derive_invariants
+from lenspoly.surgery import SurgeryParams, canonicalize_dual_class, derive_invariants
 from lenspoly.sweep import enumerate_params
 from test_sweep import is_alternating_full, is_flat_full
 
@@ -381,10 +381,27 @@ def test_torus_remultiplication_oracle():
 
 
 def test_surgery_polynomials_with_k2_match_torus():
-    """Both p = 4g+1 and p = 4g+3 with k = 2 give the (2, 2g+1) polynomial."""
+    """Both p = 4g+1 and p = 4g+3 with k = 2 give the (2, 2g+1) polynomial.
+
+    Berge's type I: for every coprime 2 <= a < 40 and a < b < 80, both
+    p = ab - 1 and p = ab + 1 with k = a give the (a, b) torus polynomial,
+    and k = a and k = b canonicalize to one pair.
+    """
     for g in range(1, 51):
         for p in (4 * g + 1, 4 * g + 3):
             assert polynomial(SurgeryParams(p, 2)).coeffs == torus_polynomial(2, 2 * g + 1).coeffs
+    checked = 0
+    for a in range(2, 40):
+        for b in range(a + 1, 80):
+            if math.gcd(a, b) != 1:
+                continue
+            torus = torus_polynomial(a, b)
+            for p in (a * b - 1, a * b + 1):
+                params = canonicalize_dual_class(p, a)
+                assert generate(params).poly == torus, (p, a, b)
+                assert canonicalize_dual_class(p, b) == params, (p, a, b)
+                checked += 1
+    assert checked == 2724
 
 
 # ------------------------------------------------- accessors and predicates

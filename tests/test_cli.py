@@ -128,6 +128,21 @@ def test_curve_svg_shades_region_without_arrows(capsys, tmp_path):
     assert '<rect x="10" y="10" width="20" height="20" fill="#d7d7d7"/>' in text
 
 
+def test_curve_lone_row_splits_where_the_entry_changes(capsys):
+    """A lone row splits where the A entry changes, sign kept or not:
+    (1, -23) and (2, -23) sit side by side in translate -9 with entries
+    2 and 1, and come back as two components."""
+    code, out, _ = run_cli(capsys, "curve", "-p", "23", "-k", "5", "--i0", "0", "--i1", "3",
+                           "--j0", "-23", "--j1", "-23", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"i0":0,"i1":3,"j0":-23,"j1":-23,"components":['
+        '{"id":0,"translate":-10,"arrows":[[0,-23,2]]},'
+        '{"id":1,"translate":-9,"arrows":[[1,-23,2]]},'
+        '{"id":2,"translate":-9,"arrows":[[2,-23,1],[3,-23,1]]}]}\n'
+    )
+
+
 def test_curve_text_for_trivial_parameter(capsys):
     code, out, _ = run_cli(capsys, "curve", "-p", "7", "-k", "1",
                            "--i0", "0", "--i1", "3", "--j0", "0", "--j1", "2")

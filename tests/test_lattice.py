@@ -223,6 +223,14 @@ def test_region_anchor_11_2():
     assert a_entry(params, inv, poly, 1, -5) == 1
 
 
+def translate_index(region, point):
+    """Index n' of the (0, p)-translate containing the point, or None
+    when the point is outside the region."""
+    x, y = point
+    n, s = divmod(y + (x - region.istar) * region.params.inv.k2, region.params.p)
+    return n if s <= 2 * region.g else None
+
+
 def test_region_contains_examples():
     region = non_zero_region(SurgeryParams(11, 2))
     assert region_contains(region, (0, 3))
@@ -278,7 +286,7 @@ def trace_curves_union_find(params, window):
     connected components with a union-find.
 
     Two arrows are linked when (a) they are horizontal neighbours with
-    equal sign in the same region translate, or (b) they sit at (i, j)
+    equal entry in the same region translate, or (b) they sit at (i, j)
     and (i', j-1) within the same region translate.
     """
     if window.is_empty():
@@ -296,7 +304,7 @@ def trace_curves_union_find(params, window):
             v = a_entry(params, inv, poly, i, j)
             if v == 0:
                 continue
-            tr = region.translate_index((i, j))
+            tr = translate_index(region, (i, j))
             assert tr is not None, (params, i, j)
             arrows[(i, j)] = (v, tr)
             rows.setdefault((j, tr), []).append(i)
@@ -365,16 +373,17 @@ def covered_translates_cells(params, window):
     rows = range(window.j0, window.j1 + 1)
 
     def translates(cols):
-        return {region.translate_index((i, j)) for i in cols for j in rows} - {None}
+        return {translate_index(region, (i, j)) for i in cols for j in rows} - {None}
 
     inside = translates(range(window.i0, window.i1 + 1))
     return sorted(inside - translates((window.i0 - 1, window.i1 + 1)))
 
 
 def test_covered_translates_match_translate_index():
-    """covered_translates equals the cell-by-cell reading on the fundamental
-    window and two seeded windows of every nontrivial pair with p <= 60,
-    the pairs with 2g >= p (overlapping columns) included."""
+    """covered_translates equals the cell-by-cell reading, and every
+    row_translates row equals translate_index cell by cell, on the
+    fundamental window and two seeded windows of every nontrivial pair
+    with p <= 60, the pairs with 2g >= p (overlapping columns) included."""
     assert covered_translates(SurgeryParams(16, 7), Window(7, 19, 4, 36)) == [5, 6, 7, 8]
     assert -3 in covered_translates(SurgeryParams(26, 5), Window(-22, 16, -12, 46))
     rng = random.Random(14)
@@ -388,9 +397,14 @@ def test_covered_translates_match_translate_index():
         for _ in range(2):
             i0, j0 = rng.randint(-p, p), rng.randint(-2 * p, 2 * p)
             windows.append(Window(i0, i0 + rng.randint(0, p), j0, j0 + rng.randint(0, 3 * p)))
+        region = non_zero_region(params, gen)
         for window in windows:
             expected = covered_translates_cells(params, window)
             assert covered_translates(params, window, gen) == expected, (params, window)
+            cols = range(window.i0, window.i1 + 1)
+            for j in range(window.j0, window.j1 + 1):
+                assert region.row_translates(j, window.i0, window.i1) == [
+                    translate_index(region, (i, j)) for i in cols], (params, window, j)
             checked += 1
     assert checked == 810 and wide > 1
 
@@ -597,7 +611,7 @@ def svg_curves_per_cell(params, window, curves, region):
     if region is not None and not window.is_empty():
         for j in range(window.j0, window.j1 + 1):
             for i in range(window.i0, window.i1 + 1):
-                tr = region.translate_index((i, j))
+                tr = translate_index(region, (i, j))
                 if tr is None:
                     continue
                 fill = _STRIP_FILLS[tr % 2]
