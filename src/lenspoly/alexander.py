@@ -25,7 +25,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .surgery import SurgeryParams
 
@@ -291,11 +291,12 @@ def top_coefficient(poly: SymmetricLaurentPolynomial, n: int) -> int:
     return poly.coefficient(poly.g - n)
 
 
-def format_polynomial(poly: SymmetricLaurentPolynomial) -> str:
-    """Render as text, highest power first, e.g. ``t^2 - t + 1 - t^-1 + t^-2``."""
-    parts: list[str] = []
-    for i in range(poly.g, -poly.g - 1, -1):
-        c = poly.coefficient(i)
+def _format_terms(poly: SymmetricLaurentPolynomial) -> Iterator[str]:
+    """The terms of :func:`format_polynomial`, highest power first, each
+    with its sign: ``-`` glued to a negative first term, ``- `` or ``+ ``
+    before every later one; the zero polynomial yields ``0`` alone."""
+    first = True
+    for i, c in zip(range(poly.g, -poly.g - 1, -1), reversed(poly.coeffs)):
         if c == 0:
             continue
         if i == 0:
@@ -303,11 +304,18 @@ def format_polynomial(poly: SymmetricLaurentPolynomial) -> str:
         else:
             power = "t" if i == 1 else f"t^{i}"
             body = power if abs(c) == 1 else f"{abs(c)}{power}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
+        if first:
+            yield f"-{body}" if c < 0 else body
+            first = False
         else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+            yield f"- {body}" if c < 0 else f"+ {body}"
+    if first:
+        yield "0"
+
+
+def format_polynomial(poly: SymmetricLaurentPolynomial) -> str:
+    """Render as text, highest power first, e.g. ``t^2 - t + 1 - t^-1 + t^-2``."""
+    return " ".join(_format_terms(poly))
 
 
 def polynomial_to_json(poly: SymmetricLaurentPolynomial) -> dict:

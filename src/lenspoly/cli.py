@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import islice
 
 from .alexander import (
     GeneratedPolynomial,
     IntegrityError,
-    format_polynomial,
+    _format_terms,
     generate,
     polynomial,
     polynomial_to_json,
@@ -49,6 +50,9 @@ _MAX_WINDOW_CELLS = 2**22
 # Largest p that poly, matrix and curve accept: generate holds packed window
 # counts and one big-int box sum (a peak RSS of 114 MB at p = 4,000,037).
 _MAX_GENERATED_P = 2**22
+# Terms of `poly` text written to stdout at a time: the text of a large
+# polynomial (40 MiB at the largest p) is never held whole.
+_POLY_CHUNK_TERMS = 4096
 
 
 def _resolve_params(args) -> SurgeryParams:
@@ -113,8 +117,12 @@ def _cmd_poly(args) -> int:
     poly = polynomial(params)
     if args.format == "json":
         print(_encode_json(polynomial_to_json(poly)))
-    else:
-        print(format_polynomial(poly))
+    else:  # format_polynomial's text, written a chunk of terms at a time
+        terms, sep = _format_terms(poly), ""
+        while chunk := list(islice(terms, _POLY_CHUNK_TERMS)):
+            sys.stdout.write(sep + " ".join(chunk))
+            sep = " "
+        sys.stdout.write("\n")
     return 0
 
 

@@ -18,10 +18,16 @@ coefficients off it; it builds the record only for a pair with the
 pattern (1, -1, nonzero) or with k = 2, as no other pair is the
 hypothesis of the theorem or of either direction of the corollary.
 
-Report files carry no timing: each worker times its batch of one p, and
-the per-p and total wall-clock microseconds go to a side file
-``<out>.timing.json``, which is run-specific and excluded from the
-determinism contract.
+A sweep's worker hands back finished rows: for its p it returns the
+batch's report text, the batch's counts for the summary and the time its
+records took, so with a pool the coordinator only writes text and adds
+counts, and receives no record.  Each row is one ``%``-format of a
+precomputed string per report format.
+
+Report files carry no timing: each worker times the records of its p
+(computing them, not serializing or counting them), and the per-p and
+total wall-clock microseconds go to a side file ``<out>.timing.json``,
+which is run-specific and excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import _alternation, _is_flat, _period, _top_terms
@@ -68,8 +74,18 @@ class SweepRecord(NamedTuple):
 CSV_COLUMNS = SweepRecord._fields
 _CSV_HEADER = ",".join(CSV_COLUMNS)
 _COLUMN_TYPES = tuple(get_type_hints(SweepRecord).values())  # int or bool
-# the compact JSON of report rows and of the CLI: every object encoded is
-# a fresh tree, so there are no cycles to check
+_INTS = _COLUMN_TYPES.index(bool)  # the int columns come first, then the bools
+# One format string per report format.  %d prints an int, and a bool as
+# 0 or 1 as the CSV wants; JSONL has the column names baked in and takes
+# each bool as its JSON spelling.
+_CSV_ROW = ",".join(["%d"] * len(CSV_COLUMNS)) + "\n"
+_JSONL_ROW = "{" + ",".join(
+    f'"{name}":' + ("%d" if kind is int else "%s")
+    for name, kind in zip(CSV_COLUMNS, _COLUMN_TYPES)
+) + "}\n"
+_JSON_BOOLS = ("false", "true")
+# the compact JSON of the CLI: every object encoded is a fresh tree, so
+# there are no cycles to check
 _encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
@@ -111,6 +127,12 @@ class SweepSummary:
     lemma_violations: int = 0
     resumed_from: int | None = None
     elapsed_us: int = 0
+
+    def add(self, counts: SweepSummary) -> None:
+        """Add the row counts of another summary (a worker's, of one p)."""
+        for name in ("records", "nontrivial", "top_sign_ok", "flat", "alternating",
+                     "theorem_violations", "lemma_violations"):
+            setattr(self, name, getattr(self, name) + getattr(counts, name))
 
 
 def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
@@ -229,6 +251,8 @@ def _map_over_p(
         for p in ps:
             yield p, worker(p)
         return
+    from multiprocessing import Pool  # imported here, as serial runs never need it
+
     with Pool(processes=workers) as pool:
         yield from zip(ps, pool.imap(worker, ps, chunksize=4))
 
@@ -284,12 +308,12 @@ def verify_theorem(max_p: int, jobs: int = 1) -> list[Violation]:
 
 def _serialize_row(record: SweepRecord, fmt: str) -> str:
     if fmt == "csv":
-        return ",".join(map(str, map(int, record))) + "\n"
-    return _encode_json(record._asdict()) + "\n"
+        return _CSV_ROW % record
+    return _JSONL_ROW % (*record[:_INTS], *[_JSON_BOOLS[b] for b in record[_INTS:]])
 
 
 def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
-    return "".join(_serialize_row(record, fmt) for record in records)
+    return "".join([_serialize_row(record, fmt) for record in records])
 
 
 def _parse_row(line: str, fmt: str) -> SweepRecord:
@@ -305,7 +329,8 @@ def _parse_row(line: str, fmt: str) -> SweepRecord:
     else:
         obj = json.loads(line)
         values = [obj[name] for name in CSV_COLUMNS]
-    record = SweepRecord._make(cast(int(v)) for cast, v in zip(_COLUMN_TYPES, values))
+    ints = list(map(int, values))
+    record = SweepRecord(*ints[:_INTS], *map(bool, ints[_INTS:]))
     if _serialize_row(record, fmt) != line + "\n":
         raise ValueError("it does not serialize back to itself")
     return record
@@ -367,22 +392,34 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
             batch.append(record)
             if len(batch) == len(ks):
                 if p <= max_p:
-                    for row in batch:
-                        _tally(summary, row)
+                    _tally(summary, batch)
                     summary.resumed_from, cut = p, offset
                 p, ks, batch = p + 1, _canonical_ks(p + 1), []
     return cut
 
 
-def _tally(summary: SweepSummary, record: SweepRecord) -> None:
-    summary.records += 1
-    if not record.trivial:
-        summary.nontrivial += 1
-        summary.top_sign_ok += record.top_sign_ok
-        summary.flat += record.flat
-        summary.alternating += record.alternating
-    summary.theorem_violations += is_theorem_violation(record)
-    summary.lemma_violations += is_lemma_violation(record)
+def _tally(summary: SweepSummary, records: list[SweepRecord]) -> None:
+    """Count the rows of a batch into summary: fresh rows, in the worker
+    that computed them, and resumed rows, as the report is read."""
+    for record in records:
+        summary.records += 1
+        if not record.trivial:
+            summary.nontrivial += 1
+            summary.top_sign_ok += record.top_sign_ok
+            summary.flat += record.flat
+            summary.alternating += record.alternating
+        summary.theorem_violations += is_theorem_violation(record)
+        summary.lemma_violations += is_lemma_violation(record)
+
+
+def _rows_for_p(fmt: str, p: int) -> tuple[str, SweepSummary, int]:
+    """The sweep's worker: the report text of one p's rows, their counts,
+    and the wall-clock microseconds the records took (serializing and
+    counting them is not included)."""
+    records, elapsed_us = _records_for_p(p)
+    counts = SweepSummary()
+    _tally(counts, records)
+    return _serialize_batch(records, fmt), counts, elapsed_us
 
 
 def run_sweep(
@@ -417,14 +454,13 @@ def run_sweep(
 
     per_p_elapsed: dict[int, int] = {}
     with open(out_path, "a", encoding="utf-8", newline="") as handle:
-        for p, (records, elapsed_us) in _map_over_p(
-            _records_for_p, start_p, config.max_p, config.jobs
+        for p, (text, counts, elapsed_us) in _map_over_p(
+            partial(_rows_for_p, fmt), start_p, config.max_p, config.jobs
         ):
-            handle.write(_serialize_batch(records, fmt))
+            handle.write(text)
             handle.flush()
             per_p_elapsed[p] = elapsed_us
-            for record in records:
-                _tally(summary, record)
+            summary.add(counts)
             if progress is not None:
                 progress(p)
 

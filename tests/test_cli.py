@@ -16,8 +16,14 @@ import lenspoly.alexander
 import lenspoly.cli
 import lenspoly.lattice
 import lenspoly.surgery
-from lenspoly.alexander import IntegrityError, polynomial
+from lenspoly.alexander import (
+    IntegrityError,
+    SymmetricLaurentPolynomial,
+    format_polynomial,
+    polynomial,
+)
 from lenspoly.cli import main
+from lenspoly.surgery import SurgeryParams
 from lenspoly.sweep import enumerate_params
 
 
@@ -48,6 +54,24 @@ def test_poly_text_golden(capsys):
     code, out, _ = run_cli(capsys, "poly", "-p", "7", "-k", "2")
     assert code == 0
     assert out == "t - 1 + t^-1\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_poly_text_is_format_polynomial_in_chunks(capsys, monkeypatch, chunk):
+    """`poly` writes its text a chunk of terms at a time, and the chunks
+    join to format_polynomial's text: with a top coefficient of -1,
+    coefficients of magnitude 2 and 3, the trivial 1 and the zero
+    polynomial (which the strict generator never returns, so it is
+    patched in)."""
+    monkeypatch.setattr(lenspoly.cli, "_POLY_CHUNK_TERMS", chunk)
+    for p, k in [(7, 2), (19, 7), (4, 1), (13, 5), (17, 3), (17, 4)]:
+        code, out, _ = run_cli(capsys, "poly", "-p", str(p), "-k", str(k))
+        assert code == 0
+        assert out == format_polynomial(polynomial(SurgeryParams(p, k))) + "\n", (p, k)
+    zero = SymmetricLaurentPolynomial(0, (0,))
+    monkeypatch.setattr(lenspoly.cli, "polynomial", lambda params: zero)
+    assert run_cli(capsys, "poly", "-p", "7", "-k", "2") == (0, "0\n", "")
+    assert format_polynomial(zero) == "0"
 
 
 def test_poly_json(capsys):

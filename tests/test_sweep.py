@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import re
@@ -23,16 +24,20 @@ from lenspoly.sweep import (
     CheckpointError,
     SweepConfig,
     SweepRecord,
+    SweepSummary,
     Violation,
+    _encode_json,
     _map_over_p,
     _parse_row,
     _records_for_p,
     _serialize_batch,
+    _serialize_row,
     _theorem_trigger,
     _violations,
     _violations_for_p,
     compute_record,
     enumerate_params,
+    is_lemma_violation,
     is_theorem_violation,
     run_sweep,
     verify,
@@ -427,6 +432,33 @@ def test_csv_columns_contract():
     )
 
 
+def row_oracle(record, fmt):
+    """A report row through the generic encoders: each field as an int
+    for CSV, the record as a JSON object for JSONL."""
+    if fmt == "csv":
+        return ",".join(map(str, map(int, record))) + "\n"
+    return _encode_json(record._asdict()) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_row_format_matches_generic_encoders(fmt):
+    """The one format string per format writes what the generic encoders
+    write: on every record with p <= 200, and on hand-made records with
+    e = -1, negative top coefficients and p past 2^40."""
+    records = [compute_record(params) for params in enumerate_params(200)]
+    assert any(r.e == -1 for r in records) and any(r.alpha1 < 0 for r in records)
+    big = 2**40 + 15
+    records += [
+        SweepRecord(big, 7, big // 7, -1, 3, big // 2, -5, -(2**45), *[False] * 8),
+        SweepRecord(big * big, big - 2, big + 1, 1, 2**41, 2**42, 3, -1,
+                    *[i % 3 == 0 for i in range(8)]),
+        SweepRecord(13, 5, 8, -1, -2, 0, -1, -7, *[True] * 8),
+    ]
+    for record in records:
+        assert _serialize_row(record, fmt) == row_oracle(record, fmt), record
+    assert _serialize_batch(records, fmt) == "".join(row_oracle(r, fmt) for r in records)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_row_codec_round_trip_up_to_200(fmt):
     """_parse_row inverts the row serialization, field types included."""
@@ -624,7 +656,7 @@ def test_map_over_p_caps_workers(monkeypatch):
         def imap(self, worker, ps, chunksize):
             return map(worker, ps)
 
-    monkeypatch.setattr(lenspoly.sweep, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     for cpus, jobs, start_p, max_p, want in [
         (4, 100000, 2, 11, [4]),
         (64, 8, 2, 4, [3]),
@@ -764,6 +796,47 @@ def test_sweep_summary_violations(tmp_path):
     _, s20 = _sweep(tmp_path, "b.csv", max_p=20)
     assert s20.theorem_violations == 1  # (15,4)
     assert s20.lemma_violations == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_sweep_summary_same_for_any_jobs_and_resume(tmp_path, fmt):
+    """The workers count the rows they return and the coordinator adds
+    the counts up: every count of the summary is the same with one job,
+    with two, and after an interrupt and a resume, and is the tally of
+    the rows of the report."""
+    def counts(summary):
+        return [getattr(summary, name) for name in (
+            "records", "nontrivial", "top_sign_ok", "flat", "alternating",
+            "theorem_violations", "lemma_violations")]
+
+    _, one = _sweep(tmp_path, "one", jobs=1, report_format=fmt)
+    _, two = _sweep(tmp_path, "two", jobs=2, report_format=fmt)
+
+    class Stop(Exception):
+        pass
+
+    def interrupt(p):
+        if p >= 30:
+            raise Stop
+
+    out = tmp_path / "resumed"
+    with pytest.raises(Stop):
+        run_sweep(SweepConfig(max_p=60, out_path=str(out), report_format=fmt), interrupt)
+    resumed = run_sweep(SweepConfig(max_p=60, out_path=str(out), jobs=2, report_format=fmt))
+    assert resumed.resumed_from == 30
+
+    oracle = SweepSummary()
+    for record in map(compute_record, enumerate_params(60)):
+        oracle.records += 1
+        if not record.trivial:
+            oracle.nontrivial += 1
+            oracle.top_sign_ok += record.top_sign_ok
+            oracle.flat += record.flat
+            oracle.alternating += record.alternating
+        oracle.theorem_violations += is_theorem_violation(record)
+        oracle.lemma_violations += is_lemma_violation(record)
+    assert counts(one) == counts(two) == counts(resumed) == counts(oracle)
+    assert one.records == 329 and one.theorem_violations > 0
 
 
 def test_sweep_unwritable_path(tmp_path):
