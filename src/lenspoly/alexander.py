@@ -47,8 +47,8 @@ class IntegrityError(Exception):
         super().__init__(f"{where}: {detail}")
 
     def __reduce__(self):
-        # args holds only the message, so rebuild from the fields: a pool
-        # worker's error must unpickle in the caller
+        # args holds only the message, so rebuild from the fields: a worker
+        # process's error must unpickle in the caller
         return (type(self), (self.p, self.k, self.detail, self.index))
 
 
@@ -183,9 +183,13 @@ def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, i
     (5, 1, -1, 0)
     """
     p = len(w)
-    g = next((i for i in range(p // 2, 0, -1) if w[-i * step % p] != m), 0)
-    return (g, *(e * (w[-abs(g - n) * step % p] - m) if abs(g - n) <= g else 0
-                 for n in range(3)))
+    g = p // 2
+    while g and w[-g * step % p] == m:
+        g -= 1
+    top = e * (w[-g * step % p] - m)
+    if g < 2:  # g = 1: a_{g-1} = a_0 and a_{g-2} = a_1 = a_g; g = 0: both 0
+        return (1, top, e * (w[0] - m), top) if g else (0, top, 0, 0)
+    return g, top, e * (w[(1 - g) * step % p] - m), e * (w[(2 - g) * step % p] - m)
 
 
 def _is_flat(w: bytes | array, m: int) -> bool:

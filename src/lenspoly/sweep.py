@@ -18,11 +18,16 @@ coefficients off it; it builds the record only for a pair with the
 pattern (1, -1, nonzero) or with k = 2, as no other pair is the
 hypothesis of the theorem or of either direction of the corollary.
 
-A sweep's worker hands back finished rows: for its p it returns the
-batch's report text, the batch's counts for the summary and the time its
-records took, so with a pool the coordinator only writes text and adds
-counts, and receives no record.  Each row is one ``%``-format of a
-precomputed string per report format.
+With more than one job, each worker process has its own pipe and is
+handed chunks of 4 consecutive p on demand, two ahead; the coordinator
+blocks only on the pipes and passes the results on in p order.  A
+worker's exception is raised in the coordinator, and a worker that dies
+ends the run with ChildProcessError (exit 3 in the CLI); either way the
+report resumes from its last complete p.  A sweep's worker hands back
+finished rows: for its p it returns the batch's report text, the batch's
+counts for the summary and the time its records took, so the coordinator
+only writes text and adds counts, and receives no record.  Each row is
+one ``%``-format of a precomputed string per report format.
 
 Report files carry no timing: each worker times the records of its p
 (computing them, not serializing or counting them), and the per-p and
@@ -37,6 +42,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import _alternation, _is_flat, _period, _top_terms
@@ -236,6 +242,21 @@ def _violations(record: SweepRecord) -> tuple[list[Violation], list[Violation]]:
     return theorem, corollary
 
 
+def _serve(conn, worker: Callable[[int], _R]) -> None:
+    """A worker process: apply worker to each p of every chunk it is sent
+    and send back the chunk with its results, or with the exception that
+    stopped them, until the coordinator's end of the pipe closes."""
+    while True:
+        try:
+            ps = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send((ps, [worker(p) for p in ps]))
+        except Exception as exc:
+            conn.send((ps, exc))
+
+
 def _map_over_p(
     worker: Callable[[int], _R], start_p: int, max_p: int, jobs: int
 ) -> Iterator[tuple[int, _R]]:
@@ -243,7 +264,10 @@ def _map_over_p(
     no more than there are p values or CPUs; serially when that is one.
 
     Results are yielded in ascending p regardless of job count, which is
-    what makes the reports deterministic.
+    what makes the reports deterministic.  Each worker has two chunks of
+    4 consecutive p in flight and is sent the next as soon as it returns
+    one, so it never waits for work.  Every worker is stopped when the
+    generator ends or is closed.
     """
     ps = range(start_p, max_p + 1)
     workers = min(jobs, len(ps), os.cpu_count() or 1)
@@ -251,10 +275,40 @@ def _map_over_p(
         for p in ps:
             yield p, worker(p)
         return
-    from multiprocessing import Pool  # imported here, as serial runs never need it
+    import multiprocessing  # imported here, as serial runs never need it
+    from multiprocessing.connection import wait
 
-    with Pool(processes=workers) as pool:
-        yield from zip(ps, pool.imap(worker, ps, chunksize=4))
+    chunks = [ps[i:i + 4] for i in range(0, len(ps), 4)]
+    unsent = iter(chunks)
+    arrived: dict[range, list] = {}  # chunk -> its results, until its turn
+    conns, children = [], []
+    try:
+        for _ in range(workers):
+            conn, child_end = multiprocessing.Pipe()
+            child = multiprocessing.Process(target=_serve, args=(child_end, worker), daemon=True)
+            child.start()
+            children.append(child)
+            child_end.close()  # so the pipe reads EOF once the worker is gone
+            conns.append(conn)
+        for conn, chunk in zip(conns * 2, unsent):
+            conn.send(chunk)
+        for chunk in chunks:
+            while chunk not in arrived:
+                for conn in wait(conns):  # an idle worker's pipe is ready only at EOF
+                    try:
+                        done, results = conn.recv()
+                    except (EOFError, ConnectionError) as exc:
+                        raise ChildProcessError("a worker process died") from exc
+                    if isinstance(results, Exception):
+                        raise results
+                    arrived[done] = results
+                    for ahead in islice(unsent, 1):  # the next chunk, if any is left
+                        conn.send(ahead)
+            yield from zip(chunk, arrived.pop(chunk))
+    finally:
+        for child in children:
+            child.terminate()
+            child.join()
 
 
 def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:

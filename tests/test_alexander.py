@@ -420,12 +420,13 @@ def test_top_coefficient():
 
 
 def test_top_terms_match_top_coefficient_up_to_300():
-    """The period reader's (g, a_g, a_{g-1}, a_{g-2}) equals generate's g
-    and top_coefficient(poly, n) for n = 0, 1, 2 on every canonical pair
+    """The period reader's (g, a_g, a_{g-1}, a_{g-2}) equals the g and
+    top_coefficient(poly, n) for n = 0, 1, 2 of the loop oracle's
+    polynomial, whose g is found by its own scan, on every canonical pair
     with p <= 300, where g = 0 (k = 1), g = 1 and g = 2 all occur."""
     genera = set()
     for params in enumerate_params(300):
-        poly = generate(params).poly
+        poly = generate_full_period(params).poly
         top = _top_terms(*_period(params))
         assert top == (poly.g, *(top_coefficient(poly, n) for n in range(3))), params
         genera.add(top[0])

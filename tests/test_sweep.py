@@ -368,6 +368,62 @@ def test_worker_integrity_error_reaches_the_caller(tmp_path):
     assert "integrity error: (p=13, k=5, i=1): a_i != a_-i" in err
 
 
+_DEAD_WORKER_SCRIPT = """
+import multiprocessing, os, sys
+import lenspoly.alexander
+from lenspoly.cli import main
+from lenspoly.sweep import SweepConfig, run_sweep, verify
+
+residue_values = lenspoly.alexander._residue_values
+
+def dying(params):
+    if params.p == 11:
+        os._exit(1)
+    return residue_values(params)
+
+lenspoly.alexander._residue_values = dying
+multiprocessing.set_start_method("fork")  # so the workers inherit the exit
+os.cpu_count = lambda: 2  # so one CPU still gets two workers
+for run in (lambda: verify(13, jobs=2),
+            lambda: run_sweep(SweepConfig(max_p=13, out_path=sys.argv[1], jobs=2))):
+    try:
+        run()
+    except ChildProcessError:
+        print("ChildProcessError", multiprocessing.active_children())
+print(main(["verify", "--max-p", "13", "--jobs", "2"]), multiprocessing.active_children())
+lenspoly.alexander._residue_values = residue_values
+print(run_sweep(SweepConfig(max_p=13, out_path=sys.argv[1], jobs=2)).resumed_from)
+"""
+
+
+def test_dead_worker_ends_the_run(tmp_path):
+    """A worker process that dies at p = 11 ends verify and the sweep with
+    ChildProcessError and the CLI with exit 3, leaves no child alive, and
+    leaves a report that resumes; a hang fails by the timeout."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "r.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DEAD_WORKER_SCRIPT, str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        stdout, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+        proc.communicate()
+        pytest.fail("a dead worker did not end the run within 60 s")
+    # the chunks are p 2-5, 6-9 and 10-13, and the worker of p 2-5 and
+    # 10-13 may be found dead before p 6-9 arrive from the other
+    *lines, resumed_from = stdout.splitlines()
+    assert lines == ["ChildProcessError []", "ChildProcessError []", "3 []"], err
+    assert resumed_from in ("5", "9")
+    assert "error: a worker process died" in err
+    assert out.read_text() == _sweep(tmp_path, "fresh.csv", max_p=13)[0].read_text()
+
+
 def run_verify_report(*flags):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -639,24 +695,17 @@ def test_records_check_canonicity_once(monkeypatch, worker, p):
 
 
 def test_map_over_p_caps_workers(monkeypatch):
-    """No more workers than jobs, p values or CPUs, and no pool at all for
-    one worker; a stand-in Pool records the request and starts nothing."""
+    """No more workers than jobs, p values or CPUs, and no worker process
+    at all for one worker; a stand-in for the process start records how
+    many this map started and starts the real process."""
     started = []
+    process = multiprocessing.Process
 
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
+    def counted(*args, **kwargs):
+        started[:] = [sum(started) + 1]
+        return process(*args, **kwargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, worker, ps, chunksize):
-            return map(worker, ps)
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Process", counted)
     for cpus, jobs, start_p, max_p, want in [
         (4, 100000, 2, 11, [4]),
         (64, 8, 2, 4, [3]),
@@ -671,6 +720,18 @@ def test_map_over_p_caps_workers(monkeypatch):
         got = list(lenspoly.sweep._map_over_p(str, start_p, max_p, jobs))
         assert got == [(p, str(p)) for p in range(start_p, max_p + 1)]
         assert started == want, (cpus, jobs, start_p, max_p)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("start_p, max_p", [(2, 40), (5, 11), (2, 9), (39, 40)])
+def test_map_over_p_pooled_equals_serial(monkeypatch, start_p, max_p):
+    """Two workers give the serial map, in p order, when the number of p
+    is not a multiple of the chunk size of 4 (39 and 7 p) and when there
+    are fewer chunks than the 4 sent ahead (2 chunks, and 1 of 2 p)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = list(_map_over_p(_violations_for_p, start_p, max_p, 1))
+    assert list(_map_over_p(_violations_for_p, start_p, max_p, 2)) == serial
+    assert [p for p, _ in serial] == list(range(start_p, max_p + 1))
 
 
 def test_sweep_resume_rejects_gap(tmp_path):
@@ -821,7 +882,8 @@ def test_sweep_summary_same_for_any_jobs_and_resume(tmp_path, fmt):
 
     out = tmp_path / "resumed"
     with pytest.raises(Stop):
-        run_sweep(SweepConfig(max_p=60, out_path=str(out), report_format=fmt), interrupt)
+        run_sweep(SweepConfig(max_p=60, out_path=str(out), jobs=2, report_format=fmt), interrupt)
+    assert multiprocessing.active_children() == []
     resumed = run_sweep(SweepConfig(max_p=60, out_path=str(out), jobs=2, report_format=fmt))
     assert resumed.resumed_from == 30
 
