@@ -10,11 +10,20 @@ therefore one slice of row 0 repeated, and a view keeps only that
 repeated period and one start per row.  All nonzero A entries live in a
 staircase region made of columns of 2g+1 cells, repeating under the
 translation ``v = (1, -k2)`` and the vertical period ``(0, p)``.
+
+With i* the column that carries alpha_0 in row 0, cell (i, j) has the
+coordinate ``t = j + (i - i*)*k2``, constant along v.  It lies in the
+region when ``t mod p <= 2g``, then in translate ``t // p``, and there
+``A[i, j] = coeffs[t mod p]``.  The SVG shading and the curve tracer
+read one table of translates per window
+(:meth:`NonZeroRegion.window_translates`).
 """
 
 from __future__ import annotations
 
-from itertools import chain, groupby
+from collections import defaultdict, deque
+from itertools import chain, compress, pairwise, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .alexander import (
@@ -149,16 +158,33 @@ class NonZeroRegion(NamedTuple):
     g: int
     istar: int
 
-    def row_translates(self, j: int, i0: int, i1: int) -> list[int | None]:
-        """Translate index of each cell (i0..i1, j), None outside the region.
+    def window_translates(self, window: Window) -> tuple[tuple[int | None, ...], ...]:
+        """Translate index of every cell of ``window``, None outside the region.
 
-        >>> non_zero_region(SurgeryParams(11, 2)).row_translates(0, -1, 6)
-        [None, 0, None, None, 1, None, 2, None]
+        Row m holds the cells (i0..i1, j0 + m).  Cell (x, y) has the
+        coordinate t = y + (x - i*)*k2, and consecutive t run through
+        blocks of p: min(2g, p - 1) + 1 in translate t // p, the rest
+        outside.  Column x is one run of t.  When k2 <= height those
+        runs overlap into one, of no more entries than cells, and each row
+        is a stride-k2 slice of it; otherwise the columns are laid down
+        apart, one after another, and row m takes every h-th cell from
+        m.  Either way time and memory are O(cells).
+
+        >>> region = non_zero_region(SurgeryParams(11, 2))
+        >>> region.window_translates(Window(-1, 6, 0, 0))
+        ((None, 0, None, None, 1, None, 2, None),)
         """
-        p, k2, cap = self.params.p, self.params.inv.k2, 2 * self.g
-        t0 = j + (i0 - self.istar) * k2
-        return [t // p if t % p <= cap else None
-                for t in range(t0, t0 + (i1 - i0 + 1) * k2, k2)]
+        w, h, k2 = window.width(), window.height(), self.params.inv.k2
+        if not w:
+            return ((),) * h
+        p, cap = self.params.p, min(2 * self.g, self.params.p - 1)
+        t0 = window.j0 + (window.i0 - self.istar) * k2
+        if k2 <= h:
+            run = tuple(_translate_run(t0, h + (w - 1) * k2, p, cap))
+            return tuple(run[m:m + (w - 1) * k2 + 1:k2] for m in range(h))
+        columns = map(_translate_run, range(t0, t0 + w * k2, k2), repeat(h), repeat(p), repeat(cap))
+        cells = tuple(chain.from_iterable(columns))
+        return tuple(cells[m::h] for m in range(h))
 
     def column_span(self, translate: int, j0: int, j1: int) -> tuple[int, int]:
         """Inclusive x-range of this translate's columns meeting rows j0..j1.
@@ -166,7 +192,7 @@ class NonZeroRegion(NamedTuple):
         Column x = i* + n of translate r covers y in
         [-n*k2 + p*r, -n*k2 + p*r + min(2g, p - 1)]: the residue s is at
         most p - 1, so when 2g >= p the column is cut after p cells and
-        :meth:`row_translates` puts the rest in translate r + 1.
+        :meth:`window_translates` puts the rest in translate r + 1.
         Intersecting with [j0, j1] bounds n on both sides.  Returns (lo,
         hi); empty when lo > hi.
         """
@@ -174,6 +200,21 @@ class NonZeroRegion(NamedTuple):
         n_lo = -((j1 - p * translate) // k2)  # ceil((p*r - j1)/k2)
         n_hi = (p * translate + min(2 * self.g, p - 1) - j0) // k2
         return (self.istar + n_lo, self.istar + n_hi)
+
+
+def _translate_run(t: int, n: int, p: int, cap: int) -> list[int | None]:
+    """Translate index of t, t + 1, ..., t + n - 1, laid down block by
+    block: offsets 0..cap of block r lie in translate r, the rest outside."""
+    r, s = divmod(t, p)
+    run: list[int | None] = []
+    while n > 0:
+        size = p - s if p - s < n else n  # cells of the run in block r
+        inside = cap + 1 - s if s <= cap else 0
+        if inside > size:
+            inside = size
+        run += [r] * inside + [None] * (size - inside)
+        r, s, n = r + 1, 0, n - size
+    return run
 
 
 def non_zero_region(
@@ -198,7 +239,7 @@ def non_zero_region(
 
 def region_contains(region: NonZeroRegion, point: tuple[int, int]) -> bool:
     x, y = point
-    return region.row_translates(y, x, x)[0] is not None
+    return region.window_translates(Window(x, x, y, y))[0][0] is not None
 
 
 class NonZeroCurve(NamedTuple):
@@ -244,34 +285,43 @@ def trace_curves(
     region = non_zero_region(params, gen)
     view = build_view(params, "A", window, gen)
 
-    # translate -> j -> arrows (i, j, entry), rows by decreasing j, i increasing
-    translates: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+    # each translate's arrows, rows top down, i increasing; None collects
+    # any nonzero entry outside the region
+    translates: defaultdict[int | None, list[tuple[int, int, int]]] = defaultdict(list)
     cols = range(window.i0, window.i1 + 1)
-    for j, row in zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows)):
-        for i, v, tr in zip(cols, row, region.row_translates(j, window.i0, window.i1)):
-            if v == 0:
-                continue
-            if tr is None:
-                raise IntegrityError(
-                    params.p, params.k,
-                    f"nonzero entry at ({i}, {j}) outside the non-zero region",
-                    index=i,
-                )
-            translates.setdefault(tr, {}).setdefault(j, []).append((i, j, v))
+    rows = zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows),
+               reversed(region.window_translates(window)))
+    for j, row, row_translates in rows:
+        if any(row):
+            lists = map(translates.__getitem__, compress(row_translates, row))
+            arrows = zip(compress(cols, row), repeat(j), filter(None, row))
+            deque(map(list.append, lists, arrows), maxlen=0)  # runs the appends
+    if None in translates:
+        i, j, _ = translates[None][0]
+        raise IntegrityError(
+            params.p, params.k,
+            f"nonzero entry at ({i}, {j}) outside the non-zero region",
+            index=i,
+        )
 
     components = []
-    for tr, rows in translates.items():
-        # position + j is constant exactly along a run of consecutive rows
-        for _, run in groupby(enumerate(rows), key=lambda nj: nj[0] + nj[1]):
-            run_rows = [rows[j] for _, j in run]
-            if len(run_rows) > 1:
-                components.append((tr, tuple(chain.from_iterable(run_rows))))
+    for tr in sorted(translates):
+        arrows = translates[tr]
+        js = list(map(itemgetter(1), arrows))
+        # a curve ends at every empty row between the top and bottom rows
+        ends = [len(arrows)]
+        if len(set(js)) < js[0] - js[-1] + 1:
+            ends = [n for n in range(1, len(js)) if js[n] < js[n - 1] - 1] + ends
+        for c, d in zip([0, *ends], ends):
+            if js[c] != js[d - 1]:
+                components.append((tr, tuple(arrows[c:d])))
                 continue
-            # in a lone row, i - position and the entry are constant exactly along a piece
-            for _, piece in groupby(enumerate(run_rows[0]),
-                                    key=lambda na: (na[1][0] - na[0], na[1][2])):
-                components.append((tr, tuple(arrow for _, arrow in piece)))
-    components.sort(key=lambda c: (c[0], c[1][0]))
+            # a lone row splits at every gap in i and every change of entry
+            row = arrows[c:d]
+            cuts = [n for n, ((i, _, v), (i2, _, v2)) in enumerate(zip(row, row[1:]), 1)
+                    if i2 != i + 1 or v2 != v]
+            components += [(tr, tuple(row[e:f])) for e, f in pairwise([0, *cuts, len(row)])]
+    components.sort()  # by translate, then first arrow: no two components share one
     return [NonZeroCurve(id=n, translate=tr, arrows=arr)
             for n, (tr, arr) in enumerate(components)]
 

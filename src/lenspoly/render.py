@@ -66,7 +66,7 @@ def svg_curves(
     region: NonZeroRegion | None,
 ) -> str:
     """SVG 1.1 document: one shaded square per region cell, filled by
-    translate parity (one :meth:`NonZeroRegion.row_translates` per row),
+    translate parity (read off :meth:`NonZeroRegion.window_translates`),
     one polyline per component, and an oriented arrow on every nonzero
     entry.  ``curves`` are those :func:`trace_curves` returns for ``window``."""
     i0, i1, j0, j1 = window.i0, window.i1, window.j0, window.j1
@@ -81,13 +81,11 @@ def svg_curves(
     ]
     if region is not None and not empty:
         rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(window.width())]
-        for j in range(j0, j1 + 1):
+        for j, translates in zip(range(j0, j1 + 1), region.window_translates(window)):
             y = _MARGIN + (j1 - j) * _CELL
             tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
                      for fill in _STRIP_FILLS]
-            for x, tr in zip(rect_x, region.row_translates(j, i0, i1)):
-                if tr is not None:
-                    parts.append(x + tails[tr % 2])
+            parts += [x + tails[tr % 2] for x, tr in zip(rect_x, translates) if tr is not None]
     # cell centres; lattice j grows upward, SVG y grows downward
     cx = {i: _MARGIN + (i - i0) * _CELL + _CELL // 2 for i in range(i0, i1 + 1)}
     cy = {j: _MARGIN + (j1 - j) * _CELL + _CELL // 2 for j in range(j0, j1 + 1)}
@@ -108,5 +106,5 @@ def svg_curves(
             parts.append(f'<line x1="{tail}" y1="{y}" x2="{head}" y2="{y}" stroke="#000000" '
                          f'stroke-width="1"/>\n'
                          f'<path d="M {head} {y} L {barb} {up} L {barb} {down} Z" fill="#000000"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

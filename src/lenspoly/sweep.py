@@ -261,7 +261,8 @@ def _map_over_p(
     worker: Callable[[int], _R], start_p: int, max_p: int, jobs: int
 ) -> Iterator[tuple[int, _R]]:
     """Apply worker to each p in order, across at most ``jobs`` processes,
-    no more than there are p values or CPUs; serially when that is one.
+    no more than there are chunks of 4 p or CPUs; serially when that is
+    one.
 
     Results are yielded in ascending p regardless of job count, which is
     what makes the reports deterministic.  Each worker has two chunks of
@@ -270,7 +271,8 @@ def _map_over_p(
     generator ends or is closed.
     """
     ps = range(start_p, max_p + 1)
-    workers = min(jobs, len(ps), os.cpu_count() or 1)
+    chunks = [ps[i:i + 4] for i in range(0, len(ps), 4)]
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         for p in ps:
             yield p, worker(p)
@@ -278,7 +280,6 @@ def _map_over_p(
     import multiprocessing  # imported here, as serial runs never need it
     from multiprocessing.connection import wait
 
-    chunks = [ps[i:i + 4] for i in range(0, len(ps), 4)]
     unsent = iter(chunks)
     arrived: dict[range, list] = {}  # chunk -> its results, until its turn
     conns, children = [], []

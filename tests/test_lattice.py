@@ -8,6 +8,7 @@ import random
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -379,15 +380,25 @@ def covered_translates_cells(params, window):
     return sorted(inside - translates((window.i0 - 1, window.i1 + 1)))
 
 
+def window_translates_cells(region, window):
+    """Oracle for NonZeroRegion.window_translates: translate_index of every
+    cell, rows by increasing j."""
+    return [[translate_index(region, (i, j)) for i in range(window.i0, window.i1 + 1)]
+            for j in range(window.j0, window.j1 + 1)]
+
+
 def test_covered_translates_match_translate_index():
-    """covered_translates equals the cell-by-cell reading, and every
-    row_translates row equals translate_index cell by cell, on the
+    """covered_translates equals the cell-by-cell reading, and
+    window_translates equals translate_index cell by cell, on the
     fundamental window and two seeded windows of every nontrivial pair
-    with p <= 60, the pairs with 2g >= p (overlapping columns) included."""
+    with p <= 60, the pairs with 2g >= p (overlapping columns) included.
+    window_translates is also checked on one-row windows wider than p
+    and on windows empty in i and in j."""
     assert covered_translates(SurgeryParams(16, 7), Window(7, 19, 4, 36)) == [5, 6, 7, 8]
     assert -3 in covered_translates(SurgeryParams(26, 5), Window(-22, 16, -12, 46))
     rng = random.Random(14)
     checked = wide = 0
+    laid = {True: 0, False: 0}  # windows by whether k2 <= height (one run for all columns)
     for params in enumerate_params(60):
         p, gen = params.p, generate(params)
         if gen.poly.g == 0:
@@ -401,12 +412,18 @@ def test_covered_translates_match_translate_index():
         for window in windows:
             expected = covered_translates_cells(params, window)
             assert covered_translates(params, window, gen) == expected, (params, window)
-            cols = range(window.i0, window.i1 + 1)
-            for j in range(window.j0, window.j1 + 1):
-                assert region.row_translates(j, window.i0, window.i1) == [
-                    translate_index(region, (i, j)) for i in cols], (params, window, j)
+            assert list(map(list, region.window_translates(window))) == \
+                window_translates_cells(region, window), (params, window)
+            laid[params.inv.k2 <= window.height()] += 1
             checked += 1
+        i0, j0 = rng.randint(-2 * p, p), rng.randint(-2 * p, 2 * p)
+        for window in (Window(i0, i0 + p + rng.randint(1, 2 * p), j0, j0),
+                       Window(i0, i0 - rng.randint(1, 3), j0, j0 + rng.randint(0, 2 * p)),
+                       Window(i0, i0 + rng.randint(0, 2 * p), j0, j0 - rng.randint(1, 3))):
+            assert list(map(list, region.window_translates(window))) == \
+                window_translates_cells(region, window), (params, window)
     assert checked == 810 and wide > 1
+    assert min(laid.values()) >= 60
 
 
 def test_trace_curves_arrows_j_monotone():
@@ -456,6 +473,21 @@ def test_trace_curves_match_union_find_fundamental():
     for params in enumerate_params(60):
         window = fundamental_window(params)
         assert trace_curves(params, window) == trace_curves_union_find(params, window), params
+
+
+def test_trace_curves_match_union_find_on_span_windows():
+    """The tracer against the union-find oracle on every window of
+    :func:`span_windows` for p <= 40: narrow, wide and empty windows,
+    with fewer rows than k2 (columns laid down apart) and with more."""
+    rng = random.Random(29)
+    shapes = set()
+    for params in enumerate_params(40):
+        for window in span_windows(params, rng):
+            assert trace_curves(params, window) == \
+                trace_curves_union_find(params, window), (params, window)
+            if not window.is_empty():
+                shapes.add(params.inv.k2 <= window.height())
+    assert shapes == {True, False}
 
 
 def test_trace_curves_nonzero_outside_region(capsys, monkeypatch):
@@ -674,6 +706,27 @@ def test_svg_curves_match_per_cell():
                 assert svg_curves(params, window, curves, reg) == \
                     svg_curves_per_cell(params, window, curves, reg), (params, window)
     assert overlapping > 0  # (8, 3) and the other pairs with 2g >= p are covered
+
+
+def test_wide_one_row_window_stays_small():
+    """A one-row window of 2^14 columns at p = 100003, k2 = 50001 is
+    traced and drawn in memory linear in its cells.  Its cells' t
+    spread over (w - 1)*k2 + 1 = 8.2e8 values, so one table over all of
+    them would need gigabytes; reading the region row by row peaked at
+    22.7 MiB under Python 3.11."""
+    params = SurgeryParams(100003, 2)
+    gen = generate(params)
+    window = Window(-2**13, 2**13 - 1, 3, 3)
+    assert params.inv.k2 == 50001
+    tracemalloc.start()
+    try:
+        curves = trace_curves(params, window, gen)
+        doc = svg_curves(params, window, curves, non_zero_region(params, gen))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curves) == 2**13 and doc.endswith("</svg>\n")
+    assert peak < 32 * 2**20
 
 
 def cell_char(v):

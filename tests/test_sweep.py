@@ -695,9 +695,9 @@ def test_records_check_canonicity_once(monkeypatch, worker, p):
 
 
 def test_map_over_p_caps_workers(monkeypatch):
-    """No more workers than jobs, p values or CPUs, and no worker process
-    at all for one worker; a stand-in for the process start records how
-    many this map started and starts the real process."""
+    """No more workers than jobs, chunks of 4 p or CPUs, and no worker
+    process at all for one worker; a stand-in for the process start
+    records how many this map started and starts the real process."""
     started = []
     process = multiprocessing.Process
 
@@ -707,8 +707,10 @@ def test_map_over_p_caps_workers(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Process", counted)
     for cpus, jobs, start_p, max_p, want in [
-        (4, 100000, 2, 11, [4]),
-        (64, 8, 2, 4, [3]),
+        (4, 100000, 2, 11, [3]),  # 10 p, 3 chunks
+        (64, 8, 2, 4, []),  # 3 p, one chunk
+        (2, 2, 37, 40, []),  # 4 p, one chunk
+        (2, 2, 36, 40, [2]),  # 5 p, 2 chunks
         (2, 2, 2, 40, [2]),
         (8, 2, 7, 7, []),   # one p value
         (8, 3, 8, 7, []),   # none
@@ -727,7 +729,8 @@ def test_map_over_p_caps_workers(monkeypatch):
 def test_map_over_p_pooled_equals_serial(monkeypatch, start_p, max_p):
     """Two workers give the serial map, in p order, when the number of p
     is not a multiple of the chunk size of 4 (39 and 7 p) and when there
-    are fewer chunks than the 4 sent ahead (2 chunks, and 1 of 2 p)."""
+    are fewer chunks than the 4 sent ahead (2 chunks).  The 2 p of
+    (39, 40) make one chunk, so that map runs serially."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = list(_map_over_p(_violations_for_p, start_p, max_p, 1))
     assert list(_map_over_p(_violations_for_p, start_p, max_p, 2)) == serial
