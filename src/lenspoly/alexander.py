@@ -95,6 +95,7 @@ class GeneratedPolynomial(NamedTuple):
 
 
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}  # slot bytes -> typecode
+_FLAT_COUNTS = [bytes(range(max(m - 1, 0), m + 2)) for m in range(128)]  # m -> m - 1, m, m + 1
 
 
 def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
@@ -197,7 +198,7 @@ def _is_flat(w: bytes | array, m: int) -> bool:
     m or m + 1.  For 1-byte slots, ``translate`` deletes those counts and
     must leave nothing."""
     if isinstance(w, bytes):  # m <= k/2 < 128, as k2 <= p/2
-        return not w.translate(None, bytes(range(max(m - 1, 0), m + 2)))
+        return not w.translate(None, _FLAT_COUNTS[m])
     return m - 1 <= min(w) and max(w) <= m + 1
 
 

@@ -86,25 +86,27 @@ def svg_curves(
             tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
                      for fill in _STRIP_FILLS]
             parts += [x + tails[tr % 2] for x, tr in zip(rect_x, translates) if tr is not None]
-    # cell centres; lattice j grows upward, SVG y grows downward
-    cx = {i: _MARGIN + (i - i0) * _CELL + _CELL // 2 for i in range(i0, i1 + 1)}
-    cy = {j: _MARGIN + (j1 - j) * _CELL + _CELL // 2 for j in range(j0, j1 + 1)}
-    xs, ys = {i: str(x) for i, x in cx.items()}, {j: str(y) for j, y in cy.items()}
-    for curve in curves:
-        color = _CURVE_COLORS[curve.id % len(_CURVE_COLORS)]
-        points = " ".join(f"{xs[i]},{ys[j]}" for i, j, _ in curve.arrows)
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-    # arrow tail, head and barb x per column and direction; cy, cy - 3, cy + 3 per row
-    right = {i: (str(x - 7), str(x + 7), str(x + 3)) for i, x in cx.items()}
-    left = {i: (str(x + 7), str(x - 7), str(x - 3)) for i, x in cx.items()}
-    rows = {j: (ys[j], str(y - 3), str(y + 3)) for j, y in cy.items()}
-    for curve in curves:
-        for i, j, sign in curve.arrows:
-            (tail, head, barb), (y, up, down) = (right if sign > 0 else left)[i], rows[j]
-            parts.append(f'<line x1="{tail}" y1="{y}" x2="{head}" y2="{y}" stroke="#000000" '
-                         f'stroke-width="1"/>\n'
-                         f'<path d="M {head} {y} L {barb} {up} L {barb} {down} Z" fill="#000000"/>')
+    if curves:  # the maps below span the window: none without a curve to draw
+        # cell centres; lattice j grows upward, SVG y grows downward
+        cx = {i: _MARGIN + (i - i0) * _CELL + _CELL // 2 for i in range(i0, i1 + 1)}
+        cy = {j: _MARGIN + (j1 - j) * _CELL + _CELL // 2 for j in range(j0, j1 + 1)}
+        xs, ys = {i: str(x) for i, x in cx.items()}, {j: str(y) for j, y in cy.items()}
+        for curve in curves:
+            color = _CURVE_COLORS[curve.id % len(_CURVE_COLORS)]
+            points = " ".join(f"{xs[i]},{ys[j]}" for i, j, _ in curve.arrows)
+            parts.append(
+                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
+            )
+        # arrow tail, head and barb x per column and direction; cy, cy - 3, cy + 3 per row
+        right = {i: (str(x - 7), str(x + 7), str(x + 3)) for i, x in cx.items()}
+        left = {i: (str(x + 7), str(x - 7), str(x - 3)) for i, x in cx.items()}
+        rows = {j: (ys[j], str(y - 3), str(y + 3)) for j, y in cy.items()}
+        for curve in curves:
+            for i, j, sign in curve.arrows:
+                (tail, head, barb), (y, up, down) = (right if sign > 0 else left)[i], rows[j]
+                parts.append(f'<line x1="{tail}" y1="{y}" x2="{head}" y2="{y}" stroke="#000000" '
+                             f'stroke-width="1"/>\n'
+                             f'<path d="M {head} {y} L {barb} {up} L {barb} {down} Z" '
+                             'fill="#000000"/>')
     parts.append("</svg>\n")
     return "\n".join(parts)

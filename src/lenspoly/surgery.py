@@ -4,9 +4,10 @@ A lens surgery parameter is a coprime pair (p, k) with p >= 2.  The class
 k lives in (Z/p)^* and has four equivalent representatives k, -k, k^-1,
 -k^-1; we normalize to the smallest positive representative in (0, p/2].
 :class:`SurgeryParams` checks that and derives (k2, e, m, q, q2, c) once,
-as ``params.inv``.  Everything in this module is plain, exact integer
-arithmetic -- Python integers are unbounded, so there is no overflow to
-worry about even far beyond p = 10^6.
+as ``params.inv``, and :func:`_canonical_params` lists the canonical pairs
+of one p, each validated and derived once.  Everything in this module is
+plain, exact integer arithmetic -- Python integers are unbounded, so
+there is no overflow to worry about even far beyond p = 10^6.
 
 Conventions used throughout the package:
 
@@ -50,7 +51,7 @@ class SurgeryParams:
 
     Invariants enforced on construction: gcd(p, k) = 1, and k is the
     minimal representative of its class orbit {±k, ±k^-1 mod p} within
-    (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_ks`).
+    (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_params`).
     Validation derives the invariants once and keeps them as ``inv``;
     ``repr``, ``==`` and ``hash`` ignore it.
     """
@@ -96,20 +97,27 @@ class DerivedInvariants(NamedTuple):
 
 def _k2(p: int, k: int) -> int:
     # |[k^-1]_p|: the one place the inverse class is taken
-    return abs(reduce_mod(pow(k, -1, p), p))
+    r = pow(k, -1, p)
+    return r if 2 * r <= p else p - r
 
 
-def _canonical_ks(p: int) -> list[int]:
-    """The canonical k of one p, ascending: gcd(p, k) = 1, 1 <= k <= p/2
-    and k <= k2, one per class orbit {±k, ±k^-1 mod p}.
+def _canonical_params(p: int) -> list[SurgeryParams]:
+    """The canonical parameters of one p, ascending in k: gcd(p, k) = 1,
+    1 <= k <= p/2 and k <= k2, one per class orbit {±k, ±k^-1 mod p}.
 
-    The orbit meets (0, p/2] in at most the two values |[k]_p| and
-    |[k^-1]_p|, since negation does not change absolute values.
+    The orbit meets (0, p/2] in at most k and k2 = |[k^-1]_p|, so as k
+    walks upward, a coprime k is canonical unless a smaller k marked it
+    as its k2.  Each canonical k is validated once, by its SurgeryParams.
 
-    >>> _canonical_ks(11)
+    >>> [params.k for params in _canonical_params(11)]
     [1, 2, 3]
     """
-    return [k for k in range(1, p // 2 + 1) if gcd(k, p) == 1 and k <= _k2(p, k)]
+    partnered, pairs = bytearray(p // 2 + 1), []
+    for k in range(1, p // 2 + 1):
+        if not partnered[k] and gcd(k, p) == 1:
+            pairs.append(params := SurgeryParams(p, k))
+            partnered[params.inv.k2] = 1
+    return pairs
 
 
 def canonicalize_dual_class(p: int, k0: int) -> SurgeryParams:
@@ -136,15 +144,16 @@ def derive_invariants(params: SurgeryParams) -> DerivedInvariants:
     """
     p, k = params.p, params.k
     k2 = _k2(p, k)
-    e = reduce_mod(k * k2, p)
+    half = (p - 1) // 2  # [i]_p = (i + half) % p - half
+    e = (k * k2 + half) % p - half
     assert e in (-1, 1)
     m = (k * k2 - e) // p
     assert m >= 0 and m * p == k * k2 - e
-    q = reduce_mod(k * k, p)
-    q2 = reduce_mod(k2 * k2, p)
+    q = (k * k + half) % p - half
+    q2 = (k2 * k2 + half) % p - half
     # (k-1)(k+1-p) is even: k-1 and k+1 have equal parity, and when both
     # are even we are done; when both are odd, k is even, hence p is odd
     # (coprimality), so k+1-p is even.
     c = (k - 1) * (k + 1 - p) // 2
     assert 2 * c == (k - 1) * (k + 1 - p)
-    return DerivedInvariants(k2=k2, e=e, m=m, q=q, q2=q2, c=c)
+    return DerivedInvariants(k2, e, m, q, q2, c)

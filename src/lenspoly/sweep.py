@@ -43,11 +43,12 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import _alternation, _is_flat, _period, _top_terms
 from .lattice import check_lemma
-from .surgery import InvalidParameterError, SurgeryParams, _canonical_ks
+from .surgery import InvalidParameterError, SurgeryParams, _canonical_params
 
 _R = TypeVar("_R")
 
@@ -90,6 +91,8 @@ _JSONL_ROW = "{" + ",".join(
     for name, kind in zip(CSV_COLUMNS, _COLUMN_TYPES)
 ) + "}\n"
 _JSON_BOOLS = ("false", "true")
+_csv_bool = {"0": False, "1": True}.__getitem__  # the only bool fields a CSV row has
+_row_values = itemgetter(*CSV_COLUMNS)  # a parsed JSONL row's values, in column order
 # the compact JSON of the CLI: every object encoded is a fresh tree, so
 # there are no cycles to check
 _encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
@@ -149,8 +152,7 @@ def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
     """
     _check_range(max_p, 1)
     for p in range(2, max_p + 1):
-        for k in _canonical_ks(p):
-            yield SurgeryParams(p, k)
+        yield from _canonical_params(p)
 
 
 def compute_record(params: SurgeryParams, period: tuple | None = None) -> SweepRecord:
@@ -163,27 +165,20 @@ def compute_record(params: SurgeryParams, period: tuple | None = None) -> SweepR
     flat = _is_flat(w, m)  # w holds the count of every a_i, |i| <= p/2
     alternating, strictly = _alternation(w, step, e, m, g)
     return SweepRecord(
-        params.p, params.k, params.inv.k2, e, m, g,
-        alpha1=top1,
-        alpha2=top2,
-        trivial=trivial,
-        flat=flat,
-        alternating=alternating,
-        # equal to the coefficients being T(2, 2g+1)'s: every coefficient
-        # is +-1, the signs alternate and the top one is 1
-        torus2_match=flat and strictly and top0 == 1,
-        top_sign_ok=trivial or (top0 == 1 and top1 == -1),
-        lemma_hypothesis=check_lemma(params),
-        # the lemma's conclusions hold for every pair (see check_lemma)
-        lemma_bound_ok=True,
-        lemma_zeros_ok=True,
+        params.p, params.k, params.inv.k2, e, m, g, top1, top2, trivial, flat, alternating,
+        # torus2_match: the coefficients are T(2, 2g+1)'s, as every one is
+        # +-1, the signs alternate and the top one is 1
+        flat and strictly and top0 == 1,
+        trivial or (top0 == 1 and top1 == -1),  # top_sign_ok
+        check_lemma(params),  # lemma_hypothesis
+        True, True,  # lemma_bound_ok, lemma_zeros_ok: always (see check_lemma)
     )
 
 
 def _records_for_p(p: int) -> tuple[list[SweepRecord], int]:
     """The records of one p, and the wall-clock microseconds they took."""
     start = time.perf_counter_ns()
-    records = [compute_record(SurgeryParams(p, k)) for k in _canonical_ks(p)]
+    records = [compute_record(params) for params in _canonical_params(p)]
     return records, (time.perf_counter_ns() - start) // 1000
 
 
@@ -318,10 +313,9 @@ def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
     has k = 2 gets its record, from that same period."""
     theorem: list[Violation] = []
     corollary: list[Violation] = []
-    for k in _canonical_ks(p):
-        params = SurgeryParams(p, k)
+    for params in _canonical_params(p):
         period = _period(params)
-        if k == 2 or _top_trigger(*_top_terms(*period)[1:]):
+        if params.k == 2 or _top_trigger(*_top_terms(*period)[1:]):
             th, co = _violations(compute_record(params, period))
             theorem += th
             corollary += co
@@ -375,17 +369,17 @@ def _parse_row(line: str, fmt: str) -> SweepRecord:
     """Inverse of the row serialization: a line is a row only if
     serializing the record it parses to gives back exactly that line.
 
-    Raises ValueError, KeyError, TypeError, OverflowError (an infinite
+    A JSONL row's values are taken as JSON gives them: only ints in the
+    int columns and bools in the bool columns serialize back to the line.
+    Raises ValueError, LookupError, TypeError, OverflowError (an infinite
     number) or RecursionError (deep nesting) on a line that is not a
     report row of this format.
     """
     if fmt == "csv":
-        values = line.split(",")
+        fields = line.split(",")
+        record = SweepRecord(*map(int, fields[:_INTS]), *map(_csv_bool, fields[_INTS:]))
     else:
-        obj = json.loads(line)
-        values = [obj[name] for name in CSV_COLUMNS]
-    ints = list(map(int, values))
-    record = SweepRecord(*ints[:_INTS], *map(bool, ints[_INTS:]))
+        record = SweepRecord(*_row_values(json.loads(line)))
     if _serialize_row(record, fmt) != line + "\n":
         raise ValueError("it does not serialize back to itself")
     return record
@@ -420,12 +414,12 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                                "rerun with --from-scratch")
 
     offset = cut = 0
-    p, ks, batch = 2, _canonical_ks(2), []  # batch: the rows of p read so far
+    p, pairs, batch = 2, _canonical_params(2), []  # batch: the rows of p read so far
     with open(out_path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             is_header = n == 1 and fmt == "csv"
             if not line.endswith(b"\n"):  # the last line, cut short by a kill?
-                params = SurgeryParams(p, ks[len(batch)])
+                params = pairs[len(batch)]
                 due = _CSV_HEADER + "\n" if is_header else _serialize_row(compute_record(params), fmt)
                 if not due.encode().startswith(line):
                     raise refuse(f"its last line {n} has no newline and is not the start of "
@@ -439,17 +433,17 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                 continue
             try:
                 record = _parse_row(line[:-1].decode(), fmt)
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
                 raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
-            if (record.p, record.k) != (p, ks[len(batch)]):
+            if (record.p, record.k) != (p, pairs[len(batch)].k):
                 raise refuse(f"line {n} holds ({record.p}, {record.k}), but the next "
-                             f"canonical pair is p = {p}, k = {ks[len(batch)]}")
+                             f"canonical pair is p = {p}, k = {pairs[len(batch)].k}")
             batch.append(record)
-            if len(batch) == len(ks):
+            if len(batch) == len(pairs):
                 if p <= max_p:
                     _tally(summary, batch)
                     summary.resumed_from, cut = p, offset
-                p, ks, batch = p + 1, _canonical_ks(p + 1), []
+                p, pairs, batch = p + 1, _canonical_params(p + 1), []
     return cut
 
 

@@ -316,6 +316,20 @@ def test_kernel_slot_widths():
             assert max(w) == k, (p, k)
 
 
+def test_flat_one_byte_periods_match_oracle():
+    """_is_flat on hand-made 1-byte periods agrees with the flatness of
+    their coefficients count - m, for every m a 1-byte period can have;
+    at m = 0 the flat counts are 0 and 1 alone."""
+    for m in range(128):
+        near = [c for c in (m - 2, m - 1, m, m + 1, m + 2) if c >= 0]
+        periods = [bytes([m]), bytes(near), bytes([m + 1, m, m + 1]), bytes([255, m]),
+                   bytes([0, m, 0]), bytes(range(max(m - 1, 0), m + 2)) * 3]
+        periods += [bytes([m, c, m]) for c in near]
+        for w in periods:
+            assert _is_flat(w, m) == is_flat_full([c - m for c in w]), (m, w)
+    assert [_is_flat(bytes([c]), 0) for c in range(4)] == [True, True, False, False]
+
+
 def test_wide_slots_report_first_asymmetric_index(monkeypatch):
     """A break planted in the 2-byte counts of (555, 256) is found at its
     first bad index, as in 1-byte slots."""

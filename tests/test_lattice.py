@@ -729,6 +729,30 @@ def test_wide_one_row_window_stays_small():
     assert peak < 32 * 2**20
 
 
+def test_svg_without_curves_or_region_stays_small():
+    """With no curves and no region, the document is its frame alone, and
+    no per-column or per-row coordinate map is built for it: for the
+    one-row window of 2^14 columns at (100003, 2), maps over every column
+    peaked at 11.2 MiB for these 204 bytes."""
+    params = SurgeryParams(100003, 2)
+    window = Window(-2**13, 2**13 - 1, 3, 3)
+    tracemalloc.start()
+    try:
+        doc = svg_curves(params, window, [], None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'width="327700" height="40" viewBox="0 0 327700 40">\n'
+        '<!-- p=100003 k=2 window i=[-8192,8191] j=[3,3] -->\n'
+        '</svg>\n'
+    )
+    assert doc == svg_curves_per_cell(params, window, [], None)
+    assert peak < 2**20
+
+
 def cell_char(v):
     """Per-cell oracle for the characters of ascii_view."""
     if v > 0:

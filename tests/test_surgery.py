@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lenspoly.surgery import (
     InvalidParameterError,
     SurgeryParams,
+    _canonical_params,
     canonicalize_dual_class,
     derive_invariants,
     reduce_mod,
@@ -117,6 +118,29 @@ def test_params_store_their_invariants():
         object.__setattr__(other, "inv", None)
         assert repr(other) == repr(params) == f"SurgeryParams(p={p}, k={k})"
         assert other == params and hash(other) == hash(params)
+
+
+def test_canonical_params_against_brute_force_orbit():
+    """For every p <= 400, the enumeration yields exactly the brute-force
+    canonical k of the coprime classes, ascending, each with the
+    invariants derive_invariants gives, which match reduce_mod."""
+    self_paired = set()
+    for p in range(2, 401):
+        pairs = _canonical_params(p)
+        expected = sorted({brute_force_canonical_k(p, k) for k in range(1, p) if math.gcd(k, p) == 1})
+        assert [params.k for params in pairs] == expected, p
+        for params in pairs:
+            k, inv = params.k, params.inv
+            assert (params.p, inv) == (p, derive_invariants(params)), params
+            assert (inv.e, inv.q, inv.q2) == (
+                reduce_mod(k * inv.k2, p), reduce_mod(k * k, p), reduce_mod(inv.k2 * inv.k2, p)
+            ), params
+            if inv.k2 == k:
+                self_paired.add((p, k))
+    # the smallest p have the one class k = 1, and a self-paired orbit
+    # (k2 = k) marks its own k
+    assert [[params.k for params in _canonical_params(p)] for p in (2, 3, 4, 6)] == [[1]] * 4
+    assert {(5, 2), (10, 3)} <= self_paired
 
 
 def test_canonicalize_against_brute_force_orbit():

@@ -18,7 +18,7 @@ import lenspoly.surgery
 import lenspoly.sweep
 from lenspoly.alexander import IntegrityError, _period, generate
 from lenspoly.lattice import check_lemma
-from lenspoly.surgery import SurgeryParams, _canonical_ks, reduce_mod
+from lenspoly.surgery import SurgeryParams, _canonical_params, reduce_mod
 from lenspoly.sweep import (
     CSV_COLUMNS,
     CheckpointError,
@@ -628,6 +628,7 @@ def test_resume_keeping_every_row_rewrites_nothing(tmp_path):
     ("csv", (2, 1), "2,", "\u0662,"),  # a non-ASCII digit two
     ("csv", (4, 1), "4,1,", "4,0_1,"),
     ("jsonl", (3, 1), '"flat":true', '"flat":1'),
+    ("jsonl", (3, 1), '"flat":true', '"flat":7'),  # IndexError in the serialization
     ("jsonl", (4, 1), '"p":4', '"p":4.0'),
     ("jsonl", (5, 2), '{"p":5,"k":2', '{"k":2,"p":5'),
     ("jsonl", (5, 1), '"p":5,', '"p": 5,'),
@@ -677,11 +678,11 @@ def test_resume_refuses_tail_that_is_not_the_next_line(tmp_path, fmt, rows, tail
     ids=[f"{prefix}{p}" for prefix in ("", "verify-") for p in (2, 3, 8, 101, 600)],
 )
 def test_records_check_canonicity_once(monkeypatch, worker, p):
-    """k2 is taken once per coprime k <= p/2, by the _canonical_ks filter,
-    and once per pair, when its SurgeryParams derives the invariants: by
-    the sweep's worker and by verify's, which builds some of the records
-    from the SurgeryParams it made for the period."""
-    pairs = len(_canonical_ks(p))
+    """k2 is taken once per canonical pair, when the enumeration of p
+    validates it with its SurgeryParams, by the sweep's worker and by
+    verify's, which builds some of the records from those same
+    SurgeryParams."""
+    pairs = len(_canonical_params(p))
     calls = []
     fn = lenspoly.surgery._k2
 
@@ -690,8 +691,7 @@ def test_records_check_canonicity_once(monkeypatch, worker, p):
         return fn(*args)
     monkeypatch.setattr(lenspoly.surgery, "_k2", counted)
     worker(p)
-    coprime = sum(1 for k in range(1, p // 2 + 1) if math.gcd(k, p) == 1)
-    assert len(calls) == coprime + pairs
+    assert len(calls) == pairs
 
 
 def test_map_over_p_caps_workers(monkeypatch):
