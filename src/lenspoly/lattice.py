@@ -1,22 +1,28 @@
 """Lattice matrices, the non-zero region, curve tracing, and the dichotomy check.
 
 The A-matrix spreads the periodic coefficients over Z^2 via
-``A[i, j] = abar_{k2*(i + j*e*k - c)}`` and dA is its horizontal
-difference, which also has a direct three-case formula on the residue
-``(q2*i + k2*j) mod p``.  Both are p-periodic in i, and with u = e*k =
-k2^-1 (mod p), so that q2*u = k2, every cell reads row 0:
-``A[i, j] = A[(i + u*j) mod p, 0]`` (likewise dA).  A window row is
-therefore one slice of row 0 repeated, and a view keeps only that
-repeated period and one start per row.  All nonzero A entries live in a
-staircase region made of columns of 2g+1 cells, repeating under the
-translation ``v = (1, -k2)`` and the vertical period ``(0, p)``.
+``A[i, j] = abar_{k2*(i + j*e*k - c)}`` (:func:`a_entry`); dA is its
+horizontal difference, also a three-case split of ``(q2*i + k2*j) mod p``.
+With u = e*k = k2^-1 (mod p), so that q2*u = k2, every cell reads row 0:
+``A[i, j] = A[(i + u*j) mod p, 0]`` (likewise dA), so a view keeps row 0,
+repeated, and one start per row.  All nonzero A entries lie in a region
+of (2g+1)-cell columns repeating under ``v = (1, -k2)`` and ``(0, p)``.
 
-With i* the column that carries alpha_0 in row 0, cell (i, j) has the
-coordinate ``t = j + (i - i*)*k2``, constant along v.  It lies in the
-region when ``t mod p <= 2g``, then in translate ``t // p``, and there
-``A[i, j] = coeffs[t mod p]``.  The SVG shading and the curve tracer
-read one table of translates per window
-(:meth:`NonZeroRegion.window_translates`).
+Index identity.  abar_x is ``period[(x + g) mod p]``, where ``period =
+(coeffs + (0,) * p)[:p]`` (at 2g = p both ends read a_g = a_-g).  With
+i* the column of alpha_0 in row 0, cell (i, j) has the coordinate
+``t = j + (i - i*)*k2``, constant along v, and t = k2*(i + j*e*k - c) + g
+(mod p) exactly when the anchor ``k2*(i* - c) + g = 0 (mod p)`` holds.
+Proof: k*k2 = e and e^2 = 1 give k2*j*e*k = j (mod p), so the right side
+is j + k2*i - k2*c + g = t + (k2*(i* - c) + g).  So A[i, j] is
+``period[t mod p]``: the cell is in the region iff ``t mod p <= 2g``, in
+translate ``t // p``.  Views gather row 0 at the paper's index, and
+:meth:`NonZeroRegion.window_translates` checks the anchor.
+
+>>> params, gen = SurgeryParams(19, 7), generate(SurgeryParams(19, 7))
+>>> row = build_view(params, "A", Window(0, 18, 0, 0), gen).rows[0]
+>>> row == tuple(a_entry(params, params.inv, gen.poly, y, 0) for y in range(19))
+True
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ def da_entry(params: SurgeryParams, inv: DerivedInvariants, i: int, j: int) -> i
 
     +1 when r = 0 or r > p - k2, -1 when 1 <= r <= k2, 0 otherwise (the
     ranges are disjoint because k2 <= p/2).  Equals A[i, j] - A[i-1, j]
-    identically; views assert that.
+    identically; dA views check that.
     """
     r = (inv.q2 * i + inv.k2 * j) % params.p
     if r == 0 or r > params.p - inv.k2:
@@ -117,21 +123,22 @@ def build_view(
 ) -> LatticeView:
     """A window of A or dA entries, as one period and a start per row.
 
-    :func:`a_entry`, and for dA :func:`da_entry`, run once on each cell
-    (y, 0) of row 0, and row j is the slice of row 0, repeated, from
-    (i0 + u*j) mod p (see the module docstring).  A views use the raw
-    generator output, so anomalous parameters remain inspectable.  dA
-    views check the case split against A[y, 0] - A[y-1, 0] on every
-    cell of row 0, which covers every cell, refusing to return on any
-    mismatch.  ``gen`` may be passed when the caller has already run
-    :func:`generate`.
+    Row 0 of A is one gather at the paper's index (the index identity,
+    module docstring); row j is the slice of row 0, repeated, from
+    (i0 + u*j) mod p.  A views use the raw generator output, so anomalous
+    parameters remain inspectable.  dA views run :func:`da_entry` on each
+    cell (y, 0) and check it against A[y, 0] - A[y-1, 0], which covers
+    every cell, refusing to return on any mismatch.  ``gen`` may be passed
+    when the caller has already run :func:`generate`.
     """
     if kind not in ("A", "dA"):
         raise ValueError(f"kind must be 'A' or 'dA', got {kind!r}")
     if gen is None:
         gen = generate(params)
-    inv, poly, p = params.inv, gen.poly, params.p
-    row = [a_entry(params, inv, poly, y, 0) for y in range(p)]
+    inv, p = params.inv, params.p
+    period = (gen.poly.coeffs + (0,) * p)[:p]
+    start = (gen.poly.g - inv.k2 * inv.c) % p  # the index g + k2*(y - c) at y = 0
+    row = [period[x % p] for x in range(start, start + inv.k2 * p, inv.k2)]
     if kind == "dA":
         a_row, row = row, [da_entry(params, inv, y, 0) for y in range(p)]
         for y, val in enumerate(row):
@@ -147,12 +154,8 @@ def build_view(
 
 
 class NonZeroRegion(NamedTuple):
-    """The staircase region containing every nonzero A entry.
-
-    Cell (x, y) belongs iff s = (y + (x - i*)*k2) mod p satisfies
-    s <= 2g; the quotient of that same expression by p numbers the
-    vertical-period translate the cell lies in.
-    """
+    """The staircase region containing every nonzero A entry, read by the
+    coordinate t of the index identity (see the module docstring)."""
 
     params: SurgeryParams
     g: int
@@ -161,24 +164,27 @@ class NonZeroRegion(NamedTuple):
     def window_translates(self, window: Window) -> tuple[tuple[int | None, ...], ...]:
         """Translate index of every cell of ``window``, None outside the region.
 
-        Row m holds the cells (i0..i1, j0 + m).  Cell (x, y) has the
-        coordinate t = y + (x - i*)*k2, and consecutive t run through
-        blocks of p: min(2g, p - 1) + 1 in translate t // p, the rest
-        outside.  Column x is one run of t.  When k2 <= height those
-        runs overlap into one, of no more entries than cells, and each row
-        is a stride-k2 slice of it; otherwise the columns are laid down
-        apart, one after another, and row m takes every h-th cell from
-        m.  Either way time and memory are O(cells).
+        Row m holds the cells (i0..i1, j0 + m).  Consecutive t (module
+        docstring) run through blocks of p: min(2g, p - 1) + 1 in
+        translate t // p, the rest outside.  Column x is one run of t.
+        When k2 <= height those runs overlap into one, of no more entries
+        than cells, and each row is a stride-k2 slice of it; otherwise the
+        columns are laid down apart, one after another, and row m takes
+        every h-th cell from m.  Either way time and memory are O(cells).
+        An anchor i* that breaks the index identity is an IntegrityError.
 
         >>> region = non_zero_region(SurgeryParams(11, 2))
         >>> region.window_translates(Window(-1, 6, 0, 0))
         ((None, 0, None, None, 1, None, 2, None),)
         """
-        w, h, k2 = window.width(), window.height(), self.params.inv.k2
+        p, inv, istar = self.params.p, self.params.inv, self.istar
+        if (inv.k2 * (istar - inv.c) + self.g) % p:
+            raise IntegrityError(p, self.params.k, f"anchor i* = {istar} puts nonzero "
+                                 "entries outside the non-zero region", index=istar)
+        w, h, k2, cap = window.width(), window.height(), inv.k2, min(2 * self.g, p - 1)
         if not w:
             return ((),) * h
-        p, cap = self.params.p, min(2 * self.g, self.params.p - 1)
-        t0 = window.j0 + (window.i0 - self.istar) * k2
+        t0 = window.j0 + (window.i0 - istar) * k2
         if k2 <= h:
             run = tuple(_translate_run(t0, h + (w - 1) * k2, p, cap))
             return tuple(run[m:m + (w - 1) * k2 + 1:k2] for m in range(h))
@@ -222,7 +228,8 @@ def non_zero_region(
 ) -> NonZeroRegion:
     """The region of a nontrivial polynomial, ``gen`` as in :func:`build_view`,
     anchored at the column i*, 0 <= i* < p, that carries alpha_0 in row 0:
-    k2*(i* - c) = -g mod p and k2^{-1} = e*k mod p give i* = c - g*e*k mod p.
+    the anchor of the index identity (module docstring) and k2^{-1} = e*k
+    mod p give i* = c - g*e*k mod p.
 
     >>> [non_zero_region(SurgeryParams(p, k)).istar for p, k in ((11, 2), (19, 7))]
     [0, 2]
@@ -233,7 +240,6 @@ def non_zero_region(
     if g < 1:
         raise ValueError("trivial polynomial has no non-zero region")
     istar = (inv.c - g * inv.e * params.k) % p
-    assert (inv.k2 * (istar - inv.c) + g) % p == 0
     return NonZeroRegion(params=params, g=g, istar=istar)
 
 
@@ -285,9 +291,9 @@ def trace_curves(
     region = non_zero_region(params, gen)
     view = build_view(params, "A", window, gen)
 
-    # each translate's arrows, rows top down, i increasing; None collects
-    # any nonzero entry outside the region
-    translates: defaultdict[int | None, list[tuple[int, int, int]]] = defaultdict(list)
+    # each translate's arrows, rows top down, i increasing; every nonzero
+    # entry has a translate, since window_translates checks the anchor
+    translates: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
     cols = range(window.i0, window.i1 + 1)
     rows = zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows),
                reversed(region.window_translates(window)))
@@ -296,13 +302,6 @@ def trace_curves(
             lists = map(translates.__getitem__, compress(row_translates, row))
             arrows = zip(compress(cols, row), repeat(j), filter(None, row))
             deque(map(list.append, lists, arrows), maxlen=0)  # runs the appends
-    if None in translates:
-        i, j, _ = translates[None][0]
-        raise IntegrityError(
-            params.p, params.k,
-            f"nonzero entry at ({i}, {j}) outside the non-zero region",
-            index=i,
-        )
 
     components = []
     for tr in sorted(translates):

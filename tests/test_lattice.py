@@ -33,7 +33,7 @@ from lenspoly.lattice import (
 )
 from lenspoly.render import ascii_curves, ascii_view, svg_curves, view_to_json
 from lenspoly.surgery import SurgeryParams, derive_invariants, reduce_mod
-from lenspoly.sweep import enumerate_params
+from lenspoly.sweep import _records_for_p, enumerate_params
 from test_sweep import is_alternating_full, is_flat_full
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -209,6 +209,65 @@ def test_view_json_shape():
     assert blob["kind"] == "dA"
     assert blob["i0"] == 0 and blob["j0"] == 0
     assert blob["rows"] == [[1, -1, 0], [-1, 1, 1]]  # increasing j
+
+
+def test_index_identity():
+    """The index identity of the lattice module docstring.  Row 0 of the
+    A view equals :func:`a_entry` at every y, on every canonical pair with
+    p <= 200 and every flat and alternating pair with p <= 600.  On the
+    fundamental window of every pair with p <= 60, with i* solving the
+    anchor k2*(i* - c) + g = 0 (mod p) and t = j + (i - i*)*k2, A is
+    coeffs[t mod p] when t mod p <= 2g and 0 otherwise."""
+    lspace = [SurgeryParams(r.p, r.k) for p in range(2, 601)
+              for r in _records_for_p(p)[0] if r.flat and r.alternating]
+    assert len(lspace) == 3422
+    for params in [*enumerate_params(200), *(q for q in lspace if q.p > 200)]:
+        gen = generate(params)
+        p, inv = params.p, params.inv
+        row = build_view(params, "A", Window(0, p - 1, 0, 0), gen).rows[0]
+        assert row == tuple(a_entry(params, inv, gen.poly, y, 0) for y in range(p)), params
+
+    for params in enumerate_params(60):
+        gen = generate(params)
+        p, inv, g = params.p, params.inv, gen.poly.g
+        istar = (inv.c - g * pow(inv.k2, -1, p)) % p
+        if g:
+            assert non_zero_region(params, gen).istar == istar, params
+        w = fundamental_window(params)
+        view = build_view(params, "A", w, gen)
+        for j, row in zip(range(w.j0, w.j1 + 1), view.rows):
+            for i, v in zip(range(w.i0, w.i1 + 1), row):
+                s = (j + (i - istar) * inv.k2) % p
+                expected = gen.poly.coeffs[s] if s <= 2 * g else 0
+                assert v == expected == a_entry(params, inv, gen.poly, i, j), (params, i, j)
+
+
+@pytest.mark.parametrize("p, k, window", [
+    (101, 30, []),
+    (100003, 2, ["--i0", "0", "--i1", "1", "--j0", "0", "--j1", "1"]),
+], ids=["101-30-fundamental", "100003-2-2x2"])
+def test_views_and_curves_never_call_a_entry(capsys, monkeypatch, tmp_path, p, k, window):
+    """``matrix --kind A``, ``matrix --kind dA`` and ``curve --svg`` read
+    every cell off the gathered row 0: with :func:`a_entry` raising they
+    print and write the same bytes as without."""
+    args = ["-p", str(p), "-k", str(k), *window]
+
+    def outputs(tag):
+        out = []
+        for kind in ("A", "dA"):
+            assert main(["matrix", *args, "--kind", kind]) == 0
+            out.append(capsys.readouterr().out)
+        svg = tmp_path / f"{tag}.svg"
+        assert main(["curve", *args, "--svg", str(svg)]) == 0
+        return [*out, capsys.readouterr().out, svg.read_bytes()]
+
+    expected = outputs("plain")
+
+    def refuse(*_):
+        raise AssertionError("a_entry called")
+
+    monkeypatch.setattr(lenspoly.lattice, "a_entry", refuse)
+    assert outputs("patched") == expected
 
 
 # -------------------------------------------------------------------- region
@@ -506,6 +565,26 @@ def test_trace_curves_nonzero_outside_region(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "outside the non-zero region" in captured.err
+
+
+@pytest.mark.parametrize("p, k", [(11, 2), (8, 3)], ids=["2g<p", "2g=p"])
+def test_shifted_anchor_refused_by_every_region_reader(monkeypatch, p, k):
+    """An anchor that breaks the index identity is an integrity failure
+    wherever region cells are read: the SVG shading and region_contains
+    as well as the tracer, also at 2g = p, where every cell is in the
+    region and no entry can fall outside it."""
+    params = SurgeryParams(p, k)
+    window = fundamental_window(params)
+    curves = trace_curves(params, window)
+    region = non_zero_region(params)
+    shifted = region._replace(istar=region.istar + 1)
+    with pytest.raises(IntegrityError, match="outside the non-zero region"):
+        svg_curves(params, window, curves, shifted)
+    with pytest.raises(IntegrityError, match="outside the non-zero region"):
+        region_contains(shifted, (region.istar, 0))
+    monkeypatch.setattr(lenspoly.lattice, "non_zero_region", lambda params, gen=None: shifted)
+    with pytest.raises(IntegrityError, match="outside the non-zero region"):
+        trace_curves(params, window)
 
 
 # --------------------------------------------------------------------- lemma
