@@ -29,7 +29,7 @@ from .lattice import (
     non_zero_region,
     trace_curves,
 )
-from .render import ascii_curves, ascii_view, svg_curves, view_to_json
+from .render import ascii_curves, ascii_view, svg_pieces, view_to_json
 from .surgery import (
     InvalidParameterError,
     SurgeryParams,
@@ -142,9 +142,13 @@ def _cmd_curve(args) -> int:
     if args.svg:
         region = non_zero_region(params, gen) if gen.poly.g else None
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg_curves(params, window, curves, region))
-    if args.format == "json":
-        print(_encode_json({**window._asdict(), "components": [c._asdict() for c in curves]}))
+            fh.writelines(svg_pieces(params, window, curves, region))
+    if args.format == "json":  # window._asdict() with "components", a curve at a time
+        out = sys.stdout
+        out.write(_encode_json(window._asdict())[:-1] + ',"components":[')
+        out.writelines(("," if n else "") + _encode_json(curve._asdict())
+                       for n, curve in enumerate(curves))
+        out.write("]}\n")
     else:
         print(ascii_curves(window, curves))
     return 0

@@ -7,6 +7,7 @@ byte-identical across runs for the same window, which the tests rely on.
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Iterator
 
 from .lattice import LatticeView, NonZeroCurve, NonZeroRegion, Window
 from .surgery import SurgeryParams
@@ -16,6 +17,9 @@ _MARGIN = 10
 # strip shading alternates by translate parity; curves cycle the palette
 _STRIP_FILLS = ("#ececec", "#d7d7d7")
 _CURVE_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
+# Elements an SVG piece gathers before svg_pieces yields it: a writer
+# holds one piece at a time, never the whole document.
+_SVG_PIECE_ELEMENTS = 4096
 
 
 def ascii_view(view: LatticeView) -> str:
@@ -65,27 +69,45 @@ def svg_curves(
     curves: list[NonZeroCurve],
     region: NonZeroRegion | None,
 ) -> str:
-    """SVG 1.1 document: one shaded square per region cell, filled by
-    translate parity (read off :meth:`NonZeroRegion.window_translates`),
-    one polyline per component, and an oriented arrow on every nonzero
-    entry.  ``curves`` are those :func:`trace_curves` returns for ``window``."""
+    """SVG 1.1 document: the pieces of :func:`svg_pieces`, joined."""
+    return "".join(svg_pieces(params, window, curves, region))
+
+
+def svg_pieces(
+    params: SurgeryParams,
+    window: Window,
+    curves: list[NonZeroCurve],
+    region: NonZeroRegion | None,
+) -> Iterator[str]:
+    """SVG 1.1 document, in pieces of about ``_SVG_PIECE_ELEMENTS``
+    elements: one shaded square per region cell, filled by translate
+    parity (read off :meth:`NonZeroRegion.window_translates`), one
+    polyline per component, and an oriented arrow on every nonzero entry.
+    ``curves`` are those :func:`trace_curves` returns for ``window``.
+
+    Every element ends in its own newline, and a piece is cut only after
+    a shading row or a curve, so the pieces joined are the document and
+    a writer holds one piece at a time."""
     i0, i1, j0, j1 = window.i0, window.i1, window.j0, window.j1
     empty = window.is_empty()
     width = 2 * _MARGIN + (0 if empty else window.width() * _CELL)
     height = 2 * _MARGIN + (0 if empty else window.height() * _CELL)
     parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<!-- p={params.p} k={params.k} window i=[{i0},{i1}] j=[{j0},{j1}] -->',
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n',
+        f'<!-- p={params.p} k={params.k} window i=[{i0},{i1}] j=[{j0},{j1}] -->\n',
     ]
     if region is not None and not empty:
         rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(window.width())]
         for j, translates in zip(range(j0, j1 + 1), region.window_translates(window)):
             y = _MARGIN + (j1 - j) * _CELL
-            tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
+            tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>\n'
                      for fill in _STRIP_FILLS]
             parts += [x + tails[tr % 2] for x, tr in zip(rect_x, translates) if tr is not None]
+            if len(parts) >= _SVG_PIECE_ELEMENTS:
+                yield "".join(parts)
+                parts = []
     if curves:  # the maps below span the window: none without a curve to draw
         # cell centres; lattice j grows upward, SVG y grows downward
         cx = {i: _MARGIN + (i - i0) * _CELL + _CELL // 2 for i in range(i0, i1 + 1)}
@@ -95,8 +117,11 @@ def svg_curves(
             color = _CURVE_COLORS[curve.id % len(_CURVE_COLORS)]
             points = " ".join(f"{xs[i]},{ys[j]}" for i, j, _ in curve.arrows)
             parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
+                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>\n'
             )
+            if len(parts) >= _SVG_PIECE_ELEMENTS:
+                yield "".join(parts)
+                parts = []
         # arrow tail, head and barb x per column and direction; cy, cy - 3, cy + 3 per row
         right = {i: (str(x - 7), str(x + 7), str(x + 3)) for i, x in cx.items()}
         left = {i: (str(x + 7), str(x - 7), str(x - 3)) for i, x in cx.items()}
@@ -107,6 +132,9 @@ def svg_curves(
                 parts.append(f'<line x1="{tail}" y1="{y}" x2="{head}" y2="{y}" stroke="#000000" '
                              f'stroke-width="1"/>\n'
                              f'<path d="M {head} {y} L {barb} {up} L {barb} {down} Z" '
-                             'fill="#000000"/>')
+                             'fill="#000000"/>\n')
+            if len(parts) >= _SVG_PIECE_ELEMENTS:
+                yield "".join(parts)
+                parts = []
     parts.append("</svg>\n")
-    return "\n".join(parts)
+    yield "".join(parts)

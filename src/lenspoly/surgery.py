@@ -5,9 +5,10 @@ k lives in (Z/p)^* and has four equivalent representatives k, -k, k^-1,
 -k^-1; we normalize to the smallest positive representative in (0, p/2].
 :class:`SurgeryParams` checks that and derives (k2, e, m, q, q2, c) once,
 as ``params.inv``, and :func:`_canonical_params` lists the canonical pairs
-of one p, each validated and derived once.  Everything in this module is
-plain, exact integer arithmetic -- Python integers are unbounded, so
-there is no overflow to worry about even far beyond p = 10^6.
+of one p, each validated and derived once (:func:`_canonical_ks` lists
+only their k).  Everything in this module is plain, exact integer
+arithmetic -- Python integers are unbounded, so there is no overflow to
+worry about even far beyond p = 10^6.
 
 Conventions used throughout the package:
 
@@ -51,7 +52,7 @@ class SurgeryParams:
 
     Invariants enforced on construction: gcd(p, k) = 1, and k is the
     minimal representative of its class orbit {±k, ±k^-1 mod p} within
-    (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_params`).
+    (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_ks`).
     Validation derives the invariants once and keeps them as ``inv``;
     ``repr``, ``==`` and ``hash`` ignore it.
     """
@@ -101,13 +102,31 @@ def _k2(p: int, k: int) -> int:
     return r if 2 * r <= p else p - r
 
 
-def _canonical_params(p: int) -> list[SurgeryParams]:
-    """The canonical parameters of one p, ascending in k: gcd(p, k) = 1,
-    1 <= k <= p/2 and k <= k2, one per class orbit {±k, ±k^-1 mod p}.
+def _canonical_ks(p: int) -> list[int]:
+    """The canonical k of one p, ascending: gcd(p, k) = 1, 1 <= k <= p/2
+    and k <= k2, one per class orbit {±k, ±k^-1 mod p}.
 
     The orbit meets (0, p/2] in at most k and k2 = |[k^-1]_p|, so as k
     walks upward, a coprime k is canonical unless a smaller k marked it
-    as its k2.  Each canonical k is validated once, by its SurgeryParams.
+    as its k2.  This walk takes each k2 with :func:`_k2` alone and
+    builds no :class:`SurgeryParams`.
+
+    >>> _canonical_ks(11)
+    [1, 2, 3]
+    """
+    partnered, ks = bytearray(p // 2 + 1), []
+    for k in range(1, p // 2 + 1):
+        if not partnered[k] and gcd(k, p) == 1:
+            ks.append(k)
+            partnered[_k2(p, k)] = 1
+    return ks
+
+
+def _canonical_params(p: int) -> list[SurgeryParams]:
+    """The canonical parameters of one p, ascending in k: the walk of
+    :func:`_canonical_ks`, which states the orbit rule, but each k2 read
+    off the parameter's invariants, so each canonical k is validated and
+    derived once, by its SurgeryParams.
 
     >>> [params.k for params in _canonical_params(11)]
     [1, 2, 3]

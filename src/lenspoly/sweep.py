@@ -48,7 +48,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import _alternation, _is_flat, _period, _top_terms
 from .lattice import check_lemma
-from .surgery import InvalidParameterError, SurgeryParams, _canonical_params
+from .surgery import InvalidParameterError, SurgeryParams, _canonical_ks, _canonical_params
 
 _R = TypeVar("_R")
 
@@ -402,24 +402,25 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
 
     Every complete line must be exactly a row of this format (a CSV
     report starts with its header), and the rows must run through the
-    canonical pairs in ascending (p, k) from (2, 1) on.  A kill can cut
-    only the line being written, so a last line without a newline must
-    be the start of the next line due: the header, or the row of the
-    next canonical pair.  The rows of a p cut short by a kill, and of
-    every p > max_p, are checked and then left past the offset.
-    Anything else raises CheckpointError; the file is only read.
+    canonical pairs in ascending (p, k) from (2, 1) on, walked by their
+    k alone (:func:`_canonical_ks`).  A kill can cut only the line being
+    written, so a last line without a newline must be the start of the
+    next line due: the header, or the row of the next canonical pair,
+    the only record a resume computes.  The rows of a p cut short by a
+    kill, and of every p > max_p, are checked and then left past the
+    offset.  Anything else raises CheckpointError; the file is only read.
     """
     def refuse(why: str) -> CheckpointError:
         return CheckpointError(f"report {out_path} cannot be resumed: {why}; "
                                "rerun with --from-scratch")
 
     offset = cut = 0
-    p, pairs, batch = 2, _canonical_params(2), []  # batch: the rows of p read so far
+    p, ks, batch = 2, _canonical_ks(2), []  # batch: the rows of p read so far
     with open(out_path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             is_header = n == 1 and fmt == "csv"
             if not line.endswith(b"\n"):  # the last line, cut short by a kill?
-                params = pairs[len(batch)]
+                params = SurgeryParams(p, ks[len(batch)])
                 due = _CSV_HEADER + "\n" if is_header else _serialize_row(compute_record(params), fmt)
                 if not due.encode().startswith(line):
                     raise refuse(f"its last line {n} has no newline and is not the start of "
@@ -435,15 +436,15 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                 record = _parse_row(line[:-1].decode(), fmt)
             except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
                 raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
-            if (record.p, record.k) != (p, pairs[len(batch)].k):
+            if (record.p, record.k) != (p, ks[len(batch)]):
                 raise refuse(f"line {n} holds ({record.p}, {record.k}), but the next "
-                             f"canonical pair is p = {p}, k = {pairs[len(batch)].k}")
+                             f"canonical pair is p = {p}, k = {ks[len(batch)]}")
             batch.append(record)
-            if len(batch) == len(pairs):
+            if len(batch) == len(ks):
                 if p <= max_p:
                     _tally(summary, batch)
                     summary.resumed_from, cut = p, offset
-                p, pairs, batch = p + 1, _canonical_params(p + 1), []
+                p, ks, batch = p + 1, _canonical_ks(p + 1), []
     return cut
 
 

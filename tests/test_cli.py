@@ -15,16 +15,21 @@ import pytest
 import lenspoly.alexander
 import lenspoly.cli
 import lenspoly.lattice
+import lenspoly.render
 import lenspoly.surgery
 from lenspoly.alexander import (
     IntegrityError,
     SymmetricLaurentPolynomial,
     format_polynomial,
+    generate,
     polynomial,
 )
 from lenspoly.cli import main
+from lenspoly.lattice import Window, fundamental_window, non_zero_region, trace_curves
+from lenspoly.render import ascii_curves
 from lenspoly.surgery import SurgeryParams
-from lenspoly.sweep import enumerate_params
+from lenspoly.sweep import _encode_json, enumerate_params
+from test_lattice import svg_curves_per_cell
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +358,60 @@ def test_curve_bytes_pinned(capsys, tmp_path, p, k, window, stdout_digest, svg_d
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
+
+
+@pytest.mark.parametrize("pieces", [1, 4096])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("p, k, window, components", [
+    (19, 7, Window(3, 2, 0, 4), 0),  # empty: no columns
+    (13, 1, None, 0),  # g = 0: no region
+    (11, 2, Window(-1, 1, -1, 1), 1),
+    (101, 30, None, 46),  # the fundamental window
+], ids=["empty", "13-1", "one-component", "101-30"])
+def test_curve_streams_the_one_shot_bytes(capsys, monkeypatch, tmp_path, pieces, fmt, p, k,
+                                          window, components):
+    """curve writes its stdout a component at a time and its SVG a piece
+    at a time; the bytes are those of the one-shot encoders, kept here as
+    the oracle: the JSON of window._asdict() with every component's
+    _asdict() encoded in one call, the ASCII overlay, and the per-cell
+    SVG.  One element a piece cuts after every row and curve."""
+    monkeypatch.setattr(lenspoly.render, "_SVG_PIECE_ELEMENTS", pieces)
+    params = SurgeryParams(p, k)
+    window = window or fundamental_window(params)
+    svg_path = tmp_path / "c.svg"
+    code, out, _ = run_cli(capsys, "curve", "-p", str(p), "-k", str(k), "--format", fmt,
+                           "--i0", str(window.i0), "--i1", str(window.i1),
+                           "--j0", str(window.j0), "--j1", str(window.j1),
+                           "--svg", str(svg_path))
+    gen = generate(params)
+    curves = trace_curves(params, window, gen)
+    region = non_zero_region(params, gen) if gen.poly.g else None
+    if fmt == "json":
+        expected = _encode_json({**window._asdict(),
+                                 "components": [c._asdict() for c in curves]})
+    else:
+        expected = ascii_curves(window, curves)
+    assert code == 0
+    assert out == expected + "\n"
+    assert svg_path.read_text() == svg_curves_per_cell(params, window, curves, region)
+    assert len(curves) == components
+
+
+def test_curve_memory_stays_below_its_svg(capsys, tmp_path):
+    """curve holds neither its SVG nor its JSON whole: at (251, 2) the
+    peak traced memory stays below the size of the SVG it writes (the
+    one-shot writer peaked at 19.5 MiB for this 6.7 MiB SVG, the piecewise
+    one at 4.8 MiB, under Python 3.11)."""
+    svg_path = tmp_path / "c.svg"
+    tracemalloc.start()
+    try:
+        code = main(["curve", "-p", "251", "-k", "2", "--svg", str(svg_path), "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and out.endswith("]}\n")
+    assert peak < svg_path.stat().st_size
 
 
 @pytest.mark.parametrize("kind, p, k, window, digest", [

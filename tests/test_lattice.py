@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lenspoly.lattice
+import lenspoly.render
 from lenspoly.alexander import IntegrityError, generate
 from lenspoly.cli import main
 from lenspoly.lattice import (
@@ -31,7 +33,7 @@ from lenspoly.lattice import (
     region_contains,
     trace_curves,
 )
-from lenspoly.render import ascii_curves, ascii_view, svg_curves, view_to_json
+from lenspoly.render import ascii_curves, ascii_view, svg_curves, svg_pieces, view_to_json
 from lenspoly.surgery import SurgeryParams, derive_invariants, reduce_mod
 from lenspoly.sweep import _records_for_p, enumerate_params
 from test_sweep import is_alternating_full, is_flat_full
@@ -785,6 +787,29 @@ def test_svg_curves_match_per_cell():
                 assert svg_curves(params, window, curves, reg) == \
                     svg_curves_per_cell(params, window, curves, reg), (params, window)
     assert overlapping > 0  # (8, 3) and the other pairs with 2g >= p are covered
+
+
+def test_svg_pieces_cut_after_rows_and_curves(monkeypatch):
+    """With pieces of one element, svg_pieces cuts after every shading
+    row, every polyline and every curve's arrows, and nowhere else; the
+    pieces joined are the per-cell document."""
+    monkeypatch.setattr(lenspoly.render, "_SVG_PIECE_ELEMENTS", 1)
+    params = SurgeryParams(19, 7)
+    window = fundamental_window(params)
+    gen = generate(params)
+    curves = trace_curves(params, window, gen)
+    region = non_zero_region(params, gen)
+    pieces = list(svg_pieces(params, window, curves, region))
+    assert "".join(pieces) == svg_curves_per_cell(params, window, curves, region)
+    assert all(piece.endswith("\n") for piece in pieces)
+    rows = [set(re.findall(r'<rect x="\d+" y="(\d+)"', piece)) for piece in pieces]
+    shaded = [ys for ys in rows if ys]
+    assert all(len(ys) == 1 for ys in shaded) and len(set.union(*shaded)) == len(shaded)
+    assert [piece.count("<polyline") for piece in pieces if "<polyline" in piece] == \
+        [1] * len(curves)
+    assert [piece.count("<line") for piece in pieces if "<line" in piece] == \
+        [len(curve.arrows) for curve in curves]
+    assert len(pieces) == len(shaded) + 2 * len(curves) + 1 and pieces[-1] == "</svg>\n"
 
 
 def test_wide_one_row_window_stays_small():

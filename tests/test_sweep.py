@@ -30,6 +30,7 @@ from lenspoly.sweep import (
     _map_over_p,
     _parse_row,
     _records_for_p,
+    _resume_point,
     _serialize_batch,
     _serialize_row,
     _theorem_trigger,
@@ -620,6 +621,27 @@ def test_resume_keeping_every_row_rewrites_nothing(tmp_path):
     assert _sweep(tmp_path, "r.csv", max_p=40)[1].resumed_from == 39
     assert os.stat(out).st_ino == inode
     assert out.read_bytes() == clean.read_bytes()
+
+
+def test_resume_derives_invariants_only_for_a_torn_row(tmp_path, monkeypatch):
+    """A resume walks the canonical pairs by their k alone: it derives no
+    invariants for the rows it checks, and once for the row due after a
+    torn last line."""
+    out, _ = _sweep(tmp_path, "r.csv", max_p=40)
+    whole = out.read_text()
+    calls = []
+    derive = lenspoly.surgery.derive_invariants
+
+    def counted(params):
+        calls.append((params.p, params.k))
+        return derive(params)
+    monkeypatch.setattr(lenspoly.surgery, "derive_invariants", counted)
+    assert _resume_point(str(out), "csv", 40, SweepSummary()) == len(whole)
+    assert calls == []
+    lines = whole.splitlines(keepends=True)
+    out.write_text("".join(lines[:-4]) + lines[-4][:9])  # the row of (40, 7) cut short
+    assert _resume_point(str(out), "csv", 40, SweepSummary()) == len("".join(lines[:-6]))
+    assert calls == [(40, 7)]
 
 
 @pytest.mark.parametrize("fmt, pair, old, new", [
