@@ -95,26 +95,47 @@ class GeneratedPolynomial(NamedTuple):
 
 
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}  # slot bytes -> typecode
-_FLAT_COUNTS = [bytes(range(max(m - 1, 0), m + 2)) for m in range(128)]  # m -> m - 1, m, m + 1
+# m -> the bytes m - 1, m, m + 1 (those in 0..255)
+_FLAT_COUNTS = [bytes(range(max(m - 1, 0), min(m + 2, 256))) for m in range(256)]
+
+
+def _step_marks(n: int) -> int:
+    """About how many residue marks, set one at a time, one doubling step
+    of :func:`_residue_values` costs on a period of n bytes: 8 + n/64 while
+    its big ints stay in cache, 8 + n/16 past 128 KiB (measured on a
+    2-vCPU x86-64 machine under CPython 3.11: about 11 marks at 640 B, 60
+    at 6 KB, 18,500 at 600 KB and 550,000 at 16 MB)."""
+    return 8 + (n >> 6 if n <= 1 << 17 else n >> 4)
 
 
 def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
-    """(w, step, e, m) with abar_i = e*(w[-i*step mod p] - m), in O(p + k).
+    """(w, step, e, m) with abar_i = e*(w[-i*step mod p] - m), in h <= k
+    Python steps and O(p log(k/h)) big-int work.
 
     The membership test asks whether q2*j + q2*(k*i + c) mod p lands in a
-    fixed cyclic arc of k2 consecutive residues starting at arc_start
-    (the residue image of I_{e*k2}: 1..k2 when e = 1, 0 and
-    p-k2+1..p-1 when e = -1).  Moving the rest onto the arc,
-    a_i = e*(W(x_i) - m), where W(x) counts the residues
-    S = {q2*(j + c) - arc_start mod p : j = 1..k} in the arc x..x+k2-1
-    (cyclic) and x_i = -i*step mod p with step = q2*k mod p: w[x] = W(x).
+    fixed cyclic arc of k2 consecutive residues ending at arc_end (the
+    residue image of I_{e*k2}: 1..k2 when e = 1, p-k2+1..p-1 and 0 when
+    e = -1).  Moving the rest onto the arc, a_i = e*(W(x_i) - m), where
+    W(x) counts the residues S = {q2*(j + c) - arc_end mod p : j = 1..k}
+    in the arc x-k2+1..x (cyclic) and x_i = -i*step mod p with
+    step = q2*k mod p: w[x] = W(x).
 
     * Every W at once, in C: with slots of b bits and I = the sum of
-      2^(b*x) over the x in S, twice round the period,
-      ((I << b*k2) - I) // (2^b - 1) holds W(x) in slot x + k2 - 1.
-      A window of k2 <= p/2 residues holds at most k < 2^b of S, so no
-      slot carries.  Slots have 1, 2, 4 or 8 bytes, from k.bit_length();
-      w is ``bytes`` for 1-byte slots and an ``array`` otherwise.
+      2^(b*x) over the x in S, ((I << b*k2) - I) // (2^b - 1) holds in
+      slot y the count of S in y-k2+1..y, within 0..p-1; a window that
+      wraps round has the rest of its count in slot y + p, which is
+      added back.  A window of k2 <= p/2 residues holds at most k < 2^b
+      of S, so no slot carries.  Slots have 1, 2, 4 or 8 bytes, from
+      k.bit_length(); w is ``bytes`` for 1-byte slots and an ``array``
+      otherwise.
+    * I from a prefix of S: S is the progression first + q2*j, j < k, so
+      the marks of j < h turned round the period by t*q2 slots are those
+      of j = t..t+h-1.  The first h are marked one Python step each, then
+      each doubling step ORs in the marks turned by t = min(h, k - h)
+      terms, until h = k.  h is k, halved (rounding up) while that stays
+      at or above :func:`_step_marks` of the period's bytes, so every
+      step adds more marks than it costs.  4- and 8-byte slots never
+      double: there k/2 <= p/4 < _step_marks(4p).
     * Since q2 = k2^2 and k*k2 = e (mod p), step = e*k2 (mod p), a unit,
       never 0: the starts x_i run through every residue once, so
       a_i = a_-i for all i says exactly that ``w`` is symmetric about 0.
@@ -122,26 +143,38 @@ def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int
     >>> _residue_values(SurgeryParams(7, 2))  # a_0 = -(2 - 1), a_1 = -(w[3] - 1)
     (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
     """
-    p, k, inv = params.p, params.k, params.inv
-    k2, e, q2 = inv.k2, inv.e, inv.q2 % p
-    arc_start = 1 if e > 0 else (1 - k2) % p
-    first = (q2 * (inv.c + 1) - arc_start) % p  # j = 1
+    p, k = params.p, params.k
+    k2, e, m, _, q2, c = params.inv
+    q2 %= p
+    first = (q2 * (c + 1) - (k2 if e > 0 else 0)) % p  # j = 1
     size = 1 << ((k.bit_length() - 1) >> 3).bit_length()  # bytes per slot
-    n = p * size
-    slots = bytearray(n + (k2 - 1) * size)  # the period, then its first k2 - 1 slots
-    for r in range(first * size, (first + q2 * k) * size, q2 * size):
-        slots[r % n] = 1  # slot x holds [x in S]
-    slots[n:] = slots[:(k2 - 1) * size]
+    n, bits = p * size, 8 * p * size
+    h, least = k, _step_marks(n)
+    while h + 1 >> 1 >= least:
+        h = h + 1 >> 1
+    slots = bytearray(n)
+    for r in range(first * size, (first + q2 * h) * size, q2 * size):
+        slots[r % n] = 1  # slot x holds [x in S], for the first h of S
     box = int.from_bytes(slots, "little")
     del slots  # at the CLI's largest p, each intermediate is tens of MB
+    if h < k:
+        period = (1 << bits) - 1
+        while h < k:  # the marks j < h, moved on by t terms of S, add j = h..h+t-1
+            t = min(h, k - h)
+            x = box << 8 * size * (t * q2 % p)
+            box |= (x & period) | (x >> bits)
+            h += t
     box = (box << 8 * size * k2) - box
     box //= (1 << 8 * size) - 1
-    w = box.to_bytes((p + 2 * k2 - 1) * size, "little")[(k2 - 1) * size:(k2 - 1 + p) * size]
+    top = box >> bits  # the counts past the period, of the windows that wrap round
+    box -= top << bits
+    box += top
+    w = box.to_bytes(n, "little")
     if size > 1:
         w = array(_ARRAY_CODES[size], w)
         if sys.byteorder == "big":
             w.byteswap()
-    return w, q2 * k % p, e, inv.m
+    return w, q2 * k % p, e, m
 
 
 def _period(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
@@ -168,8 +201,14 @@ def _gather(w: bytes | array, step: int, e: int, m: int) -> GeneratedPolynomial:
     p, g = len(w), _top_terms(w, step, e, m)[0]
     # a comprehension gathers faster than map(w.__getitem__, map(mod, ...))
     half = [e * (w[x % p] - m) for x in range(0, -step * (g + 1), -step)]  # a_0..a_g
-    poly = SymmetricLaurentPolynomial(g=g, coeffs=tuple(half[:0:-1] + half))
-    return GeneratedPolynomial(poly, 2 * sum(half) - half[0])  # sum(poly.coeffs)
+    delta_one = 2 * sum(half) - half[0]  # sum(coeffs)
+    # one list grown in place, then only the tuple: at the CLI's largest p
+    # each is tens of MB, and the symmetry check copies the tuple once more
+    coeffs = half[:0:-1]
+    coeffs += half
+    del half
+    coeffs = tuple(coeffs)
+    return GeneratedPolynomial(SymmetricLaurentPolynomial(g=g, coeffs=coeffs), delta_one)
 
 
 def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, int, int]:
@@ -196,9 +235,17 @@ def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, i
 def _is_flat(w: bytes | array, m: int) -> bool:
     """Whether every a_i of a period is -1, 0 or 1: every count is m - 1,
     m or m + 1.  For 1-byte slots, ``translate`` deletes those counts and
-    must leave nothing."""
+    must leave nothing.  For 2-byte slots where m - 1..m + 1 does not
+    straddle a multiple of 256, those counts share the high byte m >> 8:
+    ``translate`` deletes the low bytes of m - 1, m, m + 1 from the low
+    byte plane and m >> 8 from the high one, and both must leave nothing.
+    Otherwise min and max decide."""
     if isinstance(w, bytes):  # m <= k/2 < 128, as k2 <= p/2
         return not w.translate(None, _FLAT_COUNTS[m])
+    if w.itemsize == 2 and (m - 1) >> 8 == (m + 1) >> 8:
+        raw, low = w.tobytes(), sys.byteorder == "big"  # the offset of the low bytes
+        return not (raw[low::2].translate(None, _FLAT_COUNTS[m & 255])
+                    or raw[1 - low::2].translate(None, bytes((m >> 8,))))
     return m - 1 <= min(w) and max(w) <= m + 1
 
 

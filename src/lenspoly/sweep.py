@@ -155,12 +155,15 @@ def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
         yield from _canonical_params(p)
 
 
-def compute_record(params: SurgeryParams, period: tuple | None = None) -> SweepRecord:
+def compute_record(
+    params: SurgeryParams, period: tuple | None = None, top: tuple | None = None
+) -> SweepRecord:
     """The report row of one parameter, read off its checked period
-    ``(w, step, e, m)`` of :func:`_period`, which may be passed when the
-    caller already has it."""
+    ``(w, step, e, m)`` of :func:`_period` and that period's
+    :func:`_top_terms`, either of which may be passed when the caller
+    already has it."""
     w, step, e, m = period or _period(params)
-    g, top0, top1, top2 = _top_terms(w, step, e, m)
+    g, top0, top1, top2 = top or _top_terms(w, step, e, m)
     trivial = g == 0 and top0 == 1  # a_g is a_0 when g = 0
     flat = _is_flat(w, m)  # w holds the count of every a_i, |i| <= p/2
     alternating, strictly = _alternation(w, step, e, m, g)
@@ -309,14 +312,16 @@ def _map_over_p(
 
 def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
     """The theorem and corollary violations of one p: every pair's period
-    is generated and checked, and only a pair that meets the trigger or
-    has k = 2 gets its record, from that same period."""
+    is generated and checked and its top terms read once, and only a pair
+    that meets the trigger or has k = 2 gets its record, from that same
+    period and those same top terms."""
     theorem: list[Violation] = []
     corollary: list[Violation] = []
     for params in _canonical_params(p):
         period = _period(params)
-        if params.k == 2 or _top_trigger(*_top_terms(*period)[1:]):
-            th, co = _violations(compute_record(params, period))
+        top = _top_terms(*period)
+        if params.k == 2 or _top_trigger(*top[1:]):
+            th, co = _violations(compute_record(params, period, top))
             theorem += th
             corollary += co
     return theorem, corollary

@@ -1,8 +1,11 @@
 """The counting-formula generator against the torus closed-form oracle."""
 
+import itertools
 import json
 import math
 import pickle
+import sys
+from array import array
 from collections import Counter
 
 import pytest
@@ -18,6 +21,7 @@ from lenspoly.alexander import (
     _is_flat,
     _period,
     _residue_values,
+    _step_marks,
     _top_terms,
     format_polynomial,
     generate,
@@ -290,6 +294,104 @@ def slot_bytes(w):
     return 1 if isinstance(w, bytes) else w.itemsize
 
 
+def slot_size(k):
+    """The kernel's bytes per slot: the least of 1, 2, 4, 8 that holds k."""
+    return next(size for size in (1, 2, 4, 8) if k < 256 ** size)
+
+
+def residue_values_loop(params):
+    """The kernel's (w, step, e, m) as it was before the doubling: all k
+    residues of S marked by one Python step each, and the period's first
+    k2 - 1 slots copied after it in place of the fold; the oracle of both."""
+    p, k, inv = params.p, params.k, params.inv
+    k2, e, q2 = inv.k2, inv.e, inv.q2 % p
+    arc_start = 1 if e > 0 else (1 - k2) % p
+    first = (q2 * (inv.c + 1) - arc_start) % p
+    size = slot_size(k)
+    n = p * size
+    slots = bytearray(n + (k2 - 1) * size)
+    for r in range(first * size, (first + q2 * k) * size, q2 * size):
+        slots[r % n] = 1
+    slots[n:] = slots[:(k2 - 1) * size]
+    box = int.from_bytes(slots, "little")
+    box = ((box << 8 * size * k2) - box) // ((1 << 8 * size) - 1)
+    w = box.to_bytes((p + 2 * k2 - 1) * size, "little")[(k2 - 1) * size:(k2 - 1 + p) * size]
+    if size > 1:
+        w = array({2: "H", 4: "I", 8: "Q"}[size], w)
+        if sys.byteorder == "big":
+            w.byteswap()
+    return w, q2 * k % p, e, inv.m
+
+
+# (p, k) -> bytes per slot, on each side of the slot boundaries (see
+# test_kernel_slot_widths)
+SLOT_WIDTH_CASES = {(561, 254): 1, (571, 254): 1, (512, 255): 1, (555, 256): 2, (771, 256): 2,
+                    (516, 257): 2, (571, 273): 2, (607, 267): 2, (705, 278): 2,
+                    (131076, 65537): 4}
+
+
+def canonical_ps(k, count, start=2):
+    """The first count p >= max(start, 2k) with (p, k) canonical: coprime,
+    and k no larger than k2 = |[k^-1]_p|."""
+    found = []
+    for p in itertools.count(max(start, 2 * k)):
+        if math.gcd(p, k) == 1:
+            r = pow(k, -1, p)
+            if min(r, p - r) >= k:
+                found.append(p)
+                if len(found) == count:
+                    return found
+
+
+def doubling_steps(p, k):
+    """How many times _residue_values doubles the marks of (p, k)."""
+    h, least, steps = k, _step_marks(p * slot_size(k)), 0
+    while h + 1 >> 1 >= least:
+        h, steps = h + 1 >> 1, steps + 1
+    return steps
+
+
+def doubling_edge_pairs():
+    """Canonical pairs with k at a doubling cutoff or next to it: for
+    s = 1, 2, 3, the least k whose marks double s times on its period,
+    2^s*(L - 1) + 1 with L = _step_marks(period bytes), and that k +- 1,
+    in 1- and 2-byte slots and in periods past 128 KiB.  Then k = 2^n - 1,
+    2^n and 2^n + 1, where the halving rounds up on every step or on none."""
+    pairs = set()
+    for s in (1, 2, 3):
+        for d in (-1, 0, 1):
+            for size, ps in ((1, range(100, 700)), (2, range(3860, 4600)),
+                             (2, range(65600, 66000))):
+                hits = 0
+                for p in ps:
+                    k = 2 ** s * (_step_marks(p * size) - 1) + 1 + d
+                    if slot_size(k) == size and canonical_ps(k, 1, p) == [p]:
+                        pairs.add((p, k))
+                        hits += 1
+                        if hits == 2:
+                            break
+    for n in (5, 6, 7, 8, 9, 10, 15):
+        for k in (2 ** n - 1, 2 ** n, 2 ** n + 1):
+            pairs.update((p, k) for p in canonical_ps(k, 2))
+    return sorted(pairs)
+
+
+def test_kernel_matches_marking_loop():
+    """_residue_values, which marks a prefix of S and doubles it, returns
+    the tuple of the loop that marks every residue, slot width included,
+    on every canonical pair with p <= 300, on the slot-boundary pairs and
+    on pairs with k at the doubling cutoffs, next to them and at 2^n +- 1."""
+    edges = doubling_edge_pairs()
+    steps = Counter(doubling_steps(p, k) for p, k in edges)
+    assert {0, 1, 2, 3} <= set(steps), steps
+    assert any(p * 2 > 1 << 17 and doubling_steps(p, k) for p, k in edges)
+    cases = [(params.p, params.k) for params in enumerate_params(300)]
+    for p, k in cases + list(SLOT_WIDTH_CASES) + edges:
+        params = SurgeryParams(p, k)
+        got, want = _residue_values(params), residue_values_loop(params)
+        assert got == want and slot_bytes(got[0]) == slot_bytes(want[0]), (p, k)
+
+
 def test_kernel_slot_widths():
     """The window counts equal the loop oracle's table over the whole
     period, generate (gathering a_0..a_g from them) equals the generator
@@ -301,9 +403,7 @@ def test_kernel_slot_widths():
     window holds all k: the largest count that fits its slot, and the
     smallest that does not fit the narrower one.  (571, 273) is flat;
     (607, 267) and (705, 278) miss it by one count, m + 2 and m - 2."""
-    cases = {(561, 254): 1, (571, 254): 1, (512, 255): 1, (555, 256): 2, (771, 256): 2,
-             (516, 257): 2, (571, 273): 2, (607, 267): 2, (705, 278): 2, (131076, 65537): 4}
-    for (p, k), size in cases.items():
+    for (p, k), size in SLOT_WIDTH_CASES.items():
         params = SurgeryParams(p, k)
         w, step, e, m = _residue_values(params)
         assert slot_bytes(w) == size, (p, k)
@@ -328,6 +428,30 @@ def test_flat_one_byte_periods_match_oracle():
         for w in periods:
             assert _is_flat(w, m) == is_flat_full([c - m for c in w]), (m, w)
     assert [_is_flat(bytes([c]), 0) for c in range(4)] == [True, True, False, False]
+
+
+def test_flat_two_byte_periods_match_min_max():
+    """_is_flat, which tests the byte planes of a 2-byte period, agrees
+    with the min/max form of the counts on hand-made periods, for m next
+    to multiples of 256 (m = 256 included, where m - 1..m + 1 straddles
+    one) and away from them, with counts off by 256 in the high byte
+    alone; and on the wide pairs of the slot-width cases."""
+    def min_max(w, m):
+        return m - 1 <= min(w) and max(w) <= m + 1
+
+    for m in (0, 1, 2, 127, 128, 254, 255, 256, 257, 258, 300, 511, 512, 513, 65534):
+        near = {m + d for d in (-2, -1, 0, 1, 2)}
+        near |= {c + s for c in (m - 1, m, m + 1) for s in (-256, 256)}
+        near = sorted(c for c in near if 0 <= c < 1 << 16)
+        periods = [[m], near, [m + 1, m, m + 1], [m, m, m - 1 if m else 0]]
+        periods += [[m, c, m] for c in near] + [[c] * 3 for c in near]
+        for counts in periods:
+            w = array("H", counts)
+            assert _is_flat(w, m) == min_max(w, m), (m, counts)
+    for (p, k), size in SLOT_WIDTH_CASES.items():
+        if size > 1:
+            w, step, e, m = _residue_values(SurgeryParams(p, k))
+            assert _is_flat(w, m) == min_max(w, m), (p, k)
 
 
 def test_wide_slots_report_first_asymmetric_index(monkeypatch):

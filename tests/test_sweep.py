@@ -284,9 +284,9 @@ def test_verify_builds_records_only_for_candidates(monkeypatch):
     calls = []
     fn = lenspoly.sweep.compute_record
 
-    def counted(params, period=None):
+    def counted(params, *given):
         calls.append((params.p, params.k))
-        return fn(params, period)
+        return fn(params, *given)
     monkeypatch.setattr(lenspoly.sweep, "compute_record", counted)
     verify(200)
     assert len(calls) == 225
@@ -712,6 +712,27 @@ def test_records_check_canonicity_once(monkeypatch, worker, p):
         calls.append(args)
         return fn(*args)
     monkeypatch.setattr(lenspoly.surgery, "_k2", counted)
+    worker(p)
+    assert len(calls) == pairs
+
+
+@pytest.mark.parametrize(
+    "worker, p",
+    [(w, p) for w in (_records_for_p, _violations_for_p) for p in (2, 3, 8, 101, 600)],
+    ids=[f"{prefix}{p}" for prefix in ("", "verify-") for p in (2, 3, 8, 101, 600)],
+)
+def test_records_scan_top_terms_once(monkeypatch, worker, p):
+    """Each canonical pair's top terms are scanned once, by the sweep's
+    worker and by verify's, which tests the trigger on them and hands the
+    same terms to the records it builds (k = 2 and the trigger pairs)."""
+    pairs = len(_canonical_params(p))
+    calls = []
+    fn = lenspoly.sweep._top_terms
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(lenspoly.sweep, "_top_terms", counted)
     worker(p)
     assert len(calls) == pairs
 
