@@ -95,17 +95,18 @@ class GeneratedPolynomial(NamedTuple):
 
 
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}  # slot bytes -> typecode
-# m -> the bytes m - 1, m, m + 1 (those in 0..255)
-_FLAT_COUNTS = [bytes(range(max(m - 1, 0), min(m + 2, 256))) for m in range(256)]
+_FLAT_COUNTS = [bytes(range(max(m - 1, 0), m + 2)) for m in range(128)]  # m -> m - 1, m, m + 1
 
 
 def _step_marks(n: int) -> int:
-    """About how many residue marks, set one at a time, one doubling step
-    of :func:`_residue_values` costs on a period of n bytes: 8 + n/64 while
-    its big ints stay in cache, 8 + n/16 past 128 KiB (measured on a
-    2-vCPU x86-64 machine under CPython 3.11: about 11 marks at 640 B, 60
-    at 6 KB, 18,500 at 600 KB and 550,000 at 16 MB)."""
-    return 8 + (n >> 6 if n <= 1 << 17 else n >> 4)
+    """How many residue marks, set one at a time, one doubling step of
+    :func:`_residue_values` may cost on a period of n bytes: 8 + n/32, at
+    or above every cost measured (2-vCPU x86-64, CPython 3.11): a step
+    cost 7 marks at 640 B, 36 at 6 KB, 440 at 60 KB, 1,500-3,500 at
+    128-260 KB, 6,000-11,500 at 330-600 KB, 20,000 at 1 MB, 92,000 at
+    4 MB and 390,000-430,000 at 16 MB, each step's temporaries past glibc's
+    128 KiB mmap threshold costing page faults."""
+    return 8 + (n >> 5)
 
 
 def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
@@ -134,8 +135,9 @@ def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int
       each doubling step ORs in the marks turned by t = min(h, k - h)
       terms, until h = k.  h is k, halved (rounding up) while that stays
       at or above :func:`_step_marks` of the period's bytes, so every
-      step adds more marks than it costs.  4- and 8-byte slots never
-      double: there k/2 <= p/4 < _step_marks(4p).
+      step adds more marks than it costs.  The CLI's largest pair,
+      (4000037, 685377), has k/2 < _step_marks(16 MB) and never doubles:
+      a step there would add temporaries of tens of MB.
     * Since q2 = k2^2 and k*k2 = e (mod p), step = e*k2 (mod p), a unit,
       never 0: the starts x_i run through every residue once, so
       a_i = a_-i for all i says exactly that ``w`` is symmetric about 0.
@@ -148,7 +150,8 @@ def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int
     q2 %= p
     first = (q2 * (c + 1) - (k2 if e > 0 else 0)) % p  # j = 1
     size = 1 << ((k.bit_length() - 1) >> 3).bit_length()  # bytes per slot
-    n, bits = p * size, 8 * p * size
+    b, n = 8 * size, p * size
+    bits = b * p
     h, least = k, _step_marks(n)
     while h + 1 >> 1 >= least:
         h = h + 1 >> 1
@@ -160,12 +163,12 @@ def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int
     if h < k:
         period = (1 << bits) - 1
         while h < k:  # the marks j < h, moved on by t terms of S, add j = h..h+t-1
-            t = min(h, k - h)
-            x = box << 8 * size * (t * q2 % p)
+            t = h if 2 * h <= k else k - h
+            x = box << b * (t * q2 % p)
             box |= (x & period) | (x >> bits)
             h += t
-    box = (box << 8 * size * k2) - box
-    box //= (1 << 8 * size) - 1
+    box = (box << b * k2) - box
+    box //= (1 << b) - 1
     top = box >> bits  # the counts past the period, of the windows that wrap round
     box -= top << bits
     box += top
@@ -188,8 +191,8 @@ def _period(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
     (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
     """
     w, step, e, m = period = _residue_values(params)
-    if w[1:] != w[:0:-1]:
-        p = params.p
+    p = len(w)
+    if w[1:(p + 1) // 2] != w[:p // 2:-1]:  # w[x] against w[p - x]
         bad = next(i for i in range(1, p // 2 + 1) if w[-i * step % p] != w[i * step % p])
         raise IntegrityError(p, params.k, "a_i != a_-i", index=bad)
     return period
@@ -235,17 +238,9 @@ def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, i
 def _is_flat(w: bytes | array, m: int) -> bool:
     """Whether every a_i of a period is -1, 0 or 1: every count is m - 1,
     m or m + 1.  For 1-byte slots, ``translate`` deletes those counts and
-    must leave nothing.  For 2-byte slots where m - 1..m + 1 does not
-    straddle a multiple of 256, those counts share the high byte m >> 8:
-    ``translate`` deletes the low bytes of m - 1, m, m + 1 from the low
-    byte plane and m >> 8 from the high one, and both must leave nothing.
-    Otherwise min and max decide."""
+    must leave nothing."""
     if isinstance(w, bytes):  # m <= k/2 < 128, as k2 <= p/2
         return not w.translate(None, _FLAT_COUNTS[m])
-    if w.itemsize == 2 and (m - 1) >> 8 == (m + 1) >> 8:
-        raw, low = w.tobytes(), sys.byteorder == "big"  # the offset of the low bytes
-        return not (raw[low::2].translate(None, _FLAT_COUNTS[m & 255])
-                    or raw[1 - low::2].translate(None, bytes((m >> 8,))))
     return m - 1 <= min(w) and max(w) <= m + 1
 
 

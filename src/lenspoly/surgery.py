@@ -175,4 +175,5 @@ def derive_invariants(params: SurgeryParams) -> DerivedInvariants:
     # (coprimality), so k+1-p is even.
     c = (k - 1) * (k + 1 - p) // 2
     assert 2 * c == (k - 1) * (k + 1 - p)
-    return DerivedInvariants(k2, e, m, q, q2, c)
+    # tuple.__new__ skips the Python frame of the generated __new__
+    return tuple.__new__(DerivedInvariants, (k2, e, m, q, q2, c))
