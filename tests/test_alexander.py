@@ -394,11 +394,12 @@ def test_kernel_matches_marking_loop():
 
 
 def test_largest_cli_pair_never_doubles():
-    """At the largest pair the CLI is timed on, a doubling step would cost
-    more than the marks it adds, and its temporaries would add tens of MB
-    to the peak: the kernel marks all k residues one by one there."""
+    """At (4000037, 685377), the pair whose CLI memory the README quotes,
+    a doubling step would cost more than the marks it adds and add tens
+    of MB of temporaries: the kernel marks all k residues one by one
+    there, though a k of twice the cutoff on that period doubles once."""
     assert doubling_steps(4000037, 685377) == 0
-    assert doubling_steps(4000037, 2 * _step_marks(4 * 4000037)) == 1  # a larger k would
+    assert doubling_steps(4000037, 2 * _step_marks(4 * 4000037)) == 1
 
 
 def test_kernel_slot_widths():
