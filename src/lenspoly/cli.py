@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from itertools import islice
 
@@ -38,7 +39,6 @@ from .surgery import (
 from .sweep import (
     CheckpointError,
     SweepConfig,
-    _encode_json,
     run_sweep,
     verify,
 )
@@ -53,6 +53,9 @@ _MAX_GENERATED_P = 2**22
 # Terms of `poly` text written to stdout at a time: the text of a large
 # polynomial (40 MiB at the largest p) is never held whole.
 _POLY_CHUNK_TERMS = 4096
+# The compact JSON the commands print: every object encoded is a fresh
+# tree, so there are no cycles to check.
+_encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _resolve_params(args) -> SurgeryParams:

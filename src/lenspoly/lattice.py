@@ -16,8 +16,10 @@ i* the column of alpha_0 in row 0, cell (i, j) has the coordinate
 Proof: k*k2 = e and e^2 = 1 give k2*j*e*k = j (mod p), so the right side
 is j + k2*i - k2*c + g = t + (k2*(i* - c) + g).  So A[i, j] is
 ``period[t mod p]``: the cell is in the region iff ``t mod p <= 2g``, in
-translate ``t // p``.  Views gather row 0 at the paper's index, and
-:meth:`NonZeroRegion.window_translates` checks the anchor.
+translate ``t // p``.  Views gather row 0 at the paper's index.
+:meth:`NonZeroRegion.window_translates` checks the anchor and states this
+rule once: the tracer, the SVG shading and :func:`covered_translates` all
+read their translates off its table.
 
 >>> params, gen = SurgeryParams(19, 7), generate(SurgeryParams(19, 7))
 >>> row = build_view(params, "A", Window(0, 18, 0, 0), gen).rows[0]
@@ -192,21 +194,6 @@ class NonZeroRegion(NamedTuple):
         cells = tuple(chain.from_iterable(columns))
         return tuple(cells[m::h] for m in range(h))
 
-    def column_span(self, translate: int, j0: int, j1: int) -> tuple[int, int]:
-        """Inclusive x-range of this translate's columns meeting rows j0..j1.
-
-        Column x = i* + n of translate r covers y in
-        [-n*k2 + p*r, -n*k2 + p*r + min(2g, p - 1)]: the residue s is at
-        most p - 1, so when 2g >= p the column is cut after p cells and
-        :meth:`window_translates` puts the rest in translate r + 1.
-        Intersecting with [j0, j1] bounds n on both sides.  Returns (lo,
-        hi); empty when lo > hi.
-        """
-        p, k2 = self.params.p, self.params.inv.k2
-        n_lo = -((j1 - p * translate) // k2)  # ceil((p*r - j1)/k2)
-        n_hi = (p * translate + min(2 * self.g, p - 1) - j0) // k2
-        return (self.istar + n_lo, self.istar + n_hi)
-
 
 def _translate_run(t: int, n: int, p: int, cap: int) -> list[int | None]:
     """Translate index of t, t + 1, ..., t + n - 1, laid down block by
@@ -328,26 +315,24 @@ def trace_curves(
 def covered_translates(
     params: SurgeryParams, window: Window, gen: GeneratedPolynomial | None = None
 ) -> list[int]:
-    """Region translates whose arrows in rows j0..j1 all fit inside the window.
+    """Region translates with a cell in the window whose region cells in
+    rows j0..j1, zero entries included, all lie in columns i0..i1.
 
     Only these translates are guaranteed a complete, uncut curve piece;
-    see :func:`trace_curves` on boundary clipping.  ``gen`` as in
-    :func:`build_view`.
+    see :func:`trace_curves` on boundary clipping.  The columns of one
+    translate that meet rows j0..j1 are consecutive, so they are read off
+    :meth:`NonZeroRegion.window_translates` of the window widened by one
+    column on each side: a translate is covered when it occurs in the
+    table but in neither edge column.  ``gen`` as in :func:`build_view`.
     """
     if gen is None:
         gen = generate(params)
     if gen.poly.g == 0 or window.is_empty():
         return []
-    region = non_zero_region(params, gen)
-    istar, k2, p = region.istar, params.inv.k2, params.p
-    r_lo = (window.j0 + (window.i0 - istar) * k2) // p - 1
-    r_hi = (window.j1 + (window.i1 - istar) * k2) // p + 1
-    out = []
-    for r in range(r_lo, r_hi + 1):
-        lo, hi = region.column_span(r, window.j0, window.j1)
-        if lo <= hi and window.i0 <= lo and hi <= window.i1:
-            out.append(r)
-    return out
+    rows = non_zero_region(params, gen).window_translates(
+        window._replace(i0=window.i0 - 1, i1=window.i1 + 1))
+    edges = set(map(itemgetter(0), rows)) | set(map(itemgetter(-1), rows))
+    return sorted(set(chain.from_iterable(rows)) - edges - {None})
 
 
 def check_lemma(params: SurgeryParams) -> bool:

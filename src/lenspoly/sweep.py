@@ -93,9 +93,6 @@ _JSONL_ROW = "{" + ",".join(
 _JSON_BOOLS = ("false", "true")
 _csv_bool = {"0": False, "1": True}.__getitem__  # the only bool fields a CSV row has
 _row_values = itemgetter(*CSV_COLUMNS)  # a parsed JSONL row's values, in column order
-# the compact JSON of the CLI: every object encoded is a fresh tree, so
-# there are no cycles to check
-_encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 class Violation(NamedTuple):

@@ -541,6 +541,8 @@ def test_top_coefficient():
     assert top_coefficient(trivial, 0) == 1
     assert top_coefficient(trivial, 1) == 0
     assert top_coefficient(t25, 99) == 0  # far past the bottom end
+    with pytest.raises(ValueError, match="non-negative"):
+        top_coefficient(t25, -1)
 
 
 def test_top_terms_match_top_coefficient_up_to_300():
@@ -608,6 +610,8 @@ def test_symmetric_type_validation():
         SymmetricLaurentPolynomial(g=1, coeffs=(0, 1, 0))   # zero top
     with pytest.raises(ValueError):
         SymmetricLaurentPolynomial(g=1, coeffs=(1, 1))      # wrong length
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        SymmetricLaurentPolynomial(g=-1, coeffs=())
     SymmetricLaurentPolynomial(g=0, coeffs=(1,))
 
 

@@ -24,11 +24,11 @@ from lenspoly.alexander import (
     generate,
     polynomial,
 )
-from lenspoly.cli import main
+from lenspoly.cli import _encode_json, main
 from lenspoly.lattice import Window, fundamental_window, non_zero_region, trace_curves
 from lenspoly.render import ascii_curves
 from lenspoly.surgery import SurgeryParams
-from lenspoly.sweep import _encode_json, enumerate_params
+from lenspoly.sweep import enumerate_params
 from test_lattice import svg_curves_per_cell
 
 

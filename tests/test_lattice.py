@@ -333,10 +333,39 @@ def test_region_trivial_polynomial():
 # -------------------------------------------------------------------- curves
 
 
+def column_span(region, translate, j0, j1):
+    """Inclusive x-range of this translate's columns meeting rows j0..j1.
+
+    Column x = i* + n of translate r covers y in
+    [-n*k2 + p*r, -n*k2 + p*r + min(2g, p - 1)]: the residue s is at most
+    p - 1, so when 2g >= p the column is cut after p cells and
+    window_translates puts the rest in translate r + 1.  Intersecting
+    with [j0, j1] bounds n on both sides.  Returns (lo, hi); empty when
+    lo > hi.
+    """
+    p, k2 = region.params.p, region.params.inv.k2
+    n_lo = -((j1 - p * translate) // k2)  # ceil((p*r - j1)/k2)
+    n_hi = (p * translate + min(2 * region.g, p - 1) - j0) // k2
+    return (region.istar + n_lo, region.istar + n_hi)
+
+
+def covered_translates_spans(region, window):
+    """Oracle for covered_translates by the column_span algebra: the
+    translates near the window's corners whose columns meeting rows
+    j0..j1 form a non-empty span inside i0..i1."""
+    if window.is_empty():
+        return []
+    istar, k2, p = region.istar, region.params.inv.k2, region.params.p
+    r_lo = (window.j0 + (window.i0 - istar) * k2) // p - 1
+    r_hi = (window.j1 + (window.i1 - istar) * k2) // p + 1
+    spans = {r: column_span(region, r, window.j0, window.j1) for r in range(r_lo, r_hi + 1)}
+    return [r for r, (lo, hi) in spans.items() if window.i0 <= lo <= hi <= window.i1]
+
+
 def window_for_translates(params, translates, j0, j1):
     """Smallest window over rows j0..j1 fully covering the given translates."""
     region = non_zero_region(params)
-    spans = [region.column_span(r, j0, j1) for r in translates]
+    spans = [column_span(region, r, j0, j1) for r in translates]
     spans = [(lo, hi) for lo, hi in spans if lo <= hi]
     if not spans:
         return Window(0, -1, j0, j1)
@@ -449,12 +478,12 @@ def window_translates_cells(region, window):
 
 
 def test_covered_translates_match_translate_index():
-    """covered_translates equals the cell-by-cell reading, and
-    window_translates equals translate_index cell by cell, on the
-    fundamental window and two seeded windows of every nontrivial pair
-    with p <= 60, the pairs with 2g >= p (overlapping columns) included.
-    window_translates is also checked on one-row windows wider than p
-    and on windows empty in i and in j."""
+    """covered_translates equals the cell-by-cell reading and the
+    column_span algebra, and window_translates equals translate_index
+    cell by cell, on the fundamental window and two seeded windows of
+    every nontrivial pair with p <= 60, the pairs with 2g >= p
+    (overlapping columns) included, and on one-row windows wider than p
+    and windows empty in i and in j."""
     assert covered_translates(SurgeryParams(16, 7), Window(7, 19, 4, 36)) == [5, 6, 7, 8]
     assert -3 in covered_translates(SurgeryParams(26, 5), Window(-22, 16, -12, 46))
     rng = random.Random(14)
@@ -469,18 +498,18 @@ def test_covered_translates_match_translate_index():
         for _ in range(2):
             i0, j0 = rng.randint(-p, p), rng.randint(-2 * p, 2 * p)
             windows.append(Window(i0, i0 + rng.randint(0, p), j0, j0 + rng.randint(0, 3 * p)))
+        for window in windows:
+            laid[params.inv.k2 <= window.height()] += 1
+            checked += 1
+        i0, j0 = rng.randint(-2 * p, p), rng.randint(-2 * p, 2 * p)
+        windows += [Window(i0, i0 + p + rng.randint(1, 2 * p), j0, j0),
+                    Window(i0, i0 - rng.randint(1, 3), j0, j0 + rng.randint(0, 2 * p)),
+                    Window(i0, i0 + rng.randint(0, 2 * p), j0, j0 - rng.randint(1, 3))]
         region = non_zero_region(params, gen)
         for window in windows:
             expected = covered_translates_cells(params, window)
             assert covered_translates(params, window, gen) == expected, (params, window)
-            assert list(map(list, region.window_translates(window))) == \
-                window_translates_cells(region, window), (params, window)
-            laid[params.inv.k2 <= window.height()] += 1
-            checked += 1
-        i0, j0 = rng.randint(-2 * p, p), rng.randint(-2 * p, 2 * p)
-        for window in (Window(i0, i0 + p + rng.randint(1, 2 * p), j0, j0),
-                       Window(i0, i0 - rng.randint(1, 3), j0, j0 + rng.randint(0, 2 * p)),
-                       Window(i0, i0 + rng.randint(0, 2 * p), j0, j0 - rng.randint(1, 3))):
+            assert covered_translates_spans(region, window) == expected, (params, window)
             assert list(map(list, region.window_translates(window))) == \
                 window_translates_cells(region, window), (params, window)
     assert checked == 810 and wide > 1
@@ -504,8 +533,13 @@ def test_trace_curves_ordered_by_translate():
 
 
 def test_trace_curves_trivial_and_empty():
+    """A trivial pair, and a window empty in i or in j, has no curve and
+    no covered translate."""
     assert trace_curves(SurgeryParams(13, 1), Window(-5, 5, -5, 5)) == []
     assert trace_curves(SurgeryParams(11, 2), Window(3, 2, 0, 1)) == []
+    assert covered_translates(SurgeryParams(7, 1), Window(-3, 3, -7, 7)) == []
+    assert covered_translates(SurgeryParams(11, 2), Window(3, 2, -6, 5)) == []
+    assert covered_translates(SurgeryParams(11, 2), Window(-1, 6, 0, -1)) == []
 
 
 def test_single_component_per_covered_translate():
@@ -946,3 +980,16 @@ def test_render_examples_script(tmp_path):
         expected = svg_curves(params, window, trace_curves(params, window),
                               non_zero_region(params))
         assert (tmp_path / f"curves_{params.p}_{params.k}.svg").read_text() == expected
+    # the lines around the ASCII art, covered translates included
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith(("===", "polynomial:", "curves:", "wrote"))] == [
+        "=== (p, k) = (11, 2) ===",
+        "polynomial: t^2 - t + 1 - t^-1 + t^-2",
+        "curves: 5 components, translates [-1, 0, 1, 2, 3] (fully covered: [0, 1, 2])",
+        f"wrote {tmp_path / 'curves_11_2.svg'}",
+        "=== (p, k) = (19, 7) ===",
+        "polynomial: t^5 - t^4 + t^2 - t + 1 - t^-1 + t^-2 - t^-4 + t^-5",
+        "curves: 10 components, translates [-2, -2, -1, -1, 0, 1, 2, 2, 3, 3]"
+        " (fully covered: [0, 1])",
+        f"wrote {tmp_path / 'curves_19_7.svg'}",
+    ]

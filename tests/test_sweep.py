@@ -17,6 +17,7 @@ import lenspoly.alexander
 import lenspoly.surgery
 import lenspoly.sweep
 from lenspoly.alexander import IntegrityError, _period, generate
+from lenspoly.cli import _encode_json
 from lenspoly.lattice import check_lemma
 from lenspoly.surgery import SurgeryParams, _canonical_params, reduce_mod
 from lenspoly.sweep import (
@@ -26,7 +27,6 @@ from lenspoly.sweep import (
     SweepRecord,
     SweepSummary,
     Violation,
-    _encode_json,
     _map_over_p,
     _parse_row,
     _records_for_p,
