@@ -95,7 +95,10 @@ class GeneratedPolynomial(NamedTuple):
 
 
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}  # slot bytes -> typecode
-_FLAT_COUNTS = [bytes(range(max(m - 1, 0), m + 2)) for m in range(128)]  # m -> m - 1, m, m + 1
+_FLAT_COUNTS = [bytes(range(max(m - 1, 0), m + 2)) for m in range(255)]  # m -> m - 1, m, m + 1
+_SIGNS = [bytes(m + 1) + b"\1" * (255 - m) for m in range(128)]  # m -> count c to [c > m]
+_HIGH = int(sys.byteorder == "little")  # the high byte's offset in a 2-byte slot
+_TOP = 16  # the alternation scan's top window
 
 
 def _step_marks(n: int) -> int:
@@ -237,10 +240,15 @@ def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, i
 
 def _is_flat(w: bytes | array, m: int) -> bool:
     """Whether every a_i of a period is -1, 0 or 1: every count is m - 1,
-    m or m + 1.  For 1-byte slots, ``translate`` deletes those counts and
-    must leave nothing."""
+    m or m + 1.  ``translate`` deletes those counts and must leave nothing,
+    in 1-byte slots and, when m - 1, m and m + 1 share a high byte h, in
+    2-byte slots' raw bytes: every high byte h, every low byte theirs."""
     if isinstance(w, bytes):  # m <= k/2 < 128, as k2 <= p/2
         return not w.translate(None, _FLAT_COUNTS[m])
+    if w.itemsize == 2 and (m + 1) >> 8 == max(m - 1, 0) >> 8:
+        raw = w.tobytes()
+        return not (raw[1 - _HIGH::2].translate(None, _FLAT_COUNTS[m & 255])
+                    or raw[_HIGH::2].translate(None, bytes((m >> 8,))))
     return m - 1 <= min(w) and max(w) <= m + 1
 
 
@@ -251,6 +259,13 @@ def _alternation(w: bytes | array, step: int, e: int, m: int, g: int) -> tuple[b
     a_0 and stops at the first two nonzero terms in a row with one sign.
     a_0..a_g decide it, by symmetry, but for one case: a_0 = 0 puts the
     two copies of the first nonzero a_i (i > 0) side by side, with one sign.
+
+    The period is symmetric, so a_i's count is w[i*s mod p] with s =
+    min(step, p - step): a stride of s through g*s bytes of copies of w
+    reads a_0..a_g.  For a 1-byte period with g > _TOP the scan stops
+    after the top _TOP terms, and ``translate`` deletes the
+    zero terms of a_0..a_g and marks the others by sign: two marks in a
+    row alike are two nonzero terms in a row with one sign.
 
     >>> _alternation(*_period(SurgeryParams(7, 2)), 1)  # t - 1 + t^-1
     (True, True)
@@ -273,7 +288,9 @@ def _alternation(w: bytes | array, step: int, e: int, m: int, g: int) -> tuple[b
     [(True, False), (True, True), (True, True)]
     """
     p, prev, strictly = len(w), 0, True
-    for x in range(-g * step, step, step):  # a_i sits at -i*step, i = g..0
+    s = step if 2 * step <= p else p - step
+    copy = g > _TOP and isinstance(w, bytes)
+    for x in range(-g * step, (_TOP - g) * step if copy else step, step):  # a_i at -i*step
         a = e * (w[x % p] - m)
         if a:
             if a * prev > 0:
@@ -281,6 +298,11 @@ def _alternation(w: bytes | array, step: int, e: int, m: int, g: int) -> tuple[b
             prev = a
         else:
             strictly = False
+    if copy:  # the top terms passed: read a_0..a_g, deleting the count m
+        signs = (w * (g * s // p + 1))[:g * s + 1:s].translate(_SIGNS[m], bytes((m,)))
+        if b"\0\0" in signs or b"\1\1" in signs:
+            return False, False
+        strictly = len(signs) == g + 1
     return w[0] != m or not g, strictly
 
 

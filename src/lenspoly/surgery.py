@@ -4,9 +4,9 @@ A lens surgery parameter is a coprime pair (p, k) with p >= 2.  The class
 k lives in (Z/p)^* and has four equivalent representatives k, -k, k^-1,
 -k^-1; we normalize to the smallest positive representative in (0, p/2].
 :class:`SurgeryParams` checks that and derives (k2, e, m, q, q2, c) once,
-as ``params.inv``, and :func:`_canonical_params` lists the canonical pairs
-of one p, each validated and derived once (:func:`_canonical_ks` lists
-only their k).  Everything in this module is plain, exact integer
+as ``params.inv``; :func:`_canonical_params` lists the canonical pairs of
+one p, each validated once, by its own walk, and derived once
+(:func:`_canonical_ks` lists only their k).  Everything in this module is plain, exact integer
 arithmetic -- Python integers are unbounded, so there is no overflow to
 worry about even far beyond p = 10^6.
 
@@ -54,7 +54,8 @@ class SurgeryParams:
     minimal representative of its class orbit {±k, ±k^-1 mod p} within
     (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_ks`).
     Validation derives the invariants once and keeps them as ``inv``;
-    ``repr``, ``==`` and ``hash`` ignore it.
+    ``repr``, ``==`` and ``hash`` ignore it.  :func:`_canonical_params`
+    builds its pairs without this check, as its walk has made it.
     """
 
     p: int
@@ -125,8 +126,9 @@ def _canonical_ks(p: int) -> list[int]:
 def _canonical_params(p: int) -> list[SurgeryParams]:
     """The canonical parameters of one p, ascending in k: the walk of
     :func:`_canonical_ks`, which states the orbit rule, but each k2 read
-    off the parameter's invariants, so each canonical k is validated and
-    derived once, by its SurgeryParams.
+    off the parameter's invariants, so each canonical k is derived once.
+    The walk checks what SurgeryParams validates (gcd, 1 <= k <= p/2 and,
+    by the partner rule, k <= k2), so it fills each one in directly.
 
     >>> [params.k for params in _canonical_params(11)]
     [1, 2, 3]
@@ -134,8 +136,11 @@ def _canonical_params(p: int) -> list[SurgeryParams]:
     partnered, pairs = bytearray(p // 2 + 1), []
     for k in range(1, p // 2 + 1):
         if not partnered[k] and gcd(k, p) == 1:
-            pairs.append(params := SurgeryParams(p, k))
-            partnered[params.inv.k2] = 1
+            pairs.append(params := object.__new__(SurgeryParams))
+            params.__dict__.update(p=p, k=k)
+            params.__dict__["inv"] = inv = derive_invariants(params)
+            assert k <= inv.k2
+            partnered[inv.k2] = 1
     return pairs
 
 

@@ -7,16 +7,16 @@ progress: rows come in ascending (p, k), one flushed batch per p, so a
 resume keeps the rows of every complete p, drops the rest and continues.
 
 A :class:`SweepRecord` is one report row: its fields are the columns, in
-order.  It is read off the pair's checked period, the window counts of
-:func:`lenspoly.alexander._period`, and gathers nothing: flatness is one
-whole-period test of the counts, and the alternation scan down from a_g
-stops at the first two nonzero terms in a row with one sign, with
-p <= 640 early on 26,372 of the 31,932 pairs, a median of 4 coefficients
-below a_g.  ``verify`` works by p too,
-but it checks every pair's period and reads only its top three
-coefficients off it; it builds the record only for a pair with the
-pattern (1, -1, nonzero) or with k = 2, as no other pair is the
-hypothesis of the theorem or of either direction of the corollary.
+order.  Each pair comes from the canonical walk of its p, which validates
+it once, and its row is read off its checked period, the window counts
+of :func:`lenspoly.alexander._period`, gathering nothing: flatness is a
+``translate`` of the counts' bytes (up to 2-byte counts), and alternation
+a scan of the top 16 terms, then, for 1-byte counts, one strided read of
+a_0..a_g (6,216 of the 31,932 pairs with p <= 640 get that far).
+``verify`` works by p too, but it checks every pair's period and reads
+only its top three coefficients off it; it builds the record only for a
+pair with the pattern (1, -1, nonzero) or with k = 2, as no other pair
+is the hypothesis of the theorem or of either direction of the corollary.
 
 With more than one job, each worker process has its own pipe and is
 handed chunks of 4 consecutive p on demand, two ahead; the coordinator
@@ -27,7 +27,7 @@ report resumes from its last complete p.  A sweep's worker hands back
 finished rows: for its p it returns the batch's report text, the batch's
 counts for the summary and the time its records took, so the coordinator
 only writes text and adds counts, and receives no record.  Each row is
-one ``%``-format of a precomputed string per report format.
+one ``%``-format of its int columns and one lookup of its bools' text.
 
 Report files carry no timing: each worker times the records of its p
 (computing them, not serializing or counting them), and the per-p and
@@ -42,7 +42,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
@@ -82,15 +82,16 @@ CSV_COLUMNS = SweepRecord._fields
 _CSV_HEADER = ",".join(CSV_COLUMNS)
 _COLUMN_TYPES = tuple(get_type_hints(SweepRecord).values())  # int or bool
 _INTS = _COLUMN_TYPES.index(bool)  # the int columns come first, then the bools
-# One format string per report format.  %d prints an int, and a bool as
-# 0 or 1 as the CSV wants; JSONL has the column names baked in and takes
-# each bool as its JSON spelling.
-_CSV_ROW = ",".join(["%d"] * len(CSV_COLUMNS)) + "\n"
-_JSONL_ROW = "{" + ",".join(
-    f'"{name}":' + ("%d" if kind is int else "%s")
-    for name, kind in zip(CSV_COLUMNS, _COLUMN_TYPES)
-) + "}\n"
-_JSON_BOOLS = ("false", "true")
+_BOOLS = CSV_COLUMNS[_INTS:]
+# A row: a format of its int columns, then its bools' text looked up by
+# their values (0 or 1 in CSV, JSON spellings in JSONL), built at C speed.
+_ROW_HEAD = {"csv": "%d," * _INTS,
+             "jsonl": "{" + "".join(f'"{n}":%d,' for n in CSV_COLUMNS[:_INTS])}
+_ROW_TAIL = {fmt: dict(zip(product((False, True), repeat=len(_BOOLS)),
+                           map(tail.__mod__, product(spellings, repeat=len(_BOOLS)))))
+             for fmt, tail, spellings in (
+                 ("csv", ",".join(["%s"] * len(_BOOLS)) + "\n", "01"),
+                 ("jsonl", ",".join(f'"{n}":%s' for n in _BOOLS) + "}\n", ("false", "true")))}
 _csv_bool = {"0": False, "1": True}.__getitem__  # the only bool fields a CSV row has
 _row_values = itemgetter(*CSV_COLUMNS)  # a parsed JSONL row's values, in column order
 
@@ -164,7 +165,7 @@ def compute_record(
     trivial = g == 0 and top0 == 1  # a_g is a_0 when g = 0
     flat = _is_flat(w, m)  # w holds the count of every a_i, |i| <= p/2
     alternating, strictly = _alternation(w, step, e, m, g)
-    return SweepRecord(
+    return tuple.__new__(SweepRecord, (  # without the generated __new__'s frame
         params.p, params.k, params.inv.k2, e, m, g, top1, top2, trivial, flat, alternating,
         # torus2_match: the coefficients are T(2, 2g+1)'s, as every one is
         # +-1, the signs alternate and the top one is 1
@@ -172,7 +173,7 @@ def compute_record(
         trivial or (top0 == 1 and top1 == -1),  # top_sign_ok
         check_lemma(params),  # lemma_hypothesis
         True, True,  # lemma_bound_ok, lemma_zeros_ok: always (see check_lemma)
-    )
+    ))
 
 
 def _records_for_p(p: int) -> tuple[list[SweepRecord], int]:
@@ -358,13 +359,12 @@ def verify_theorem(max_p: int, jobs: int = 1) -> list[Violation]:
 
 
 def _serialize_row(record: SweepRecord, fmt: str) -> str:
-    if fmt == "csv":
-        return _CSV_ROW % record
-    return _JSONL_ROW % (*record[:_INTS], *[_JSON_BOOLS[b] for b in record[_INTS:]])
+    return _serialize_batch([record], fmt)
 
 
 def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
-    return "".join([_serialize_row(record, fmt) for record in records])
+    head, tail = _ROW_HEAD[fmt], _ROW_TAIL[fmt]
+    return "".join([head % record[:_INTS] + tail[record[_INTS:]] for record in records])
 
 
 def _parse_row(line: str, fmt: str) -> SweepRecord:
@@ -453,8 +453,8 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
 def _tally(summary: SweepSummary, records: list[SweepRecord]) -> None:
     """Count the rows of a batch into summary: fresh rows, in the worker
     that computed them, and resumed rows, as the report is read."""
+    summary.records += len(records)
     for record in records:
-        summary.records += 1
         if not record.trivial:
             summary.nontrivial += 1
             summary.top_sign_ok += record.top_sign_ok

@@ -30,7 +30,12 @@ from lenspoly.alexander import (
     top_coefficient,
     torus_polynomial,
 )
-from lenspoly.surgery import SurgeryParams, canonicalize_dual_class, derive_invariants
+from lenspoly.surgery import (
+    SurgeryParams,
+    _canonical_params,
+    canonicalize_dual_class,
+    derive_invariants,
+)
 from lenspoly.sweep import enumerate_params
 from test_sweep import is_alternating_full, is_flat_full
 
@@ -438,6 +443,117 @@ def test_flat_one_byte_periods_match_oracle():
         for w in periods:
             assert _is_flat(w, m) == is_flat_full([c - m for c in w]), (m, w)
     assert [_is_flat(bytes([c]), 0) for c in range(4)] == [True, True, False, False]
+
+
+def test_flat_two_byte_periods_match_oracle():
+    """_is_flat on hand-made 2-byte periods agrees with the flatness of
+    their coefficients count - m, at m = 0, 1, 255, 256, 257, 511 and
+    512: where m - 1, m and m + 1 share a high byte (the test on raw
+    bytes) and where they straddle two (min and max), with counts that
+    share m's low byte but not its high byte among them; and on every
+    canonical pair with k >= 256 (2-byte slots) and p <= 700, nine of
+    them flat, it agrees with the flatness of the generated polynomial."""
+    for m in (0, 1, 255, 256, 257, 511, 512):
+        near = [c for c in range(m - 2, m + 3) if c >= 0]
+        far = [c for d in (255, 256, 257) for c in (m - d, m + d) if c >= 0]
+        periods = [[m], near, [m + 1, m, m + 1], [65535, m], [0, m, 0],
+                   list(range(max(m - 1, 0), m + 2)) * 3]
+        periods += [[m, c, m] for c in near + far]
+        for counts in periods:
+            assert _is_flat(array("H", counts), m) == is_flat_full([c - m for c in counts]), (
+                m, counts)
+    flat = 0
+    for params in enumerate_params(700):
+        if params.k >= 256:
+            w, step, e, m = _period(params)
+            assert slot_bytes(w) == 2, params
+            assert _is_flat(w, m) == is_flat_full(generate(params).poly.coeffs), params
+            flat += _is_flat(w, m)
+    assert flat == 9
+
+
+def alternation_scan(w, step, e, m, g):
+    """The per-coefficient oracle of _alternation: a_g, a_{g-1}, ..., a_0
+    read one at a time, up to the first two nonzero terms in a row with
+    one sign."""
+    p, prev, strictly = len(w), 0, True
+    for x in range(-g * step, step, step):  # a_i sits at -i*step, i = g..0
+        a = e * (w[x % p] - m)
+        if a:
+            if a * prev > 0:
+                return False, False
+            prev = a
+        else:
+            strictly = False
+    return w[0] != m or not g, strictly
+
+
+def test_alternation_matches_scan_up_to_640():
+    """_alternation equals the per-coefficient scan on every canonical
+    pair with p <= 640, where the stride copy reads a_0..a_g of the
+    pairs whose top terms alternate."""
+    copied = 0
+    for params in enumerate_params(640):
+        period = _period(params)
+        g = _top_terms(*period)[0]
+        assert _alternation(*period, g) == alternation_scan(*period, g), params
+        w, step = period[:2]
+        copied += g > lenspoly.alexander._TOP and isinstance(w, bytes)
+    assert copied > 10000
+
+
+def test_alternation_matches_scan_near_1200():
+    """_alternation equals the per-coefficient scan on every canonical
+    pair with 1190 <= p <= 1200, with 1- and 2-byte slots."""
+    widths = Counter()
+    for p in range(1190, 1201):
+        for params in _canonical_params(p):
+            period = _period(params)
+            g = _top_terms(*period)[0]
+            assert _alternation(*period, g) == alternation_scan(*period, g), params
+            widths[slot_bytes(period[0])] += 1
+    assert widths.keys() == {1, 2}
+
+
+def counts_period(half, p, step, e, m):
+    """A symmetric 1-byte period with a_0, a_1, ... = ``half`` and 0 past
+    it: a_i's count is m + e*a_i, at -i*step and i*step mod p."""
+    w = bytearray([m]) * p
+    for i, a in enumerate(half):
+        w[i * step % p] = w[-i * step % p] = m + e * a
+    return bytes(w)
+
+
+def test_alternation_hand_made_periods_match_oracle():
+    """On hand-made periods a_0..a_g, around the top window of _TOP terms
+    that the scan reads before the stride copy: alternating ones, each
+    with one term zeroed, with one same-sign pair at each place, and with
+    a same-sign pair on either side of a zero; the seam between the scan
+    and the copy, (a_{g-_TOP+1}, a_{g-_TOP}), is among those places, and
+    a_0 = 0 among the zeros.  _alternation, the scan oracle and the
+    full-coefficient oracles agree, for steps below and above p/2."""
+    top = lenspoly.alexander._TOP
+    seams = 0
+    for g in (1, 2, top - 1, top, top + 1, top + 2, 3 * top):
+        signs = [(-1) ** (g - i) for i in range(g + 1)]  # a_0..a_g, a_g = 1
+        halves = [signs, [2 * a for a in signs]]
+        for j in range(g):
+            halves.append(signs[:j] + [0] + signs[j + 1:])
+            halves.append(signs[:j] + [signs[j + 1]] + signs[j + 1:])  # a_j, a_{j+1} alike
+            if j:
+                halves.append(signs[:j - 1] + [signs[j + 1], 0] + signs[j + 1:])
+        seams += g > top
+        for half in halves:
+            coeffs = half[:0:-1] + half
+            alternating = is_alternating_full(coeffs)
+            want = alternating, alternating and 0 not in coeffs
+            p = 2 * g + 7
+            for step in (2, p - 2):  # p is odd
+                for e in (1, -1):
+                    w = counts_period(half, p, step, e, 2)
+                    got = _alternation(w, step, e, 2, g)
+                    assert got == alternation_scan(w, step, e, 2, g) == want, (half, step, e)
+    assert seams == 3
 
 
 def test_wide_slots_report_first_asymmetric_index(monkeypatch):

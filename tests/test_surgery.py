@@ -1,5 +1,6 @@
 """Balanced residues and parameter canonicalization."""
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from lenspoly.surgery import (
     derive_invariants,
     reduce_mod,
 )
+from lenspoly.sweep import enumerate_params
 
 
 def coprime_pairs(max_p):
@@ -144,6 +146,22 @@ def test_canonical_params_against_brute_force_orbit():
     # (k2 = k) marks its own k
     assert [[params.k for params in _canonical_params(p)] for p in (2, 3, 4, 6)] == [[1]] * 4
     assert {(5, 2), (10, 3)} <= self_paired
+
+
+def test_enumerated_params_equal_validated_params():
+    """The enumeration builds each SurgeryParams without validating it
+    again, as its walk has checked what validation checks; every pair
+    with p <= 700 is still equal to the validated SurgeryParams(p, k),
+    with the same invariants, hash and repr, and is still frozen."""
+    for params in enumerate_params(700):
+        checked = SurgeryParams(params.p, params.k)
+        assert params == checked and params.inv == checked.inv, checked
+        assert hash(params) == hash(checked) and repr(params) == repr(checked)
+    for name, value in (("p", 8), ("k", 3), ("inv", None), ("other", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, name, value)
+    assert (params.p, params.k) == (700, 349) and params.inv == checked.inv
+    assert vars(params).keys() == {"p", "k", "inv"}
 
 
 def test_canonicalize_against_brute_force_orbit():

@@ -1,6 +1,7 @@
 """Enumeration, record assembly, verification passes, and resumable reports."""
 
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -425,14 +426,18 @@ def test_dead_worker_ends_the_run(tmp_path):
     assert out.read_text() == _sweep(tmp_path, "fresh.csv", max_p=13)[0].read_text()
 
 
-def run_verify_report(*flags):
+def run_script(name, *flags):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(root / "scripts" / "verify_report.py"), *flags],
+        [sys.executable, str(root / "scripts" / name), *flags],
         capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+def run_verify_report(*flags):
+    return run_script("verify_report.py", *flags)
 
 
 def test_verify_report_script():
@@ -454,6 +459,31 @@ def test_verify_report_script():
         proc = run_verify_report(*flags)
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert proc.stderr.startswith("error: ") and "must be >= " in proc.stderr
+
+
+def test_stage_times_script():
+    """scripts/stage_times.py times every stage of the record layer on
+    p <= 30, one line per stage in the order they run, also against a
+    second import of this checkout's package, and bad arguments exit 2."""
+    timing = r"[a-z_]+ +\d+\.\d{4} s +\d+\.\d{3} us/pair"
+    against = timing + r" +against +\d+\.\d{4} s +ratio +\d+\.\d{3}"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    for flags, row_format in (((), timing), (("--against", src), against)):
+        proc = run_script("stage_times.py", "--min-p", "2", "--max-p", "30", "--repeat", "2",
+                          *flags)
+        assert proc.returncode == 0, proc.stderr
+        head, *rows = proc.stdout.splitlines()
+        pairs = sum(len(_canonical_params(p)) for p in range(2, 31))
+        assert head == f"p 2..30: {pairs} pairs, best of 2 per p"
+        assert [row.split()[0] for row in rows] == [
+            "enumerate", "kernel", "top_terms", "flat", "alternation", "record", "tally", "csv",
+            "jsonl"]
+        for row in rows:
+            assert re.fullmatch(row_format, row), row
+    for flags in (("--min-p", "1"), ("--min-p", "9", "--max-p", "8"), ("--repeat", "0")):
+        proc = run_script("stage_times.py", *flags)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 # -------------------------------------------------------------------- sweep
@@ -499,9 +529,10 @@ def row_oracle(record, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_row_format_matches_generic_encoders(fmt):
-    """The one format string per format writes what the generic encoders
-    write: on every record with p <= 200, and on hand-made records with
-    e = -1, negative top coefficients and p past 2^40."""
+    """The row format writes what the generic encoders write: on every
+    record with p <= 200, on hand-made records with e = -1, negative top
+    coefficients and p past 2^40, and on one with each of the 2^8
+    combinations of the bool columns, whose text is looked up."""
     records = [compute_record(params) for params in enumerate_params(200)]
     assert any(r.e == -1 for r in records) and any(r.alpha1 < 0 for r in records)
     big = 2**40 + 15
@@ -511,6 +542,8 @@ def test_row_format_matches_generic_encoders(fmt):
                     *[i % 3 == 0 for i in range(8)]),
         SweepRecord(13, 5, 8, -1, -2, 0, -1, -7, *[True] * 8),
     ]
+    records += [SweepRecord(11, 2, 5, -1, 1, 2, -1, 1, *bools)
+                for bools in itertools.product((False, True), repeat=8)]
     for record in records:
         assert _serialize_row(record, fmt) == row_oracle(record, fmt), record
     assert _serialize_batch(records, fmt) == "".join(row_oracle(r, fmt) for r in records)
@@ -655,7 +688,7 @@ def test_resume_derives_invariants_only_for_a_torn_row(tmp_path, monkeypatch):
     ("jsonl", (5, 1), '"p":5,', '"p": 5,'),
     ("jsonl", (3, 1), '"p":3', '"p":Infinity'),  # OverflowError in int()
     ("jsonl", (4, 1), '"p":4', '"p":1e400'),     # parses as infinity too
-    ("jsonl", (3, 1), '"flat":true', '"flat":7'),  # IndexError in the serialization
+    ("jsonl", (3, 1), '"flat":true', '"flat":7'),  # KeyError in the serialization
     pytest.param("jsonl", (5, 2), "{", "[" * 100_000 + "{", id="jsonl-deep-nesting"),
 ])
 def test_resume_refuses_rows_that_are_not_exact(tmp_path, fmt, pair, old, new):
