@@ -95,9 +95,8 @@ class GeneratedPolynomial(NamedTuple):
 
 
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}  # slot bytes -> typecode
-_FLAT_COUNTS = [bytes(range(max(m - 1, 0), m + 2)) for m in range(255)]  # m -> m - 1, m, m + 1
+_FLAT_COUNTS = [bytes(range(max(m - 1, 0), m + 2)) for m in range(128)]  # m -> m - 1, m, m + 1
 _SIGNS = [bytes(m + 1) + b"\1" * (255 - m) for m in range(128)]  # m -> count c to [c > m]
-_HIGH = int(sys.byteorder == "little")  # the high byte's offset in a 2-byte slot
 _TOP = 16  # the alternation scan's top window
 
 
@@ -221,14 +220,19 @@ def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, i
     """(g, a_g, a_{g-1}, a_{g-2}) of a checked period, scanning down from
     a_{p/2} to the first nonzero term, where the count is not m.  As in
     :func:`top_coefficient`, a_{g-n} is a_{|g-n|} when |g-n| <= g and 0
-    otherwise.
+    otherwise.  A period with m = 0 (k = 1) whose counts are all 0 but
+    w[0] is the constant a_0, found by one ``count`` and no scan.
 
     >>> _top_terms(*_period(SurgeryParams(7, 2)))  # t - 1 + t^-1: a_{g-2} = a_-1
     (1, 1, -1, 1)
     >>> _top_terms(*_period(SurgeryParams(19, 7)))
     (5, 1, -1, 0)
+    >>> _top_terms(*_period(SurgeryParams(13, 1)))  # the constant 1
+    (0, 1, 0, 0)
     """
     p = len(w)
+    if not m and w.count(0) == p - 1 and (a0 := w[0]):  # every a_i = 0 but a_0
+        return 0, e * a0, 0, 0
     g = p // 2
     while g and w[-g * step % p] == m:
         g -= 1
@@ -240,15 +244,10 @@ def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, i
 
 def _is_flat(w: bytes | array, m: int) -> bool:
     """Whether every a_i of a period is -1, 0 or 1: every count is m - 1,
-    m or m + 1.  ``translate`` deletes those counts and must leave nothing,
-    in 1-byte slots and, when m - 1, m and m + 1 share a high byte h, in
-    2-byte slots' raw bytes: every high byte h, every low byte theirs."""
+    m or m + 1.  In 1-byte slots ``translate`` deletes those counts and
+    must leave nothing; wider slots are read by ``min`` and ``max``."""
     if isinstance(w, bytes):  # m <= k/2 < 128, as k2 <= p/2
         return not w.translate(None, _FLAT_COUNTS[m])
-    if w.itemsize == 2 and (m + 1) >> 8 == max(m - 1, 0) >> 8:
-        raw = w.tobytes()
-        return not (raw[1 - _HIGH::2].translate(None, _FLAT_COUNTS[m & 255])
-                    or raw[_HIGH::2].translate(None, bytes((m >> 8,))))
     return m - 1 <= min(w) and max(w) <= m + 1
 
 

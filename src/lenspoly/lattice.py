@@ -262,6 +262,11 @@ def trace_curves(
 
     Components come back ordered by translate index, then by first arrow.
 
+    Memory: each row of the A view is sliced out of its period when the
+    loop reaches it, every arrow of a column holds that column's one int,
+    and each translate's arrow list is released once it is cut, so no
+    list outlives the components cut from it.
+
     Window boundaries can cut a translate's arrow set: the curve is
     monotone in j but jogs horizontally around zero coefficients, so a
     clipped translate may show more than one component.  Checks that
@@ -281,10 +286,12 @@ def trace_curves(
     # each translate's arrows, rows top down, i increasing; every nonzero
     # entry has a translate, since window_translates checks the anchor
     translates: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    cols = range(window.i0, window.i1 + 1)
-    rows = zip(range(window.j1, window.j0 - 1, -1), reversed(view.rows),
+    cols = tuple(range(window.i0, window.i1 + 1))  # one int per column, shared by its arrows
+    period, width = view.period, window.width()
+    rows = zip(range(window.j1, window.j0 - 1, -1), reversed(view.starts),
                reversed(region.window_translates(window)))
-    for j, row, row_translates in rows:
+    for j, start, row_translates in rows:
+        row = period[start:start + width]
         if any(row):
             lists = map(translates.__getitem__, compress(row_translates, row))
             arrows = zip(compress(cols, row), repeat(j), filter(None, row))
@@ -292,7 +299,7 @@ def trace_curves(
 
     components = []
     for tr in sorted(translates):
-        arrows = translates[tr]
+        arrows = translates.pop(tr)  # freed once cut into components
         js = list(map(itemgetter(1), arrows))
         # a curve ends at every empty row between the top and bottom rows
         ends = [len(arrows)]

@@ -448,11 +448,11 @@ def test_flat_one_byte_periods_match_oracle():
 def test_flat_two_byte_periods_match_oracle():
     """_is_flat on hand-made 2-byte periods agrees with the flatness of
     their coefficients count - m, at m = 0, 1, 255, 256, 257, 511 and
-    512: where m - 1, m and m + 1 share a high byte (the test on raw
-    bytes) and where they straddle two (min and max), with counts that
-    share m's low byte but not its high byte among them; and on every
-    canonical pair with k >= 256 (2-byte slots) and p <= 700, nine of
-    them flat, it agrees with the flatness of the generated polynomial."""
+    512: where m - 1, m and m + 1 share a high byte and where they
+    straddle two, with counts that share m's low byte but not its high
+    byte among them; and on every canonical pair with k >= 256 (2-byte
+    slots) and p <= 700, nine of them flat, it agrees with the flatness
+    of the generated polynomial."""
     for m in (0, 1, 255, 256, 257, 511, 512):
         near = [c for c in range(m - 2, m + 3) if c >= 0]
         far = [c for d in (255, 256, 257) for c in (m - d, m + d) if c >= 0]
@@ -675,6 +675,28 @@ def test_top_terms_match_top_coefficient_up_to_300():
     assert {0, 1, 2} <= genera
     # g = 1: a_{g-2} is a_-1 = a_1 = 1, not 0
     assert _top_terms(*_period(SurgeryParams(5, 2))) == (1, 1, -1, 1)
+
+
+class CountedPeriod(bytes):
+    """A 1-byte period that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return super().__getitem__(x)
+
+
+def test_top_terms_read_k1_periods_once():
+    """On every (p, 1) with p <= 200, whose polynomial is the constant 1,
+    _top_terms reads at most one count by index: no scan down from
+    a_{p/2}.  Its answer is unchanged."""
+    for p in range(2, 201):
+        params = SurgeryParams(p, 1)
+        w, step, e, m = _period(params)
+        counted = CountedPeriod(w)
+        assert _top_terms(counted, step, e, m) == (0, 1, 0, 0), p
+        assert counted.reads <= 1, (p, counted.reads)
 
 
 def test_predicates():

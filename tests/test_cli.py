@@ -666,14 +666,20 @@ def test_resume_in_other_format_exit_3(capsys, tmp_path, first, second):
 # ----------------------------------------------------------------- packaging
 
 
-def run_module(*argv):
-    """``python -m lenspoly`` on the source tree, installed or not."""
+def module_env():
+    """The environment in which ``python -m lenspoly`` runs the source
+    tree, installed or not."""
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv):
+    """``python -m lenspoly`` on the source tree, installed or not."""
     return subprocess.run(
         [sys.executable, "-m", "lenspoly", *argv],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=module_env(),
     )
 
 
@@ -697,3 +703,17 @@ def test_console_script_notice_on_stderr():
     assert proc.returncode == 0
     assert proc.stdout == "t^2 - t + 1 - t^-1 + t^-2\n"
     assert "canonical" in proc.stderr
+
+
+def test_closed_stdout_exits_3_quietly():
+    """A reader that closes the pipe before any output comes, as
+    ``verify --max-p 300 | head -1`` may, gets exit 3, the I/O-error
+    code, and nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lenspoly", "verify", "--max-p", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert err == b""
