@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import select
 import sys
 from itertools import islice
 
@@ -275,22 +276,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe or socket whose reader has gone (False
+    where stdout has no file descriptor or ``select.poll`` is missing)."""
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+    except (AttributeError, OSError, ValueError):
+        return False
+    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # flushed here, not at exit, so that a closed stdout is caught below
+        sys.stdout.flush()
+        return status
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout early: no message, and stdout goes to
-        # devnull so the interpreter's last flush cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 3
     except (CheckpointError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            # the reader closed stdout early: no message, and stdout goes
+            # to devnull so the interpreter's last flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except IntegrityError as exc:

@@ -705,15 +705,55 @@ def test_console_script_notice_on_stderr():
     assert "canonical" in proc.stderr
 
 
-def test_closed_stdout_exits_3_quietly():
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max-p", "300"),  # about 4 KB, written by the last flush
+    ("matrix", "-p", "101", "-k", "30"),  # about 16 KB, written while running
+])
+def test_closed_stdout_exits_3_quietly(argv, unbuffered):
     """A reader that closes the pipe before any output comes, as
     ``verify --max-p 300 | head -1`` may, gets exit 3, the I/O-error
-    code, and nothing on stderr."""
+    code, and nothing on stderr, whether stdout is block-buffered (as a
+    pipe is by default) or not."""
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
-        [sys.executable, "-m", "lenspoly", "verify", "--max-p", "300"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+        [sys.executable, "-m", "lenspoly", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 3
     assert err == b""
+
+
+def test_broken_pipe_off_stdout_keeps_its_message(tmp_path):
+    """A broken pipe on a file other than stdout, such as an ``--svg``
+    FIFO whose reader has gone, is an I/O error like any other: exit 3
+    with its message, while stdout stays open."""
+    script = (
+        "import errno, sys, lenspoly.cli as cli\n"
+        "def broken(*args):\n"
+        "    raise BrokenPipeError(errno.EPIPE, 'Broken pipe')\n"
+        "cli.svg_pieces = broken\n"
+        "sys.exit(cli.main(['curve', '-p', '7', '-k', '2', '--svg', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "curve.svg")],
+        capture_output=True, text=True, env=module_env(), timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def test_broken_pipe_without_stdout_fd_keeps_its_message(capsys, monkeypatch, tmp_path):
+    """In process, where stdout has no file descriptor, a broken pipe
+    still exits 3 with its message."""
+    def broken(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(lenspoly.cli, "svg_pieces", broken)
+    code, _, err = run_cli(capsys, "curve", "-p", "7", "-k", "2", "--svg", str(tmp_path / "c.svg"))
+    assert code == 3
+    assert err == "error: [Errno 32] Broken pipe\n"
