@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import select
+import stat
 import sys
 from itertools import islice
 
@@ -146,8 +147,17 @@ def _cmd_curve(args) -> int:
     curves = trace_curves(params, window, gen)
     if args.svg:
         region = non_zero_region(params, gen) if gen.poly.g else None
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.writelines(svg_pieces(params, window, curves, region))
+        # written over in place and cut at its end, not truncated to zero
+        # first (on ext4 that frees every old block); a run killed mid-write
+        # can leave the old file's tail, and only a regular file is cut
+        fd = os.open(args.svg, os.O_WRONLY | os.O_CREAT, 0o666)
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        with open(fd, "w", encoding="utf-8") as fh:
+            try:
+                fh.writelines(svg_pieces(params, window, curves, region))
+            finally:
+                if regular:
+                    fh.truncate()
     if args.format == "json":  # window._asdict() with "components", a curve at a time
         out = sys.stdout
         out.write(_encode_json(window._asdict())[:-1] + ',"components":[')

@@ -333,7 +333,7 @@ def test_report_and_verify_bytes_pinned(capsys, tmp_path):
     assert sha(out.encode()) == "b3666a3c97037ae459eb935d67e9dff5098bbb502e4ad2b7bc5b355d9ede5579"
 
 
-@pytest.mark.parametrize("p, k, window, stdout_digest, svg_digest", [
+_CURVE_PINS = [  # (p, k, window flags, stdout sha256, SVG sha256)
     ("11", "2", ("--i0", "-1", "--i1", "6", "--j0", "-6", "--j1", "5"),
      "48a220a8a3df109f320676178aa6ec4f30b79eec11518d5a4c36282f6163c9c8",
      "4c566ee52ae9a4ee72abbbd379467c792460872fea0fe739ef56c5714557618a"),
@@ -349,7 +349,11 @@ def test_report_and_verify_bytes_pinned(capsys, tmp_path):
     ("13", "1", (),  # trivial polynomial: no components, no region
      "0b4b1167eb330c31ec35c12c74e6a8d5579380120e2e322a91ac7004a492c087",
      "1b9d490483c9260fabcc860be21b108eaf6f032e7f202f4f2c0ebb76f336fd55"),
-], ids=["11-2-window", "19-7", "31-12", "8-3", "13-1"])
+]
+
+
+@pytest.mark.parametrize("p, k, window, stdout_digest, svg_digest", _CURVE_PINS,
+                         ids=["11-2-window", "19-7", "31-12", "8-3", "13-1"])
 def test_curve_bytes_pinned(capsys, tmp_path, p, k, window, stdout_digest, svg_digest):
     """Refactor guard: the curve JSON on stdout and the SVG file, byte for byte."""
     svg_path = tmp_path / "c.svg"
@@ -358,6 +362,74 @@ def test_curve_bytes_pinned(capsys, tmp_path, p, k, window, stdout_digest, svg_d
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
+
+
+def test_curve_svg_written_over_in_place(capsys, tmp_path):
+    """Each pinned SVG written over the file before it, which is shorter
+    for 19-7 and 31-12 and longer for 11-2 (a 200 KB filler), 8-3 and
+    13-1, gives the bytes of a fresh write in the same file."""
+    svg_path = tmp_path / "c.svg"
+    svg_path.write_bytes(b"<" * 200_000)
+    inode = svg_path.stat().st_ino
+    for p, k, window, _, svg_digest in _CURVE_PINS:
+        assert run_cli(capsys, "curve", "-p", p, "-k", k, *window, "--svg", str(svg_path))[0] == 0
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest, (p, k)
+        assert svg_path.stat().st_ino == inode
+
+
+def test_curve_svg_open_does_not_truncate(capsys, monkeypatch, tmp_path):
+    """The SVG is opened without O_TRUNC: truncating to zero first frees
+    every block of the old file, and the cut at the end does the same job."""
+    svg_path = str(tmp_path / "c.svg")
+    flags = []
+
+    def recording_open(path, flag, *rest, **kwargs):
+        if path == svg_path:
+            flags.append(flag)
+        return real_open(path, flag, *rest, **kwargs)
+
+    real_open = os.open
+    monkeypatch.setattr(os, "open", recording_open)
+    assert run_cli(capsys, "curve", "-p", "11", "-k", "2", "--svg", svg_path)[0] == 0
+    assert len(flags) == 1
+    assert flags[0] & os.O_TRUNC == 0
+    assert flags[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+
+
+def test_curve_svg_to_devnull(capsys):
+    """A target that is not a regular file is written and never cut."""
+    plain = run_cli(capsys, "curve", "-p", "19", "-k", "7")
+    assert run_cli(capsys, "curve", "-p", "19", "-k", "7", "--svg", os.devnull) == plain
+    assert plain[0] == 0
+
+
+def test_curve_svg_failure_keeps_the_written_prefix(capsys, monkeypatch, tmp_path):
+    """An error part-way leaves exactly what was written, none of the
+    longer old file behind it, as a file truncated at open would."""
+    def failing_pieces(*args):
+        yield "<svg>\n"
+        raise OSError("renderer failed")
+
+    monkeypatch.setattr(lenspoly.cli, "svg_pieces", failing_pieces)
+    svg_path = tmp_path / "c.svg"
+    svg_path.write_text("x" * 10_000)
+    code, _, err = run_cli(capsys, "curve", "-p", "11", "-k", "2", "--svg", str(svg_path))
+    assert (code, err) == (3, "error: renderer failed\n")
+    assert svg_path.read_text() == "<svg>\n"
+
+
+def test_curve_svg_mode_follows_umask(capsys, tmp_path):
+    """A new SVG gets the permission bits open() gives: 0o666 & ~umask."""
+    old = os.umask(0o027)
+    try:
+        assert run_cli(capsys, "curve", "-p", "11", "-k", "2",
+                       "--svg", str(tmp_path / "c.svg"))[0] == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "c.svg").stat().st_mode & 0o777
+    assert mode == (tmp_path / "plain").stat().st_mode & 0o777 == 0o640
 
 
 @pytest.mark.parametrize("pieces", [1, 4096])
@@ -563,9 +635,13 @@ def test_io_failure_exit_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--max-p", "10",
                            "--out", str(tmp_path / "missing" / "x.csv"))
     assert code == 3
-    code, _, err = run_cli(capsys, "curve", "-p", "11", "-k", "2",
-                           "--svg", str(tmp_path / "missing" / "c.svg"))
+    svg_path = tmp_path / "missing" / "c.svg"
+    code, _, err = run_cli(capsys, "curve", "-p", "11", "-k", "2", "--svg", str(svg_path))
     assert code == 3
+    assert err == f"error: [Errno 2] No such file or directory: '{svg_path}'\n"
+    code, _, err = run_cli(capsys, "curve", "-p", "11", "-k", "2", "--svg", str(tmp_path))
+    assert code == 3
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_corrupted_checkpoint_exit_3(capsys, tmp_path):
