@@ -147,9 +147,11 @@ def _cmd_curve(args) -> int:
     curves = trace_curves(params, window, gen)
     if args.svg:
         region = non_zero_region(params, gen) if gen.poly.g else None
-        # written over in place and cut at its end, not truncated to zero
-        # first (on ext4 that frees every old block); a run killed mid-write
-        # can leave the old file's tail, and only a regular file is cut
+        # written over in place and cut at its end: truncating to zero first
+        # makes ext4 free the old blocks and start writeback at close
+        # (auto_da_alloc), and skipping both is the saving. So a kill
+        # mid-write, or a crash before writeback even after exit 0, can
+        # leave old bytes after or among the new. Only a regular file is cut.
         fd = os.open(args.svg, os.O_WRONLY | os.O_CREAT, 0o666)
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         with open(fd, "w", encoding="utf-8") as fh:

@@ -378,8 +378,9 @@ def test_curve_svg_written_over_in_place(capsys, tmp_path):
 
 
 def test_curve_svg_open_does_not_truncate(capsys, monkeypatch, tmp_path):
-    """The SVG is opened without O_TRUNC: truncating to zero first frees
-    every block of the old file, and the cut at the end does the same job."""
+    """The SVG is opened without O_TRUNC: truncating to zero first makes
+    ext4 free the old blocks and start writeback at close, and the cut at
+    the end leaves the same bytes."""
     svg_path = str(tmp_path / "c.svg")
     flags = []
 
