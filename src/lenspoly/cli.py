@@ -16,6 +16,7 @@ import select
 import stat
 import sys
 from itertools import islice
+from typing import Iterable, Iterator
 
 from .alexander import (
     GeneratedPolynomial,
@@ -26,6 +27,7 @@ from .alexander import (
     polynomial_to_json,
 )
 from .lattice import (
+    NonZeroCurve,
     Window,
     build_view,
     check_lemma,
@@ -142,11 +144,33 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+def _components_json(window: Window, curves: list[NonZeroCurve],
+                     values: Iterable[int]) -> Iterator[str]:
+    """Each component's ``_encode_json(curve._asdict())``, after a comma
+    but the first, with the key names of ``NonZeroCurve._fields``.  An
+    arrow's text is its column's "[i,", its row's "j," and its entry's
+    "v]", read off tables built once per window (``values`` holds every
+    entry of the window)."""
+    id_key, translate_key, arrows_key = (f'"{name}":' for name in NonZeroCurve._fields)
+    cols = {i: f"[{i}," for i in range(window.i0, window.i1 + 1)}
+    rows = {j: f"{j}," for j in range(window.j0, window.j1 + 1)}
+    entries = {v: f"{v}]" for v in values}
+    for n, curve in enumerate(curves):
+        arrows = ",".join([f"{cols[i]}{rows[j]}{entries[v]}" for i, j, v in curve.arrows])
+        yield (f'{"," if n else ""}{{{id_key}{curve.id},{translate_key}{curve.translate},'
+               f'{arrows_key}[{arrows}]}}')
+
+
 def _cmd_curve(args) -> int:
     params, window, gen = _generate_in_window(args)
-    curves = trace_curves(params, window, gen)
+    region = cells = None
+    if args.svg and gen.poly.g:  # one region and translate table, for tracer and shading
+        region = non_zero_region(params, gen)
+        cells = None if window.is_empty() else region.window_translates(window)
+    curves = trace_curves(params, window, gen, cells)
     if args.svg:
-        region = non_zero_region(params, gen) if gen.poly.g else None
+        pieces = svg_pieces(params, window, curves, region, cells)
+        del cells  # the shading holds the table alone, and frees it once drawn
         # written over in place and cut at its end: truncating to zero first
         # makes ext4 free the old blocks and start writeback at close
         # (auto_da_alloc), and skipping both is the saving. So a kill
@@ -156,15 +180,14 @@ def _cmd_curve(args) -> int:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         with open(fd, "w", encoding="utf-8") as fh:
             try:
-                fh.writelines(svg_pieces(params, window, curves, region))
+                fh.writelines(pieces)
             finally:
                 if regular:
                     fh.truncate()
     if args.format == "json":  # window._asdict() with "components", a curve at a time
         out = sys.stdout
         out.write(_encode_json(window._asdict())[:-1] + ',"components":[')
-        out.writelines(("," if n else "") + _encode_json(curve._asdict())
-                       for n, curve in enumerate(curves))
+        out.writelines(_components_json(window, curves, set(gen.poly.coeffs)))
         out.write("]}\n")
     else:
         print(ascii_curves(window, curves))

@@ -5,8 +5,9 @@ The A-matrix spreads the periodic coefficients over Z^2 via
 horizontal difference, also a three-case split of ``(q2*i + k2*j) mod p``.
 With u = e*k = k2^-1 (mod p), so that q2*u = k2, every cell reads row 0:
 ``A[i, j] = A[(i + u*j) mod p, 0]`` (likewise dA), so a view keeps row 0,
-repeated, and one start per row.  All nonzero A entries lie in a region
-of (2g+1)-cell columns repeating under ``v = (1, -k2)`` and ``(0, p)``.
+repeated, and the starts of one period of rows.  All nonzero A entries
+lie in a region of (2g+1)-cell columns repeating under ``v = (1, -k2)``
+and ``(0, p)``.
 
 Index identity.  abar_x is ``period[(x + g) mod p]``, where ``period =
 (coeffs + (0,) * p)[:p]`` (at 2g = p both ends read a_g = a_-g).  With
@@ -30,9 +31,9 @@ True
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from itertools import chain, compress, pairwise, repeat
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import chain, compress, cycle, islice, pairwise, repeat
+from operator import itemgetter, mod, sub
+from typing import Iterator, NamedTuple
 
 from .alexander import (
     GeneratedPolynomial,
@@ -101,11 +102,14 @@ def da_entry(params: SurgeryParams, inv: DerivedInvariants, i: int, j: int) -> i
 
 
 class LatticeView(NamedTuple):
-    """Immutable window snapshot of A or dA entries, one period plus row starts.
+    """Immutable window snapshot of A or dA entries: row 0 repeated, and
+    one period of row starts.
 
-    Row j0+m is the slice ``period[starts[m]:starts[m] + width]``: row 0
-    repeated so that every row is one contiguous slice (empty when the
-    window has no rows).  ``rows`` materializes them, rows[m][n] being
+    Row j0+m is the slice ``period[s:s + width]``, s = ``starts[m % p]``:
+    its start (i0 + u*(j0 + m)) mod p repeats every p rows, so ``starts``
+    holds the first min(height, p) of them (none when the window has no
+    rows), and ``period`` repeats row 0 over max(starts) + width cells, as
+    far as the slices reach.  ``rows`` materializes them, rows[m][n] being
     the entry at (i0+n, j0+m), rows listed by increasing j.
     """
 
@@ -114,16 +118,21 @@ class LatticeView(NamedTuple):
     period: tuple[int, ...]
     starts: tuple[int, ...]
 
+    def row_starts(self) -> Iterator[int]:
+        """The start of every row, j0 up to j1: ``starts`` over and over."""
+        return islice(cycle(self.starts), self.window.height())
+
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         width = self.window.width()
-        return tuple(self.period[s:s + width] for s in self.starts)
+        return tuple(self.period[s:s + width] for s in self.row_starts())
 
 
 def build_view(
     params: SurgeryParams, kind: str, window: Window, gen: GeneratedPolynomial | None = None
 ) -> LatticeView:
-    """A window of A or dA entries, as one period and a start per row.
+    """A window of A or dA entries, as row 0 repeated and one period of
+    row starts.
 
     Row 0 of A is one gather at the paper's index (the index identity,
     module docstring); row j is the slice of row 0, repeated, from
@@ -143,16 +152,17 @@ def build_view(
     row = [period[x % p] for x in range(start, start + inv.k2 * p, inv.k2)]
     if kind == "dA":
         a_row, row = row, [da_entry(params, inv, y, 0) for y in range(p)]
-        for y, val in enumerate(row):
-            diff = a_row[y] - a_row[y - 1]
-            if val != diff:
-                raise IntegrityError(p, params.k, f"dA case split gives {val} but "
-                                     f"A-difference gives {diff} at ({y}, 0)", index=y)
+        diff = list(map(sub, a_row, [a_row[-1], *a_row]))  # A[y, 0] - A[y-1, 0]
+        if row != diff:
+            y = next(y for y, (val, d) in enumerate(zip(row, diff)) if val != d)
+            raise IntegrityError(p, params.k, f"dA case split gives {row[y]} but "
+                                 f"A-difference gives {diff[y]} at ({y}, 0)", index=y)
     u = inv.e * params.k
-    starts = tuple((window.i0 + u * j) % p for j in range(window.j0, window.j1 + 1))
-    # every row start s < p fits; a window without rows gets no repeats
-    repeats = -(-(p - 1 + window.width()) // p) if starts else 0
-    return LatticeView(kind=kind, window=window, period=tuple(row * repeats), starts=starts)
+    first = window.i0 + u * window.j0
+    starts = tuple(map(mod, range(first, first + min(window.height(), p) * u, u), repeat(p)))
+    reach = max(starts) + window.width() if starts else 0  # the last row slice's end
+    return LatticeView(kind=kind, window=window, period=tuple(islice(cycle(row), reach)),
+                       starts=starts)
 
 
 class NonZeroRegion(NamedTuple):
@@ -248,7 +258,10 @@ class NonZeroCurve(NamedTuple):
 
 
 def trace_curves(
-    params: SurgeryParams, window: Window, gen: GeneratedPolynomial | None = None
+    params: SurgeryParams,
+    window: Window,
+    gen: GeneratedPolynomial | None = None,
+    cell_translates: tuple[tuple[int | None, ...], ...] | None = None,
 ) -> list[NonZeroCurve]:
     """Arrows on nonzero A entries, grouped into curve components.
 
@@ -272,7 +285,9 @@ def trace_curves(
     clipped translate may show more than one component.  Checks that
     need "exactly one component per translate" should count only the
     translates :func:`covered_translates` returns.  ``gen`` as in
-    :func:`build_view`.
+    :func:`build_view`; ``cell_translates``, the region's
+    :meth:`NonZeroRegion.window_translates` of ``window``, may be passed
+    likewise by a caller that reads the table too (the SVG shading).
     """
     if window.is_empty():
         return []
@@ -280,7 +295,8 @@ def trace_curves(
         gen = generate(params)
     if gen.poly.g == 0:
         return []
-    region = non_zero_region(params, gen)
+    if cell_translates is None:
+        cell_translates = non_zero_region(params, gen).window_translates(window)
     view = build_view(params, "A", window, gen)
 
     # each translate's arrows, rows top down, i increasing; every nonzero
@@ -288,8 +304,8 @@ def trace_curves(
     translates: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
     cols = tuple(range(window.i0, window.i1 + 1))  # one int per column, shared by its arrows
     period, width = view.period, window.width()
-    rows = zip(range(window.j1, window.j0 - 1, -1), reversed(view.starts),
-               reversed(region.window_translates(window)))
+    rows = zip(range(window.j1, window.j0 - 1, -1), reversed(list(view.row_starts())),
+               reversed(cell_translates))
     for j, start, row_translates in rows:
         row = period[start:start + width]
         if any(row):

@@ -6,7 +6,7 @@ byte-identical across runs for the same window, which the tests rely on.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, cycle, islice
 from typing import Iterator
 
 from .lattice import LatticeView, NonZeroCurve, NonZeroRegion, Window
@@ -27,14 +27,17 @@ _SVG_PIECE_ELEMENTS = 1024
 def ascii_view(view: LatticeView) -> str:
     """One character per cell ('+', '-', '.'), rows printed top (j1) down to j0.
 
-    The period is drawn once; cell n sits at offset 2n, so each row is one
-    slice of it.
+    The period is drawn once, a character per distinct value looked up,
+    cell n at offset 2n, so each row is one slice of it; rows p apart are
+    the same row, so each distinct row is sliced once and its text repeated.
     """
     if view.window.is_empty():
         return ""
-    text = " ".join("+" if v > 0 else "-" if v < 0 else "." for v in view.period)
+    chars = {v: "+" if v > 0 else "-" if v < 0 else "." for v in set(view.period)}
+    text = " ".join(map(chars.__getitem__, view.period))
     w = view.window.width()
-    return "\n".join(text[2 * s:2 * (s + w) - 1] for s in reversed(view.starts))
+    rows = [text[2 * s:2 * (s + w) - 1] for s in view.starts]
+    return "\n".join(reversed(list(islice(cycle(rows), view.window.height()))))
 
 
 def ascii_curves(window: Window, curves: list[NonZeroCurve]) -> str:
@@ -52,15 +55,27 @@ def view_to_json(view: LatticeView) -> str:
     """The compact JSON text of {"kind", "i0", "j0", "rows"}, rows listed by
     increasing j.
 
-    The period is encoded once, each cell after a comma: cell n is
-    text[pos[n]:pos[n + 1]], so each row is one slice of that text (empty
-    for a window without columns, as no bound is negative).
+    The period is encoded once, each cell after a comma, from a table of
+    the distinct values' texts: cell n is text[pos[n]:pos[n + 1]], so each
+    row's cells are one slice of that text (empty for a window without
+    columns, as no bound is negative).  Rows p apart are the same row, so
+    each distinct row is sliced once and its slice repeated.
+
+    >>> import json
+    >>> from lenspoly.lattice import build_view
+    >>> view = build_view(SurgeryParams(7, 2), "A", Window(-1, 2, 0, 7))
+    >>> rows = json.loads(view_to_json(view))["rows"]
+    >>> len(rows), rows[7] == rows[0], rows[1] == rows[0]
+    (8, True, False)
     """
-    cells = [f",{v}" for v in view.period]
+    texts = {v: f",{v}" for v in set(view.period)}
+    cells = list(map(texts.__getitem__, view.period))
     text = "".join(cells)
     pos = list(accumulate(map(len, cells), initial=0))
     w = view.window.width()
-    rows = ",".join(f"[{text[pos[s] + 1:pos[s + w]]}]" for s in view.starts)
+    rows = [text[pos[s] + 1:pos[s + w]] for s in view.starts]
+    rows = "],[".join(islice(cycle(rows), view.window.height()))
+    rows = f"[{rows}]" if view.starts else ""  # a window without rows has no brackets
     i0, j0 = view.window.i0, view.window.j0
     return f'{{"kind":"{view.kind}","i0":{i0},"j0":{j0},"rows":[{rows}]}}'
 
@@ -80,12 +95,15 @@ def svg_pieces(
     window: Window,
     curves: list[NonZeroCurve],
     region: NonZeroRegion | None,
+    cell_translates: tuple[tuple[int | None, ...], ...] | None = None,
 ) -> Iterator[str]:
     """SVG 1.1 document, in pieces of about ``_SVG_PIECE_ELEMENTS``
     elements: one shaded square per region cell, filled by translate
     parity (read off :meth:`NonZeroRegion.window_translates`), one
     polyline per component, and an oriented arrow on every nonzero entry.
-    ``curves`` are those :func:`trace_curves` returns for ``window``.
+    ``curves`` are those :func:`trace_curves` returns for ``window``, and
+    ``cell_translates``, when given, is the region's table for it, which
+    the caller read for the tracer too.
 
     Every element ends in its own newline, and a piece is cut only after
     a shading row or a curve, so the pieces joined are the document and
@@ -102,7 +120,9 @@ def svg_pieces(
     ]
     if region is not None and not empty:
         rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(window.width())]
-        for j, translates in zip(range(j0, j1 + 1), region.window_translates(window)):
+        if cell_translates is None:
+            cell_translates = region.window_translates(window)
+        for j, translates in zip(range(j0, j1 + 1), cell_translates):
             y = _MARGIN + (j1 - j) * _CELL
             tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>\n'
                      for fill in _STRIP_FILLS]
@@ -110,6 +130,7 @@ def svg_pieces(
             if len(parts) >= _SVG_PIECE_ELEMENTS:
                 yield "".join(parts)
                 parts = []
+        del cell_translates  # not held while the curves are drawn
     if curves:  # the maps below span the window: none without a curve to draw
         # cell centres; lattice j grows upward, SVG y grows downward
         cx = {i: _MARGIN + (i - i0) * _CELL + _CELL // 2 for i in range(i0, i1 + 1)}

@@ -440,7 +440,9 @@ def test_curve_svg_mode_follows_umask(capsys, tmp_path):
     (13, 1, None, 0),  # g = 0: no region
     (11, 2, Window(-1, 1, -1, 1), 1),
     (101, 30, None, 46),  # the fundamental window
-], ids=["empty", "13-1", "one-component", "101-30"])
+    (8, 3, None, 9),  # entries reach 2
+    (31, 12, Window(-20, -2, -40, -5), 13),  # negative i, j and translates
+], ids=["empty", "13-1", "one-component", "101-30", "8-3", "31-12-negative"])
 def test_curve_streams_the_one_shot_bytes(capsys, monkeypatch, tmp_path, pieces, fmt, p, k,
                                           window, components):
     """curve writes its stdout a component at a time and its SVG a piece

@@ -135,13 +135,18 @@ def view_windows(params, rng):
     """Fundamental, negative, wider-than-p and empty windows, windows at
     least 3p + 1 wide (the repeated row slice must reach the last column
     from any start), windows starting at i0 >= 2p, single-column and
-    single-row windows, and two random ones drawn from ``rng``."""
+    single-row windows, windows p - 1, p, p + 1 and 2p + 1 + r rows high
+    with i0 < 0 (the rows p apart that a view keeps one start for, on each
+    side of every period boundary), and two random ones drawn from ``rng``."""
     p = params.p
     windows = [fundamental_window(params), Window(-p - 2, p + 1, -2, 1),
                Window(0, -1, 0, 2), Window(0, 2, 1, 0),
                Window(-p, 2 * p + 1, 0, p - 1),  # 3p + 2 wide, every row start
                Window(2 * p, 2 * p + 3, -1, p + 1), Window(3 * p + 1, 5 * p, 2 * p, 2 * p + 2),
                Window(3, 3, -p - 1, p + 1), Window(-p - 1, p + 1, 5, 5), Window(-1, -1, 7, 7)]
+    r = p // 2 + 1
+    windows += [Window(-3, 4, j0, j0 + height - 1)
+                for j0, height in ((-p - 1, p - 1), (-2, p), (3, p + 1), (-p + 2, 2 * p + 1 + r))]
     for _ in range(2):
         i0, j0 = rng.randint(-3 * p, -1), rng.randint(-3 * p, -1)
         windows.append(Window(i0, i0 + rng.randint(0, 8), j0, j0 + rng.randint(0, 2 * p)))
