@@ -149,8 +149,10 @@ def _components_json(window: Window, curves: list[NonZeroCurve],
     """Each component's ``_encode_json(curve._asdict())``, after a comma
     but the first, with the key names of ``NonZeroCurve._fields``.  An
     arrow's text is its column's "[i,", its row's "j," and its entry's
-    "v]", read off tables built once per window (``values`` holds every
-    entry of the window)."""
+    "v]", read off tables built once per window with a curve (``values``
+    holds every entry of the window)."""
+    if not curves:
+        return
     id_key, translate_key, arrows_key = (f'"{name}":' for name in NonZeroCurve._fields)
     cols = {i: f"[{i}," for i in range(window.i0, window.i1 + 1)}
     rows = {j: f"{j}," for j in range(window.j0, window.j1 + 1)}
@@ -163,13 +165,11 @@ def _components_json(window: Window, curves: list[NonZeroCurve],
 
 def _cmd_curve(args) -> int:
     params, window, gen = _generate_in_window(args)
-    region = cells = None
-    if args.svg and gen.poly.g:  # one region and translate table, for tracer and shading
-        region = non_zero_region(params, gen)
-        cells = None if window.is_empty() else region.window_translates(window)
+    cells = (non_zero_region(params, gen).window_translates(window)  # tracer's and shading's
+             if args.svg and gen.poly.g and not window.is_empty() else None)
     curves = trace_curves(params, window, gen, cells)
     if args.svg:
-        pieces = svg_pieces(params, window, curves, region, cells)
+        pieces = svg_pieces(params, window, curves, cells)
         del cells  # the shading holds the table alone, and frees it once drawn
         # written over in place and cut at its end: truncating to zero first
         # makes ext4 free the old blocks and start writeback at close

@@ -194,7 +194,7 @@ class NonZeroRegion(NamedTuple):
             raise IntegrityError(p, self.params.k, f"anchor i* = {istar} puts nonzero "
                                  "entries outside the non-zero region", index=istar)
         w, h, k2, cap = window.width(), window.height(), inv.k2, min(2 * self.g, p - 1)
-        if not w:
+        if not w or not h:  # no empty run per column when there is no row
             return ((),) * h
         t0 = window.j0 + (window.i0 - istar) * k2
         if k2 <= h:

@@ -86,24 +86,24 @@ def svg_curves(
     curves: list[NonZeroCurve],
     region: NonZeroRegion | None,
 ) -> str:
-    """SVG 1.1 document: the pieces of :func:`svg_pieces`, joined."""
-    return "".join(svg_pieces(params, window, curves, region))
+    """SVG 1.1 document: the pieces of :func:`svg_pieces`, joined, shaded by ``region``."""
+    cells = None if region is None or window.is_empty() else region.window_translates(window)
+    return "".join(svg_pieces(params, window, curves, cells))
 
 
 def svg_pieces(
     params: SurgeryParams,
     window: Window,
     curves: list[NonZeroCurve],
-    region: NonZeroRegion | None,
-    cell_translates: tuple[tuple[int | None, ...], ...] | None = None,
+    cell_translates: tuple[tuple[int | None, ...], ...] | None,
 ) -> Iterator[str]:
     """SVG 1.1 document, in pieces of about ``_SVG_PIECE_ELEMENTS``
     elements: one shaded square per region cell, filled by translate
-    parity (read off :meth:`NonZeroRegion.window_translates`), one
-    polyline per component, and an oriented arrow on every nonzero entry.
-    ``curves`` are those :func:`trace_curves` returns for ``window``, and
-    ``cell_translates``, when given, is the region's table for it, which
-    the caller read for the tracer too.
+    parity, one polyline per component, and an oriented arrow on every
+    nonzero entry.  ``curves`` are those :func:`trace_curves` returns for
+    ``window``, and ``cell_translates`` is the region's
+    :meth:`NonZeroRegion.window_translates` of it, or None for no
+    shading (a trivial polynomial has no region).
 
     Every element ends in its own newline, and a piece is cut only after
     a shading row or a curve, so the pieces joined are the document and
@@ -118,10 +118,8 @@ def svg_pieces(
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n',
         f'<!-- p={params.p} k={params.k} window i=[{i0},{i1}] j=[{j0},{j1}] -->\n',
     ]
-    if region is not None and not empty:
+    if cell_translates is not None:
         rect_x = [f'<rect x="{_MARGIN + n * _CELL}" y="' for n in range(window.width())]
-        if cell_translates is None:
-            cell_translates = region.window_translates(window)
         for j, translates in zip(range(j0, j1 + 1), cell_translates):
             y = _MARGIN + (j1 - j) * _CELL
             tails = [f'{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>\n'

@@ -5,8 +5,8 @@ k lives in (Z/p)^* and has four equivalent representatives k, -k, k^-1,
 -k^-1; we normalize to the smallest positive representative in (0, p/2].
 :class:`SurgeryParams` checks that and derives (k2, e, m, q, q2, c) once,
 as ``params.inv``; :func:`_canonical_params` lists the canonical pairs of
-one p, each validated once, by its own walk, and derived once
-(:func:`_canonical_ks` lists only their k).  Everything in this module is plain, exact integer
+one p, each validated once, by :func:`_canonical_walk`, and derived
+once.  Everything in this module is plain, exact integer
 arithmetic -- Python integers are unbounded, so there is no overflow to
 worry about even far beyond p = 10^6.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class InvalidParameterError(ValueError):
@@ -52,7 +52,7 @@ class SurgeryParams:
 
     Invariants enforced on construction: gcd(p, k) = 1, and k is the
     minimal representative of its class orbit {±k, ±k^-1 mod p} within
-    (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_ks`).
+    (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_walk`).
     Validation derives the invariants once and keeps them as ``inv``;
     ``repr``, ``==`` and ``hash`` ignore it.  :func:`_canonical_params`
     builds its pairs without this check, as its walk has made it.
@@ -103,44 +103,38 @@ def _k2(p: int, k: int) -> int:
     return r if 2 * r <= p else p - r
 
 
-def _canonical_ks(p: int) -> list[int]:
-    """The canonical k of one p, ascending: gcd(p, k) = 1, 1 <= k <= p/2
-    and k <= k2, one per class orbit {±k, ±k^-1 mod p}.
+def _canonical_walk(p: int) -> Iterator[tuple[int, int]]:
+    """The canonical k of one p, ascending, each with its k2: gcd(p, k) = 1,
+    1 <= k <= p/2 and k <= k2, one per class orbit {±k, ±k^-1 mod p}.
 
     The orbit meets (0, p/2] in at most k and k2 = |[k^-1]_p|, so as k
     walks upward, a coprime k is canonical unless a smaller k marked it
-    as its k2.  This walk takes each k2 with :func:`_k2` alone and
-    builds no :class:`SurgeryParams`.
+    as its k2.  The sweeps' pairs and the resume's k all come from here.
 
-    >>> _canonical_ks(11)
-    [1, 2, 3]
+    >>> list(_canonical_walk(11))
+    [(1, 1), (2, 5), (3, 4)]
     """
-    partnered, ks = bytearray(p // 2 + 1), []
+    partnered = bytearray(p // 2 + 1)
     for k in range(1, p // 2 + 1):
         if not partnered[k] and gcd(k, p) == 1:
-            ks.append(k)
-            partnered[_k2(p, k)] = 1
-    return ks
+            k2 = _k2(p, k)
+            assert k <= k2
+            partnered[k2] = 1
+            yield k, k2
 
 
 def _canonical_params(p: int) -> list[SurgeryParams]:
-    """The canonical parameters of one p, ascending in k: the walk of
-    :func:`_canonical_ks`, which states the orbit rule, but each k2 read
-    off the parameter's invariants, so each canonical k is derived once.
-    The walk checks what SurgeryParams validates (gcd, 1 <= k <= p/2 and,
-    by the partner rule, k <= k2), so it fills each one in directly.
+    """The canonical parameters of one p, ascending in k.  Its walk,
+    :func:`_canonical_walk`, checks what SurgeryParams validates, so each
+    is filled in directly, and derived once, from the walk's k2.
 
     >>> [params.k for params in _canonical_params(11)]
     [1, 2, 3]
     """
-    partnered, pairs = bytearray(p // 2 + 1), []
-    for k in range(1, p // 2 + 1):
-        if not partnered[k] and gcd(k, p) == 1:
-            pairs.append(params := object.__new__(SurgeryParams))
-            params.__dict__.update(p=p, k=k)
-            params.__dict__["inv"] = inv = derive_invariants(params)
-            assert k <= inv.k2
-            partnered[inv.k2] = 1
+    pairs = []
+    for k, k2 in _canonical_walk(p):
+        pairs.append(params := object.__new__(SurgeryParams))
+        params.__dict__.update(p=p, k=k, inv=_invariants(p, k, k2))
     return pairs
 
 
@@ -166,8 +160,11 @@ def derive_invariants(params: SurgeryParams) -> DerivedInvariants:
     >>> derive_invariants(SurgeryParams(19, 7))
     DerivedInvariants(k2=8, e=-1, m=3, q=-8, q2=7, c=-33)
     """
-    p, k = params.p, params.k
-    k2 = _k2(p, k)
+    return _invariants(params.p, params.k, _k2(params.p, params.k))
+
+
+def _invariants(p: int, k: int, k2: int) -> DerivedInvariants:
+    """:func:`derive_invariants` of (p, k), its k2 already taken."""
     half = (p - 1) // 2  # [i]_p = (i + half) % p - half
     e = (k * k2 + half) % p - half
     assert e in (-1, 1)

@@ -10,8 +10,8 @@ A :class:`SweepRecord` is one report row: its fields are the columns, in
 order.  Each pair comes from the canonical walk of its p, which validates
 it once, and its row is read off its checked period, the window counts
 of :func:`lenspoly.alexander._period`, gathering nothing: flatness is a
-``translate`` of the counts' bytes (up to 2-byte counts), and alternation
-a scan of the top 16 terms, then, for 1-byte counts, one strided read of
+``translate`` of 1-byte counts (else ``min``/``max``), and alternation a
+scan of the top 16 terms, then, for 1-byte counts, one strided read of
 a_0..a_g (6,216 of the 31,932 pairs with p <= 640 get that far).
 ``verify`` works by p too, but it checks every pair's period and reads
 only its top three coefficients off it; it builds the record only for a
@@ -48,13 +48,13 @@ from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import _alternation, _is_flat, _period, _top_terms
 from .lattice import check_lemma
-from .surgery import InvalidParameterError, SurgeryParams, _canonical_ks, _canonical_params
+from .surgery import InvalidParameterError, SurgeryParams, _canonical_params, _canonical_walk
 
 _R = TypeVar("_R")
 
 
 class CheckpointError(Exception):
-    """The existing report cannot be resumed; rerun with --from-scratch."""
+    """The report cannot be resumed (rerun with --from-scratch) or is not a regular file."""
 
 
 class SweepRecord(NamedTuple):
@@ -405,7 +405,7 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
     Every complete line must be exactly a row of this format (a CSV
     report starts with its header), and the rows must run through the
     canonical pairs in ascending (p, k) from (2, 1) on, walked by their
-    k alone (:func:`_canonical_ks`).  A kill can cut only the line being
+    k alone (:func:`_canonical_walk`).  A kill can cut only the line being
     written, so a last line without a newline must be the start of the
     next line due: the header, or the row of the next canonical pair,
     the only record a resume computes.  The rows of a p cut short by a
@@ -417,7 +417,7 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                                "rerun with --from-scratch")
 
     offset = cut = 0
-    p, ks, batch = 2, _canonical_ks(2), []  # batch: the rows of p read so far
+    p, ks, batch = 2, [k for k, _ in _canonical_walk(2)], []  # batch: the rows of p so far
     with open(out_path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             is_header = n == 1 and fmt == "csv"
@@ -446,7 +446,7 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                 if p <= max_p:
                     _tally(summary, batch)
                     summary.resumed_from, cut = p, offset
-                p, ks, batch = p + 1, _canonical_ks(p + 1), []
+                p, ks, batch = p + 1, [k for k, _ in _canonical_walk(p + 1)], []
     return cut
 
 
@@ -482,19 +482,22 @@ def run_sweep(
 
     An existing report is resumed unless ``config.from_scratch`` is set:
     see :func:`_resume_point` for what is kept, and what makes it raise
-    CheckpointError instead.  A fresh report is written by rename, a
-    resumed one is truncated after its last kept row; both then grow by
-    appending.  ``progress(p)`` is invoked after the rows of each p are
-    flushed; an exception raised from it aborts the run and leaves a
-    report that resumes from p -- tests use this to simulate
-    interruption.  The report survives a killed process, not a power
-    loss: nothing is fsynced.
+    CheckpointError instead; so does an ``out_path`` that is not a
+    regular file, before it is read or replaced.  A fresh report is
+    written by rename, a resumed one is truncated after its last kept
+    row; both then grow by appending.  ``progress(p)`` is invoked after
+    the rows of each p are flushed; an exception raised from it aborts
+    the run and leaves a report that resumes from p -- tests use this to
+    simulate interruption.  The report survives a killed process, not a
+    power loss: nothing is fsynced.
     """
     started = time.perf_counter_ns()
     out_path = str(config.out_path)
     fmt = config.report_format
     summary = SweepSummary()
 
+    if os.path.exists(out_path) and not os.path.isfile(out_path):  # a FIFO, a device
+        raise CheckpointError(f"report {out_path} exists and is not a regular file")
     if not config.from_scratch and os.path.exists(out_path):
         cut = _resume_point(out_path, fmt, config.max_p, summary)
     if summary.resumed_from is None:

@@ -6,6 +6,8 @@ import json
 import os
 import pathlib
 import random
+import resource
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -647,6 +649,37 @@ def test_io_failure_exit_3(capsys, tmp_path):
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
+@pytest.mark.parametrize("flags", [(), ("--from-scratch",)], ids=["resume", "from-scratch"])
+def test_sweep_out_not_a_regular_file_exit_3(tmp_path, flags):
+    """An existing --out that is not a regular file is refused, exit 3,
+    before it is read (a FIFO would block the resume) or replaced (a
+    rename would put a file in its place).  Run in a subprocess with a
+    timeout, so a blocked read fails fast."""
+    fifo = tmp_path / "report.csv"
+    os.mkfifo(fifo)
+    proc = run_module("sweep", "--max-p", "10", "--out", str(fifo), *flags, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: report {fifo} exists and is not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["report.csv"]  # no temporary or timing file
+
+
+def test_curve_json_without_rows_at_any_width():
+    """A window with no rows passes the cell limit at any width, and its
+    curve JSON builds no per-column table: 10^12 columns answer at once.
+    Run in a subprocess with a timeout and 1 GiB of address space, so a
+    table over every column fails fast instead of filling memory."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lenspoly", "curve", "-p", "11", "-k", "2", "--format", "json",
+         "--i0", "0", "--i1", str(10**12), "--j0", "1", "--j1", "0"],
+        capture_output=True, text=True, timeout=20, env=module_env(), preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == '{"i0":0,"i1":1000000000000,"j0":1,"j1":0,"components":[]}\n'
+
+
 def test_corrupted_checkpoint_exit_3(capsys, tmp_path):
     out = tmp_path / "s.csv"
     assert run_cli(capsys, "sweep", "--max-p", "12", "--out", str(out))[0] == 0
@@ -754,11 +787,12 @@ def module_env():
     return env
 
 
-def run_module(*argv):
-    """``python -m lenspoly`` on the source tree, installed or not."""
+def run_module(*argv, timeout=60):
+    """``python -m lenspoly`` on the source tree, installed or not; a run
+    past ``timeout`` seconds is killed and fails the test."""
     return subprocess.run(
         [sys.executable, "-m", "lenspoly", *argv],
-        capture_output=True, text=True, timeout=60, env=module_env(),
+        capture_output=True, text=True, timeout=timeout, env=module_env(),
     )
 
 

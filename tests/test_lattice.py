@@ -156,7 +156,8 @@ def view_windows(params, rng):
 def test_build_view_da_equals_difference():
     """Every A and dA cell equals its per-cell formula, and dA is the A
     difference, on every window of :func:`view_windows`; p = 2 and p = 3
-    included."""
+    included.  There the tracer handed the region's table, as ``curve
+    --svg`` hands it, traces the curves it traces alone."""
     rng = random.Random(7)
     seen_p = set()
     for params in enumerate_params(50):
@@ -166,6 +167,9 @@ def test_build_view_da_equals_difference():
         for w in view_windows(params, rng):
             a = build_view(params, "A", w, gen)
             da = build_view(params, "dA", w, gen)  # internally cross-checks both definitions
+            if poly.g and not w.is_empty():
+                table = non_zero_region(params, gen).window_translates(w)
+                assert trace_curves(params, w, gen, table) == trace_curves(params, w), (params, w)
             width, height = max(0, w.i1 - w.i0 + 1), max(0, w.j1 - w.j0 + 1)
             for view in (a, da):
                 assert [len(row) for row in view.rows] == [width] * height, (params, w)
@@ -519,6 +523,23 @@ def test_covered_translates_match_translate_index():
                 window_translates_cells(region, window), (params, window)
     assert checked == 810 and wide > 1
     assert min(laid.values()) >= 60
+
+
+def test_window_translates_without_rows_at_any_width():
+    """A window with no rows has an empty table at once, whatever its
+    width: 10^12 columns would take hours one empty run at a time.  Run
+    in a subprocess with a timeout, so such a regression fails fast."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("from lenspoly.lattice import Window, non_zero_region\n"
+            "from lenspoly.surgery import SurgeryParams\n"
+            "region = non_zero_region(SurgeryParams(11, 2))\n"
+            "print(region.window_translates(Window(0, 10**12, 1, 0)),\n"
+            "      region.window_translates(Window(-10**12, 10**12, 5, -5)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "() ()\n", "")
 
 
 def test_trace_curves_arrows_j_monotone():
@@ -882,7 +903,7 @@ def test_svg_pieces_cut_after_rows_and_curves(monkeypatch):
     gen = generate(params)
     curves = trace_curves(params, window, gen)
     region = non_zero_region(params, gen)
-    pieces = list(svg_pieces(params, window, curves, region))
+    pieces = list(svg_pieces(params, window, curves, region.window_translates(window)))
     assert "".join(pieces) == svg_curves_per_cell(params, window, curves, region)
     assert all(piece.endswith("\n") for piece in pieces)
     rows = [set(re.findall(r'<rect x="\d+" y="(\d+)"', piece)) for piece in pieces]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from lenspoly.surgery import (
     InvalidParameterError,
     SurgeryParams,
-    _canonical_ks,
     _canonical_params,
+    _canonical_walk,
     canonicalize_dual_class,
     derive_invariants,
     reduce_mod,
@@ -124,16 +124,16 @@ def test_params_store_their_invariants():
 
 
 def test_canonical_params_against_brute_force_orbit():
-    """For every p <= 400, the enumeration and the k walk yield exactly
-    the brute-force canonical k of the coprime classes, ascending, the
-    enumeration each with the invariants derive_invariants gives, which
-    match reduce_mod."""
+    """For every p <= 400, the enumeration yields exactly the brute-force
+    canonical k of the coprime classes, ascending, each with the
+    invariants derive_invariants gives, which match reduce_mod, and the
+    walk yields the same k, each with that k2."""
     self_paired = set()
     for p in range(2, 401):
         pairs = _canonical_params(p)
         expected = sorted({brute_force_canonical_k(p, k) for k in range(1, p) if math.gcd(k, p) == 1})
         assert [params.k for params in pairs] == expected, p
-        assert _canonical_ks(p) == expected, p
+        assert list(_canonical_walk(p)) == [(params.k, params.inv.k2) for params in pairs], p
         for params in pairs:
             k, inv = params.k, params.inv
             assert (params.p, inv) == (p, derive_invariants(params)), params
