@@ -4,6 +4,9 @@ Exit codes: 0 success / no violations, 1 violations found, 2 usage
 error (an :class:`InvalidParameterError` from argument checking), 3 I/O
 error or a report that cannot be resumed, 4 internal error (integrity
 check or any other ``ValueError``).
+
+A known command's own parser reads its flags, and the full parser handles
+every other call, or any string left over, so messages are the full parser's.
 """
 
 from __future__ import annotations
@@ -257,8 +260,13 @@ def _add_window_flags(sub) -> None:
                          help="window bound (default: fundamental window)")
 
 
-@functools.cache  # built on the first main call, then reused
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # built on the first main call, then reused
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="lenspoly",
         description="Lens surgery polynomials, lattice curves, and verification sweeps",
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, subparsers.choices
 
 
 def _stdout_closed() -> bool:
@@ -322,9 +330,20 @@ def _stdout_closed() -> bool:
     return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the full parser's pass over
+    ``argv`` skipped where it would only hand ``argv[1:]`` to a command."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    if sub is None or rest:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         status = args.func(args)
         # flushed here, not at exit, so that a closed stdout is caught below

@@ -136,7 +136,7 @@ def svg_pieces(
         xs, ys = {i: str(x) for i, x in cx.items()}, {j: str(y) for j, y in cy.items()}
         for curve in curves:
             color = _CURVE_COLORS[curve.id % len(_CURVE_COLORS)]
-            points = " ".join(f"{xs[i]},{ys[j]}" for i, j, _ in curve.arrows)
+            points = " ".join([f"{xs[i]},{ys[j]}" for i, j, _ in curve.arrows])
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>\n'
             )

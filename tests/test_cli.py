@@ -540,17 +540,90 @@ def test_matrix_text_bytes_pinned(capsys, kind, p, k, window, digest):
 # -------------------------------------------------------------- error paths
 
 
+_USAGE_ERRORS = [  # argv, and the last line of its stderr
+    (["no-such-command"],
+     "lenspoly: error: argument command: invalid choice: 'no-such-command' (choose from "
+     "'invariants', 'poly', 'matrix', 'curve', 'lemma', 'sweep', 'verify')"),
+    (["poly", "-p", "7"], "lenspoly poly: error: the following arguments are required: -k"),
+    (["poly", "-p", "7", "-k", "2", "--format", "xml"],
+     "lenspoly poly: error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["poly", "-p", "7", "-k", "2", "--bogus"], "lenspoly: error: unrecognized arguments: --bogus"),
+]
+
+
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["no-such-command"])
-    assert exc_info.value.code == 2
-    with pytest.raises(SystemExit) as exc_info:
-        main(["poly", "-p", "7"])  # missing -k
-    assert exc_info.value.code == 2
-    with pytest.raises(SystemExit) as exc_info:
-        main(["poly", "-p", "7", "-k", "2", "--format", "xml"])
-    assert exc_info.value.code == 2
-    capsys.readouterr()
+    for argv, last_line in _USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == last_line
+
+
+_MATRIX = ["matrix", "-p", "11", "-k", "2"]
+_WINDOW = ["--i0", "-3", "--i1", "0", "--j0", "0", "--j1", "1"]
+# argvs the two parsing routes must read alike: the first group is parsed
+# whole by its command's parser, the rest exit or take the full parser
+_PARSED_WHOLE = [
+    [*_MATRIX], [*_MATRIX, "--kind", "dA", "--form", "json"],
+    [*_MATRIX, "--format=json", "--kind=dA"], [*_MATRIX, *_WINDOW],
+    ["matrix", "-p", "13", "-k", "3", "-p", "11"],
+    ["curve", "-p", "7", "-k", "2", "--svg", "out.svg", "--format", "json"],
+    ["invariants", "-p", "19", "-k", "7"], ["poly", "-k", "2", "-p", "7"],
+    ["lemma", "-p", "11", "-k", "2", "--format", "json"],
+    ["sweep", "--max-p", "10", "--out", "r.csv", "--from-scratch", "--format", "jsonl"],
+    ["verify", "--max-p", "10", "--jobs", "2"],
+]
+_ROUTE_ARGVS = _PARSED_WHOLE + [
+    [], ["-h"], ["-h", "matrix"], ["bogus"], ["bogus", "-p", "11"], ["--", "matrix"],
+    ["matrix"], ["matrix", "-h"], [*_MATRIX, "-h"], ["matrix", "-p", "11"],
+    ["matrix", "-p", "x", "-k", "2"], [*_MATRIX, "--kind", "B"], [*_MATRIX, "--i0"],
+    ["matrix", "--", "-p", "11", "-k", "2"], [*_MATRIX, "--"], [*_MATRIX, "--", "--kind", "dA"],
+    [*_MATRIX, "stray"], ["stray", *_MATRIX], [*_MATRIX, "--bogus"], [*_MATRIX, "-x"],
+    ["sweep", "--max-p", "10", "--out", "r.csv", "--checkpoint", "x"],
+    ["verify", "--max-p", "10", "--jobs"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """``vars`` of the Namespace ``parse(argv)`` gives, or its SystemExit
+    code, with what it wrote to stdout and stderr."""
+    try:
+        outcome = vars(parse(list(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _ROUTE_ARGVS, ids=" ".join)
+def test_command_parser_route_equals_full_parser(capsys, argv):
+    """``main`` reads a call that starts with a known command through that
+    command's parser alone; every argv gives what the full parser gives,
+    the same Namespace or the same exit code, stdout and stderr."""
+    full = _parse_outcome(capsys, lenspoly.cli.build_parser().parse_args, argv)
+    assert _parse_outcome(capsys, lenspoly.cli._parse_args, argv) == full
+    assert isinstance(full[0], dict) == (argv in _PARSED_WHOLE)
+
+
+def test_command_parsed_whole_skips_the_full_parser(monkeypatch):
+    def full_parse(*_):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(lenspoly.cli.build_parser(), "parse_args", full_parse)
+    for argv in _PARSED_WHOLE:
+        assert lenspoly.cli._parse_args(list(argv)).command == argv[0]
+    with pytest.raises(AssertionError, match="the full parser ran"):
+        lenspoly.cli._parse_args([*_MATRIX, "--bogus"])
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    """The console script calls ``main()``: it parses ``sys.argv[1:]``."""
+    monkeypatch.setattr(sys, "argv", ["lenspoly", "lemma", "-p", "11", "-k", "2",
+                                      "--format", "json"])
+    assert main() == 0
+    assert capsys.readouterr() == ('{"p":11,"k":2,"k2":5,"hypothesis_found":true}\n', "")
 
 
 def test_invalid_parameters_exit_2(capsys):
