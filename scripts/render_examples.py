@@ -15,7 +15,7 @@ from lenspoly.lattice import (
     non_zero_region,
     trace_curves,
 )
-from lenspoly.render import ascii_curves, ascii_view, svg_curves
+from lenspoly.render import ascii_curves, ascii_view, svg_pieces
 from lenspoly.surgery import SurgeryParams
 
 EXAMPLES = [
@@ -46,7 +46,8 @@ def main():
         print(ascii_curves(window, curves))
         print()
         path = out_dir / f"curves_{params.p}_{params.k}.svg"
-        path.write_text(svg_curves(params, window, curves, non_zero_region(params, gen)))
+        cells = non_zero_region(params, gen).window_translates(window)
+        path.write_text("".join(svg_pieces(params, window, curves, cells)))
         print(f"wrote {path}")
         print()
 

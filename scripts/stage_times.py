@@ -7,15 +7,21 @@ change in the machine's speed during the run falls on every stage alike.
 With ``--repeat N`` each p runs N times and every stage keeps its fastest
 time of that p.  The stages, in the order they run:
 
-  enumerate    _canonical_params(p)
-  kernel       _period(params): the window counts, checked for symmetry
+  enumerate    _canonical_walk(p), each pair's _invariants(p, k, k2)
+  kernel       _period(p, k, inv): the window counts, checked for symmetry
   top_terms    _top_terms(*period)
   flat         _is_flat(w, m)
   alternation  _alternation(w, step, e, m, g)
-  record       compute_record(params, period, top): the row, flatness,
+  record       _row(p, k, k2, period, top): the row, flatness,
                alternation and the lemma check included
   tally        _tally(SweepSummary(), records)
   csv, jsonl   _serialize_batch(records, fmt)
+  sweep        _rows_for_p("csv", p): the sweep's whole worker
+  verify       _violations_for_p(p): verify's whole worker
+
+A checkout whose _period still takes a SurgeryParams runs the stages as
+its workers did: enumerate is _canonical_params(p), kernel _period(params)
+and record compute_record(params, period, top).
 
 It times whatever ``lenspoly`` is on the path.  ``--against DIR`` also
 imports the ``lenspoly`` package under DIR (another checkout's ``src``)
@@ -29,12 +35,13 @@ Usage: PYTHONPATH=src python3 scripts/stage_times.py [--min-p 600] [--max-p 640]
 import argparse
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 from time import perf_counter_ns
 
 STAGES = ("enumerate", "kernel", "top_terms", "flat", "alternation", "record", "tally",
-          "csv", "jsonl")
+          "csv", "jsonl", "sweep", "verify")
 
 
 def load(package: str, src: str | None = None) -> tuple:
@@ -58,9 +65,15 @@ def stage_times(code: tuple, p: int) -> tuple[int, list[int]]:
     def lap():
         clock.append(perf_counter_ns())
 
-    pairs = surgery._canonical_params(p)
-    lap()
-    periods = [alexander._period(params) for params in pairs]
+    by_params = "params" in inspect.signature(alexander._period).parameters
+    if by_params:
+        pairs = surgery._canonical_params(p)
+        lap()
+        periods = [alexander._period(params) for params in pairs]
+    else:
+        pairs = [(k, k2, surgery._invariants(p, k, k2)) for k, k2 in surgery._canonical_walk(p)]
+        lap()
+        periods = [alexander._period(p, k, inv) for k, _, inv in pairs]
     lap()
     tops = [alexander._top_terms(*period) for period in periods]
     lap()
@@ -68,13 +81,21 @@ def stage_times(code: tuple, p: int) -> tuple[int, list[int]]:
     lap()
     [alexander._alternation(*period, top[0]) for period, top in zip(periods, tops)]
     lap()
-    records = [sweep.compute_record(*args) for args in zip(pairs, periods, tops)]
+    if by_params:
+        records = [sweep.compute_record(*args) for args in zip(pairs, periods, tops)]
+    else:
+        records = [sweep._row(p, k, k2, period, top)
+                   for (k, k2, _), period, top in zip(pairs, periods, tops)]
     lap()
     sweep._tally(sweep.SweepSummary(), records)
     lap()
     sweep._serialize_batch(records, "csv")
     lap()
     sweep._serialize_batch(records, "jsonl")
+    lap()
+    sweep._rows_for_p("csv", p)
+    lap()
+    sweep._violations_for_p(p)
     lap()
     return len(pairs), [b - a for a, b in zip(clock, clock[1:])]
 

@@ -32,7 +32,7 @@ from .lattice import (
     region_contains,
     trace_curves,
 )
-from .render import ascii_curves, ascii_view, svg_curves, view_to_json
+from .render import ascii_curves, ascii_view, svg_pieces, view_to_json
 from .surgery import (
     DerivedInvariants,
     InvalidParameterError,
@@ -92,7 +92,7 @@ __all__ = [
     "reduce_mod",
     "region_contains",
     "run_sweep",
-    "svg_curves",
+    "svg_pieces",
     "top_coefficient",
     "torus_polynomial",
     "trace_curves",

@@ -17,6 +17,9 @@ Two access layers exist on purpose:
 * :func:`polynomial` is the strict layer: it refuses, with
   :class:`IntegrityError`, any output that is asymmetric or not
   normalized, and is what the `poly` command and the oracle tests use.
+
+Under both, the kernel :func:`_period` takes a pair as plain ints, p, k
+and its invariants: the sweeps build no SurgeryParams for it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .surgery import SurgeryParams
+from .surgery import DerivedInvariants, SurgeryParams
 
 
 class IntegrityError(Exception):
@@ -111,9 +114,9 @@ def _step_marks(n: int) -> int:
     return 8 + (n >> 5)
 
 
-def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
-    """(w, step, e, m) with abar_i = e*(w[-i*step mod p] - m), in h <= k
-    Python steps and O(p log(k/h)) big-int work.
+def _residue_values(p: int, k: int, inv: DerivedInvariants) -> tuple[bytes | array, int, int, int]:
+    """(w, step, e, m) of (p, k) with invariants inv: abar_i = e*(w[-i*step
+    mod p] - m), in h <= k Python steps and O(p log(k/h)) big-int work.
 
     The membership test asks whether q2*j + q2*(k*i + c) mod p lands in a
     fixed cyclic arc of k2 consecutive residues ending at arc_end (the
@@ -144,11 +147,10 @@ def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int
       never 0: the starts x_i run through every residue once, so
       a_i = a_-i for all i says exactly that ``w`` is symmetric about 0.
 
-    >>> _residue_values(SurgeryParams(7, 2))  # a_0 = -(2 - 1), a_1 = -(w[3] - 1)
+    >>> _residue_values(7, 2, SurgeryParams(7, 2).inv)  # a_0 = -(2 - 1), a_1 = -(w[3] - 1)
     (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
     """
-    p, k = params.p, params.k
-    k2, e, m, _, q2, c = params.inv
+    k2, e, m, _, q2, c = inv
     q2 %= p
     first = (q2 * (c + 1) - (k2 if e > 0 else 0)) % p  # j = 1
     size = 1 << ((k.bit_length() - 1) >> 3).bit_length()  # bytes per slot
@@ -182,21 +184,20 @@ def _residue_values(params: SurgeryParams) -> tuple[bytes | array, int, int, int
     return w, q2 * k % p, e, m
 
 
-def _period(params: SurgeryParams) -> tuple[bytes | array, int, int, int]:
+def _period(p: int, k: int, inv: DerivedInvariants) -> tuple[bytes | array, int, int, int]:
     """(w, step, e, m) of :func:`_residue_values`, once a_i = a_{-i} is
     checked across the whole period.
 
     A failure would be an implementation bug: IntegrityError at the
     first bad i.
 
-    >>> _period(SurgeryParams(7, 2))
+    >>> _period(7, 2, SurgeryParams(7, 2).inv)
     (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
     """
-    w, step, e, m = period = _residue_values(params)
-    p = len(w)
+    w, step, e, m = period = _residue_values(p, k, inv)
     if w[1:(p + 1) // 2] != w[:p // 2:-1]:  # w[x] against w[p - x]
         bad = next(i for i in range(1, p // 2 + 1) if w[-i * step % p] != w[i * step % p])
-        raise IntegrityError(p, params.k, "a_i != a_-i", index=bad)
+        raise IntegrityError(p, k, "a_i != a_-i", index=bad)
     return period
 
 
@@ -223,11 +224,11 @@ def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, i
     otherwise.  A period with m = 0 (k = 1) whose counts are all 0 but
     w[0] is the constant a_0, found by one ``count`` and no scan.
 
-    >>> _top_terms(*_period(SurgeryParams(7, 2)))  # t - 1 + t^-1: a_{g-2} = a_-1
+    >>> _top_terms(*_period(7, 2, SurgeryParams(7, 2).inv))  # t - 1 + t^-1: a_{g-2} = a_-1
     (1, 1, -1, 1)
-    >>> _top_terms(*_period(SurgeryParams(19, 7)))
+    >>> _top_terms(*_period(19, 7, SurgeryParams(19, 7).inv))
     (5, 1, -1, 0)
-    >>> _top_terms(*_period(SurgeryParams(13, 1)))  # the constant 1
+    >>> _top_terms(*_period(13, 1, SurgeryParams(13, 1).inv))  # the constant 1
     (0, 1, 0, 0)
     """
     p = len(w)
@@ -266,15 +267,15 @@ def _alternation(w: bytes | array, step: int, e: int, m: int, g: int) -> tuple[b
     zero terms of a_0..a_g and marks the others by sign: two marks in a
     row alike are two nonzero terms in a row with one sign.
 
-    >>> _alternation(*_period(SurgeryParams(7, 2)), 1)  # t - 1 + t^-1
+    >>> _alternation(*_period(7, 2, SurgeryParams(7, 2).inv), 1)  # t - 1 + t^-1
     (True, True)
-    >>> _alternation(*_period(SurgeryParams(8, 3)), 4)  # a_4..a_0 = 2, -1, 0, 1, -1
+    >>> _alternation(*_period(8, 3, SurgeryParams(8, 3).inv), 4)  # a_4..a_0 = 2, -1, 0, 1, -1
     (True, False)
-    >>> _alternation(*_period(SurgeryParams(11, 3)), 3)  # a_3..a_0 = 1, -1, 0, 1
+    >>> _alternation(*_period(11, 3, SurgeryParams(11, 3).inv), 3)  # a_3..a_0 = 1, -1, 0, 1
     (True, False)
-    >>> _alternation(*_period(SurgeryParams(19, 7)), 5)  # a_5..a_0 = 1, -1, 0, 1, -1, 1
+    >>> _alternation(*_period(19, 7, SurgeryParams(19, 7).inv), 5)  # a_5..a_0 = 1, -1, 0, 1, -1, 1
     (True, False)
-    >>> _alternation(*_period(SurgeryParams(15, 4)), 7)  # stops at a_5: 1, -1, -1
+    >>> _alternation(*_period(15, 4, SurgeryParams(15, 4).inv), 7)  # stops at a_5: 1, -1, -1
     (False, False)
 
     Hand-made periods, step a unit: t^2 - t - t^-1 + t^-2 (a_0 = 0) as
@@ -309,7 +310,7 @@ def generate(params: SurgeryParams) -> GeneratedPolynomial:
     """Run the generator and symmetrize, without the normalization gate:
     the checked period (:func:`_period`), gathered, with the t = 1 value
     reported verbatim."""
-    return _gather(*_period(params))
+    return _gather(*_period(params.p, params.k, params.inv))
 
 
 def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import accumulate, cycle, islice
 from typing import Iterator
 
-from .lattice import LatticeView, NonZeroCurve, NonZeroRegion, Window
+from .lattice import LatticeView, NonZeroCurve, Window
 from .surgery import SurgeryParams
 
 _CELL = 20
@@ -78,17 +78,6 @@ def view_to_json(view: LatticeView) -> str:
     rows = f"[{rows}]" if view.starts else ""  # a window without rows has no brackets
     i0, j0 = view.window.i0, view.window.j0
     return f'{{"kind":"{view.kind}","i0":{i0},"j0":{j0},"rows":[{rows}]}}'
-
-
-def svg_curves(
-    params: SurgeryParams,
-    window: Window,
-    curves: list[NonZeroCurve],
-    region: NonZeroRegion | None,
-) -> str:
-    """SVG 1.1 document: the pieces of :func:`svg_pieces`, joined, shaded by ``region``."""
-    cells = None if region is None or window.is_empty() else region.window_translates(window)
-    return "".join(svg_pieces(params, window, curves, cells))
 
 
 def svg_pieces(

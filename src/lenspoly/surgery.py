@@ -4,9 +4,9 @@ A lens surgery parameter is a coprime pair (p, k) with p >= 2.  The class
 k lives in (Z/p)^* and has four equivalent representatives k, -k, k^-1,
 -k^-1; we normalize to the smallest positive representative in (0, p/2].
 :class:`SurgeryParams` checks that and derives (k2, e, m, q, q2, c) once,
-as ``params.inv``; :func:`_canonical_params` lists the canonical pairs of
-one p, each validated once, by :func:`_canonical_walk`, and derived
-once.  Everything in this module is plain, exact integer
+as ``params.inv``.  :func:`_canonical_walk` yields the canonical (k, k2)
+of one p, each validated once, which the sweeps take as plain ints with
+:func:`_invariants`.  Everything in this module is plain, exact integer
 arithmetic -- Python integers are unbounded, so there is no overflow to
 worry about even far beyond p = 10^6.
 
@@ -54,8 +54,8 @@ class SurgeryParams:
     minimal representative of its class orbit {±k, ±k^-1 mod p} within
     (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_walk`).
     Validation derives the invariants once and keeps them as ``inv``;
-    ``repr``, ``==`` and ``hash`` ignore it.  :func:`_canonical_params`
-    builds its pairs without this check, as its walk has made it.
+    ``repr``, ``==`` and ``hash`` ignore it.  :func:`_checked_params`
+    builds a pair of the walk without this check, as the walk has made it.
     """
 
     p: int
@@ -123,19 +123,21 @@ def _canonical_walk(p: int) -> Iterator[tuple[int, int]]:
             yield k, k2
 
 
+def _checked_params(p: int, k: int, inv: DerivedInvariants) -> SurgeryParams:
+    """The SurgeryParams of a pair :func:`_canonical_walk` checked, not validated again."""
+    params = object.__new__(SurgeryParams)
+    params.__dict__.update(p=p, k=k, inv=inv)
+    return params
+
+
 def _canonical_params(p: int) -> list[SurgeryParams]:
-    """The canonical parameters of one p, ascending in k.  Its walk,
-    :func:`_canonical_walk`, checks what SurgeryParams validates, so each
-    is filled in directly, and derived once, from the walk's k2.
+    """The canonical parameters of one p, ascending in k, each derived
+    once from its walk's k2.
 
     >>> [params.k for params in _canonical_params(11)]
     [1, 2, 3]
     """
-    pairs = []
-    for k, k2 in _canonical_walk(p):
-        pairs.append(params := object.__new__(SurgeryParams))
-        params.__dict__.update(p=p, k=k, inv=_invariants(p, k, k2))
-    return pairs
+    return [_checked_params(p, k, _invariants(p, k, k2)) for k, k2 in _canonical_walk(p)]
 
 
 def canonicalize_dual_class(p: int, k0: int) -> SurgeryParams:

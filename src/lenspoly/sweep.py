@@ -8,15 +8,17 @@ resume keeps the rows of every complete p, drops the rest and continues.
 
 A :class:`SweepRecord` is one report row: its fields are the columns, in
 order.  Each pair comes from the canonical walk of its p, which validates
-it once, and its row is read off its checked period, the window counts
-of :func:`lenspoly.alexander._period`, gathering nothing: flatness is a
+it once, as plain ints (p, k and its invariants), and its row is read off
+its checked period, the window counts of
+:func:`lenspoly.alexander._period`, gathering nothing: flatness is a
 ``translate`` of 1-byte counts (else ``min``/``max``), and alternation a
 scan of the top 16 terms, then, for 1-byte counts, one strided read of
 a_0..a_g (6,216 of the 31,932 pairs with p <= 640 get that far).
 ``verify`` works by p too, but it checks every pair's period and reads
-only its top three coefficients off it; it builds the record only for a
-pair with the pattern (1, -1, nonzero) or with k = 2, as no other pair
-is the hypothesis of the theorem or of either direction of the corollary.
+only its top three coefficients off it; it builds a SurgeryParams and
+the record only for a pair with the pattern (1, -1, nonzero) or with
+k = 2, as no other pair is the hypothesis of the theorem or of either
+direction of the corollary.  A resume matches rows, decoding none.
 
 With more than one job, each worker process has its own pipe and is
 handed chunks of 4 consecutive p on demand, two ahead; the coordinator
@@ -39,16 +41,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import _alternation, _is_flat, _period, _top_terms
-from .lattice import check_lemma
-from .surgery import InvalidParameterError, SurgeryParams, _canonical_params, _canonical_walk
+from .surgery import (InvalidParameterError, SurgeryParams, _canonical_params, _canonical_walk,
+                      _checked_params, _invariants)
 
 _R = TypeVar("_R")
 
@@ -92,8 +94,11 @@ _ROW_TAIL = {fmt: dict(zip(product((False, True), repeat=len(_BOOLS)),
              for fmt, tail, spellings in (
                  ("csv", ",".join(["%s"] * len(_BOOLS)) + "\n", "01"),
                  ("jsonl", ",".join(f'"{n}":%s' for n in _BOOLS) + "}\n", ("false", "true")))}
-_csv_bool = {"0": False, "1": True}.__getitem__  # the only bool fields a CSV row has
-_row_values = itemgetter(*CSV_COLUMNS)  # a parsed JSONL row's values, in column order
+# A row is read back by a pattern of its int columns as %d writes them (no
+# sign on 0, no leading zero), then its bools by their text, newline cut off.
+_ROW_MATCH = {fmt: re.compile("(0|-?[1-9][0-9]*)".join(map(re.escape, head.split("%d")))).match
+              for fmt, head in _ROW_HEAD.items()}
+_TAIL_BOOLS = {fmt: {t[:-1]: b for b, t in tails.items()} for fmt, tails in _ROW_TAIL.items()}
 
 
 class Violation(NamedTuple):
@@ -156,22 +161,27 @@ def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
 def compute_record(
     params: SurgeryParams, period: tuple | None = None, top: tuple | None = None
 ) -> SweepRecord:
-    """The report row of one parameter, read off its checked period
-    ``(w, step, e, m)`` of :func:`_period` and that period's
-    :func:`_top_terms`, either of which may be passed when the caller
-    already has it."""
-    w, step, e, m = period or _period(params)
+    """The report row of one parameter (:func:`_row`); its period of
+    :func:`_period` and top terms may be passed when the caller has them."""
+    p, k, inv = params.p, params.k, params.inv
+    return _row(p, k, inv.k2, period or _period(p, k, inv), top)
+
+
+def _row(p: int, k: int, k2: int, period: tuple, top: tuple | None) -> SweepRecord:
+    """The report row of (p, k), read off its checked period ``(w, step,
+    e, m)`` and that period's :func:`_top_terms` (scanned when None)."""
+    w, step, e, m = period
     g, top0, top1, top2 = top or _top_terms(w, step, e, m)
     trivial = g == 0 and top0 == 1  # a_g is a_0 when g = 0
     flat = _is_flat(w, m)  # w holds the count of every a_i, |i| <= p/2
     alternating, strictly = _alternation(w, step, e, m, g)
     return tuple.__new__(SweepRecord, (  # without the generated __new__'s frame
-        params.p, params.k, params.inv.k2, e, m, g, top1, top2, trivial, flat, alternating,
+        p, k, k2, e, m, g, top1, top2, trivial, flat, alternating,
         # torus2_match: the coefficients are T(2, 2g+1)'s, as every one is
         # +-1, the signs alternate and the top one is 1
         flat and strictly and top0 == 1,
         trivial or (top0 == 1 and top1 == -1),  # top_sign_ok
-        check_lemma(params),  # lemma_hypothesis
+        p < 3 * k2,  # lemma_hypothesis, in the closed form of check_lemma
         True, True,  # lemma_bound_ok, lemma_zeros_ok: always (see check_lemma)
     ))
 
@@ -179,7 +189,8 @@ def compute_record(
 def _records_for_p(p: int) -> tuple[list[SweepRecord], int]:
     """The records of one p, and the wall-clock microseconds they took."""
     start = time.perf_counter_ns()
-    records = [compute_record(params) for params in _canonical_params(p)]
+    records = [_row(p, k, k2, _period(p, k, _invariants(p, k, k2)), None)
+               for k, k2 in _canonical_walk(p)]
     return records, (time.perf_counter_ns() - start) // 1000
 
 
@@ -315,11 +326,11 @@ def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
     period and those same top terms."""
     theorem: list[Violation] = []
     corollary: list[Violation] = []
-    for params in _canonical_params(p):
-        period = _period(params)
+    for k, k2 in _canonical_walk(p):
+        period = _period(p, k, inv := _invariants(p, k, k2))
         top = _top_terms(*period)
-        if params.k == 2 or _top_trigger(*top[1:]):
-            th, co = _violations(compute_record(params, period, top))
+        if k == 2 or _top_trigger(*top[1:]):
+            th, co = _violations(compute_record(_checked_params(p, k, inv), period, top))
             theorem += th
             corollary += co
     return theorem, corollary
@@ -368,32 +379,26 @@ def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
 
 
 def _parse_row(line: str, fmt: str) -> SweepRecord:
-    """Inverse of the row serialization: a line is a row only if
-    serializing the record it parses to gives back exactly that line.
-
-    A JSONL row's values are taken as JSON gives them: only ints in the
-    int columns and bools in the bool columns serialize back to the line.
-    Raises ValueError, LookupError, TypeError, OverflowError (an infinite
-    number) or RecursionError (deep nesting) on a line that is not a
-    report row of this format.
-    """
-    if fmt == "csv":
-        fields = line.split(",")
-        record = SweepRecord(*map(int, fields[:_INTS]), *map(_csv_bool, fields[_INTS:]))
-    else:
-        record = SweepRecord(*_row_values(json.loads(line)))
-    if _serialize_row(record, fmt) != line + "\n":
-        raise ValueError("it does not serialize back to itself")
-    return record
+    """Inverse of the row serialization, on a line without its newline: it
+    accepts exactly the lines the serialization writes, else ValueError."""
+    ints = _ROW_MATCH[fmt](line)
+    bools = ints and _TAIL_BOOLS[fmt].get(line[ints.end():])
+    if not bools:
+        raise ValueError("it is not a row as this format writes one")
+    return tuple.__new__(SweepRecord, (*map(int, ints.groups()), *bools))
 
 
 def _replace_file(path: str, text: str) -> None:
     """Write text to path through a temporary file and a rename, so a
-    killed process leaves either the old file or the new one."""
+    killed process leaves either the old file or the new one; an OSError
+    names path."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) -> int:
@@ -436,11 +441,11 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                 continue
             try:
                 record = _parse_row(line[:-1].decode(), fmt)
-            except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
+            except ValueError as exc:
                 raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
-            if (record.p, record.k) != (p, ks[len(batch)]):
-                raise refuse(f"line {n} holds ({record.p}, {record.k}), but the next "
-                             f"canonical pair is p = {p}, k = {ks[len(batch)]}")
+            if record[:2] != (p, ks[len(batch)]):
+                raise refuse(f"line {n} holds {record[:2]}, but the next canonical pair is "
+                             f"p = {p}, k = {ks[len(batch)]}")
             batch.append(record)
             if len(batch) == len(ks):
                 if p <= max_p:

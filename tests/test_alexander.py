@@ -100,7 +100,7 @@ def residue_table_loop(params, inv):
 def full_period_table(params):
     """abar_i for i = 0..p-1, gathered from the kernel's window counts
     over the whole period."""
-    w, step, e, m = _residue_values(params)
+    w, step, e, m = _residue_values(params.p, params.k, params.inv)
     p = params.p
     return [e * (w[-i * step % p] - m) for i in range(p)]
 
@@ -394,7 +394,7 @@ def test_kernel_matches_marking_loop():
     cases = [(params.p, params.k) for params in enumerate_params(300)]
     for p, k in cases + list(SLOT_WIDTH_CASES) + edges:
         params = SurgeryParams(p, k)
-        got, want = _residue_values(params), residue_values_loop(params)
+        got, want = _residue_values(params.p, params.k, params.inv), residue_values_loop(params)
         assert got == want and slot_bytes(got[0]) == slot_bytes(want[0]), (p, k)
 
 
@@ -420,7 +420,7 @@ def test_kernel_slot_widths():
     (607, 267) and (705, 278) miss it by one count, m + 2 and m - 2."""
     for (p, k), size in SLOT_WIDTH_CASES.items():
         params = SurgeryParams(p, k)
-        w, step, e, m = _residue_values(params)
+        w, step, e, m = _residue_values(params.p, params.k, params.inv)
         assert slot_bytes(w) == size, (p, k)
         assert full_period_table(params) == residue_table_loop(params, params.inv), (p, k)
         gen = generate(params)
@@ -465,7 +465,7 @@ def test_flat_two_byte_periods_match_oracle():
     flat = 0
     for params in enumerate_params(700):
         if params.k >= 256:
-            w, step, e, m = _period(params)
+            w, step, e, m = _period(params.p, params.k, params.inv)
             assert slot_bytes(w) == 2, params
             assert _is_flat(w, m) == is_flat_full(generate(params).poly.coeffs), params
             flat += _is_flat(w, m)
@@ -494,7 +494,7 @@ def test_alternation_matches_scan_up_to_640():
     pairs whose top terms alternate."""
     copied = 0
     for params in enumerate_params(640):
-        period = _period(params)
+        period = _period(params.p, params.k, params.inv)
         g = _top_terms(*period)[0]
         assert _alternation(*period, g) == alternation_scan(*period, g), params
         w, step = period[:2]
@@ -508,7 +508,7 @@ def test_alternation_matches_scan_near_1200():
     widths = Counter()
     for p in range(1190, 1201):
         for params in _canonical_params(p):
-            period = _period(params)
+            period = _period(params.p, params.k, params.inv)
             g = _top_terms(*period)[0]
             assert _alternation(*period, g) == alternation_scan(*period, g), params
             widths[slot_bytes(period[0])] += 1
@@ -560,11 +560,11 @@ def test_wide_slots_report_first_asymmetric_index(monkeypatch):
     """A break planted in the 2-byte counts of (555, 256) is found at its
     first bad index, as in 1-byte slots."""
     params = SurgeryParams(555, 256)
-    w, step, e, m = _residue_values(params)
+    w, step, e, m = _residue_values(params.p, params.k, params.inv)
     assert slot_bytes(w) == 2
     w[-9 * step % 555] += 1  # a_9 != a_-9
     w[3 * step % 555] -= 1  # a_-3 != a_3: the first bad index
-    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params: (w, step, e, m))
+    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda p, k, inv: (w, step, e, m))
     with pytest.raises(IntegrityError) as exc_info:
         generate(params)
     assert (exc_info.value.p, exc_info.value.k, exc_info.value.index) == (555, 256, 3)
@@ -669,12 +669,12 @@ def test_top_terms_match_top_coefficient_up_to_300():
     genera = set()
     for params in enumerate_params(300):
         poly = generate_full_period(params).poly
-        top = _top_terms(*_period(params))
+        top = _top_terms(*_period(params.p, params.k, params.inv))
         assert top == (poly.g, *(top_coefficient(poly, n) for n in range(3))), params
         genera.add(top[0])
     assert {0, 1, 2} <= genera
     # g = 1: a_{g-2} is a_-1 = a_1 = 1, not 0
-    assert _top_terms(*_period(SurgeryParams(5, 2))) == (1, 1, -1, 1)
+    assert _top_terms(*_period(5, 2, SurgeryParams(5, 2).inv)) == (1, 1, -1, 1)
 
 
 class CountedPeriod(bytes):
@@ -693,7 +693,7 @@ def test_top_terms_read_k1_periods_once():
     a_{p/2}.  Its answer is unchanged."""
     for p in range(2, 201):
         params = SurgeryParams(p, 1)
-        w, step, e, m = _period(params)
+        w, step, e, m = _period(params.p, params.k, params.inv)
         counted = CountedPeriod(w)
         assert _top_terms(counted, step, e, m) == (0, 1, 0, 0), p
         assert counted.reads <= 1, (p, counted.reads)
@@ -755,11 +755,11 @@ def test_symmetric_type_validation():
 
 def test_generate_reports_first_asymmetric_index(monkeypatch):
     params = SurgeryParams(19, 7)
-    w, step, e, m = _residue_values(params)
+    w, step, e, m = _residue_values(params.p, params.k, params.inv)
     w = bytearray(w)
     w[-4 * step % 19] += 1  # a_4 != a_-4
     w[2 * step % 19] += 1  # a_-2 != a_2: the first bad index
-    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda params: (w, step, e, m))
+    monkeypatch.setattr(lenspoly.alexander, "_residue_values", lambda p, k, inv: (w, step, e, m))
     with pytest.raises(IntegrityError) as exc_info:
         generate(params)
     err = exc_info.value

@@ -710,9 +710,18 @@ def test_internal_value_error_exit_4(capsys, monkeypatch):
 
 
 def test_io_failure_exit_3(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "sweep", "--max-p", "10",
-                           "--out", str(tmp_path / "missing" / "x.csv"))
+    """An unwritable output exits 3 with the path the user gave, for the
+    sweep's report (written through a temporary file) and its timing side
+    file, and for curve --svg."""
+    out = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--max-p", "10", "--out", str(out))
     assert code == 3
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    out = tmp_path / "x.csv"
+    os.mkdir(f"{out}.timing.json")
+    code, _, err = run_cli(capsys, "sweep", "--max-p", "10", "--out", str(out))
+    assert code == 3
+    assert err == f"error: [Errno 21] Is a directory: '{out}.timing.json'\n"
     svg_path = tmp_path / "missing" / "c.svg"
     code, _, err = run_cli(capsys, "curve", "-p", "11", "-k", "2", "--svg", str(svg_path))
     assert code == 3

@@ -33,7 +33,7 @@ from lenspoly.lattice import (
     region_contains,
     trace_curves,
 )
-from lenspoly.render import ascii_curves, ascii_view, svg_curves, svg_pieces, view_to_json
+from lenspoly.render import ascii_curves, ascii_view, svg_pieces, view_to_json
 from lenspoly.surgery import SurgeryParams, derive_invariants, reduce_mod
 from lenspoly.sweep import _records_for_p, enumerate_params
 from test_sweep import is_alternating_full, is_flat_full
@@ -811,6 +811,14 @@ _CURVE_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085
 def _svg_coords(window, i, j):
     # lattice j grows upward, SVG y grows downward
     return 10 + (i - window.i0) * 20 + 10, 10 + (window.j1 - j) * 20 + 10
+
+
+def svg_curves(params, window, curves, region):
+    """The whole SVG document: the pieces of svg_pieces joined, shaded by
+    region's translate table of window (no shading for no region or an
+    empty window)."""
+    cells = None if region is None or window.is_empty() else region.window_translates(window)
+    return "".join(svg_pieces(params, window, curves, cells))
 
 
 def svg_curves_per_cell(params, window, curves, region):

@@ -17,7 +17,7 @@ import pytest
 import lenspoly.alexander
 import lenspoly.surgery
 import lenspoly.sweep
-from lenspoly.alexander import IntegrityError, _period, generate
+from lenspoly.alexander import IntegrityError, _period, _top_terms, generate
 from lenspoly.cli import _encode_json
 from lenspoly.lattice import check_lemma
 from lenspoly.surgery import SurgeryParams, _canonical_params, reduce_mod
@@ -187,7 +187,7 @@ def test_record_predicates_match_definitions_up_to_300():
     flat, alternating polynomial has Delta(1) = a_g = 1."""
     wide = 0
     for params in enumerate_params(300):
-        period = _period(params)
+        period = _period(params.p, params.k, params.inv)
         r = compute_record(params, period)
         assert r == record_full_coeffs(params), params
         assert sum(period[0]) == params.k * r.k2, params
@@ -308,9 +308,9 @@ def test_verify_checks_symmetry_off_the_candidates(monkeypatch):
     assert record.g == 6 and not _theorem_trigger(record)
     residue_values = lenspoly.alexander._residue_values
 
-    def broken(params):
-        w, step, e, m = residue_values(params)
-        if (params.p, params.k) == (13, 5):
+    def broken(p, k, inv):
+        w, step, e, m = residue_values(p, k, inv)
+        if (p, k) == (13, 5):
             w = bytearray(w)
             w[-step % 13] += 1  # a_1 != a_-1
         return w, step, e, m
@@ -329,9 +329,9 @@ from lenspoly.sweep import SweepConfig, run_sweep, verify
 
 residue_values = lenspoly.alexander._residue_values
 
-def broken(params):
-    w, step, e, m = residue_values(params)
-    if (params.p, params.k) == (13, 5):
+def broken(p, k, inv):
+    w, step, e, m = residue_values(p, k, inv)
+    if (p, k) == (13, 5):
         w = bytearray(w)
         w[-step % 13] += 1  # a_1 != a_-1
     return w, step, e, m
@@ -378,10 +378,10 @@ from lenspoly.sweep import SweepConfig, run_sweep, verify
 
 residue_values = lenspoly.alexander._residue_values
 
-def dying(params):
-    if params.p == 11:
+def dying(p, k, inv):
+    if p == 11:
         os._exit(1)
-    return residue_values(params)
+    return residue_values(p, k, inv)
 
 lenspoly.alexander._residue_values = dying
 multiprocessing.set_start_method("fork")  # so the workers inherit the exit
@@ -477,7 +477,7 @@ def test_stage_times_script():
         assert head == f"p 2..30: {pairs} pairs, best of 2 per p"
         assert [row.split()[0] for row in rows] == [
             "enumerate", "kernel", "top_terms", "flat", "alternation", "record", "tally", "csv",
-            "jsonl"]
+            "jsonl", "sweep", "verify"]
         for row in rows:
             assert re.fullmatch(row_format, row), row
     for flags in (("--min-p", "1"), ("--min-p", "9", "--max-p", "8"), ("--repeat", "0")):
@@ -689,6 +689,17 @@ def test_resume_derives_invariants_only_for_a_torn_row(tmp_path, monkeypatch):
     ("jsonl", (3, 1), '"p":3', '"p":Infinity'),  # OverflowError in int()
     ("jsonl", (4, 1), '"p":4', '"p":1e400'),     # parses as infinity too
     ("jsonl", (3, 1), '"flat":true', '"flat":7'),  # KeyError in the serialization
+    ("csv", (5, 2), "5,2,2,", "5,2,02,"),  # a leading zero: the ints still read 5, 2, 2
+    ("jsonl", (5, 2), '"k2":2', '"k2":02'),
+    ("csv", (3, 1), ",0,0,0,0,", ",-0,0,0,0,"),
+    ("jsonl", (3, 1), '"m":0', '"m":-0'),
+    ("csv", (5, 1), "5,1,", "+5,1,"),
+    ("jsonl", (5, 1), '"p":5', '"p":+5'),
+    ("csv", (4, 1), "1\n", "1\r\n"),  # a CRLF line end
+    ("jsonl", (4, 1), "}\n", "}\r\n"),
+    ("csv", (3, 1), "1\n", "1 \n"),  # a space before the newline
+    ("jsonl", (3, 1), "}\n", "} \n"),
+    ("jsonl", (5, 2), '"flat":true', '"flat":True'),
     pytest.param("jsonl", (5, 2), "{", "[" * 100_000 + "{", id="jsonl-deep-nesting"),
 ])
 def test_resume_refuses_rows_that_are_not_exact(tmp_path, fmt, pair, old, new):
@@ -768,6 +779,37 @@ def test_records_scan_top_terms_once(monkeypatch, worker, p):
     monkeypatch.setattr(lenspoly.sweep, "_top_terms", counted)
     worker(p)
     assert len(calls) == pairs
+
+
+@pytest.mark.parametrize("worker", [_records_for_p, _violations_for_p], ids=["sweep", "verify"])
+def test_workers_read_the_values_of_canonical_params(monkeypatch, worker):
+    """Each worker, walking the pairs of p as plain ints, hands the kernel
+    the (p, k, inv) of _canonical_params(p) and gets the same period and
+    top terms, pair by pair, for every p <= 300; the sweep's rows carry
+    that k, k2, e, m, g and those top terms."""
+    seen = []
+
+    def period(*pair):
+        seen.append([pair, _period(*pair)])
+        return seen[-1][1]
+
+    def top_terms(*period):
+        seen[-1].append(_top_terms(*period))
+        return seen[-1][2]
+    monkeypatch.setattr(lenspoly.sweep, "_period", period)
+    monkeypatch.setattr(lenspoly.sweep, "_top_terms", top_terms)
+    for p in range(2, 301):
+        seen.clear()
+        out = worker(p)
+        want = []
+        for params in _canonical_params(p):
+            w = _period(params.p, params.k, params.inv)
+            want.append([(p, params.k, params.inv), w, _top_terms(*w)])
+        assert seen == want, p
+        if worker is _records_for_p:
+            assert [(r.k, r.k2, r.e, r.m, r.g, r.alpha1, r.alpha2) for r in out[0]] == [
+                (k, inv.k2, inv.e, inv.m, top[0], top[2], top[3])
+                for (_, k, inv), _, top in want], p
 
 
 def test_map_over_p_caps_workers(monkeypatch):
