@@ -7,21 +7,23 @@ change in the machine's speed during the run falls on every stage alike.
 With ``--repeat N`` each p runs N times and every stage keeps its fastest
 time of that p.  The stages, in the order they run:
 
-  enumerate    _canonical_walk(p), each pair's _invariants(p, k, k2)
-  kernel       _period(p, k, inv): the window counts, checked for symmetry
-  top_terms    _top_terms(*period)
+  enumerate    _canonical_walk(p): each pair with its _invariants(p, k)
+  kernel       _period(p, k, inv): the window counts, checked for
+               symmetry, with g and the top terms
+  top_terms    _top_terms(*period[:4]): the part of kernel that reads g
+               and the top terms, timed again on its own
   flat         _is_flat(w, m)
   alternation  _alternation(w, step, e, m, g)
-  record       _row(p, k, k2, period, top): the row, flatness,
-               alternation and the lemma check included
+  record       _row(p, k, k2, period): the row, flatness, alternation
+               and the lemma check included
   tally        _tally(SweepSummary(), records)
   csv, jsonl   _serialize_batch(records, fmt)
   sweep        _rows_for_p("csv", p): the sweep's whole worker
   verify       _violations_for_p(p): verify's whole worker
 
-A checkout whose _period still takes a SurgeryParams runs the stages as
-its workers did: enumerate is _canonical_params(p), kernel _period(params)
-and record compute_record(params, period, top).
+A checkout whose _canonical_walk still yields (k, k2) runs the stages as
+its workers did: enumerate adds _invariants(p, k, k2), kernel reads no
+top terms, and record is _row(p, k, k2, period, top).
 
 It times whatever ``lenspoly`` is on the path.  ``--against DIR`` also
 imports the ``lenspoly`` package under DIR (another checkout's ``src``)
@@ -35,7 +37,6 @@ Usage: PYTHONPATH=src python3 scripts/stage_times.py [--min-p 600] [--max-p 640]
 import argparse
 import importlib
 import importlib.util
-import inspect
 import sys
 from pathlib import Path
 from time import perf_counter_ns
@@ -65,27 +66,25 @@ def stage_times(code: tuple, p: int) -> tuple[int, list[int]]:
     def lap():
         clock.append(perf_counter_ns())
 
-    by_params = "params" in inspect.signature(alexander._period).parameters
-    if by_params:
-        pairs = surgery._canonical_params(p)
-        lap()
-        periods = [alexander._period(params) for params in pairs]
+    walks_k2 = hasattr(surgery, "_k2")  # the walk yields k2, and _period no top terms
+    if walks_k2:
+        pairs = [(k, surgery._invariants(p, k, k2)) for k, k2 in surgery._canonical_walk(p)]
     else:
-        pairs = [(k, k2, surgery._invariants(p, k, k2)) for k, k2 in surgery._canonical_walk(p)]
-        lap()
-        periods = [alexander._period(p, k, inv) for k, _, inv in pairs]
+        pairs = list(surgery._canonical_walk(p))
     lap()
-    tops = [alexander._top_terms(*period) for period in periods]
+    periods = [alexander._period(p, k, inv) for k, inv in pairs]
     lap()
-    [alexander._is_flat(w, m) for w, _, _, m in periods]
+    tops = [alexander._top_terms(*period[:4]) for period in periods]
     lap()
-    [alexander._alternation(*period, top[0]) for period, top in zip(periods, tops)]
+    [alexander._is_flat(period[0], period[3]) for period in periods]
     lap()
-    if by_params:
-        records = [sweep.compute_record(*args) for args in zip(pairs, periods, tops)]
+    [alexander._alternation(*period[:4], top[0]) for period, top in zip(periods, tops)]
+    lap()
+    if walks_k2:
+        records = [sweep._row(p, k, inv.k2, period, top)
+                   for (k, inv), period, top in zip(pairs, periods, tops)]
     else:
-        records = [sweep._row(p, k, k2, period, top)
-                   for (k, k2, _), period, top in zip(pairs, periods, tops)]
+        records = [sweep._row(p, k, inv.k2, period) for (k, inv), period in zip(pairs, periods)]
     lap()
     sweep._tally(sweep.SweepSummary(), records)
     lap()

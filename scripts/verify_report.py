@@ -10,12 +10,11 @@ k = 2), so the discrepancy can be localized.  Every row is the sweep's
 record, from the sweep's own per-p worker; the trigger and the violation
 are the sweep's own predicates.
 
-Unit evaluation is read off the record: Delta(1) = 1 + [2g = p]*a_g, so
-the value at t = 1 is 1 exactly when 2g != p (a_g is nonzero).  Proof: the
-window counts sum to k*k2 = p*m + e, so the a_i over one period Z/p sum to
-e*(k*k2 - p*m) = 1, and a_-g..a_g cover Z/p once, except that 2g = p counts
-the residue p/2 twice.  At p <= 600 the literal trigger never fires on a
-pair with 2g = p, so the "+ unit evaluation" row equals the literal one.
+Unit evaluation is read off the record: Delta(1) = 1 + [2g = p]*a_g (see
+the ``lenspoly.alexander`` module docstring), so the value at t = 1 is 1
+exactly when 2g != p (a_g is nonzero).  At p <= 600 the literal trigger
+never fires on a pair with 2g = p, so the "+ unit evaluation" row equals
+the literal one.
 
 Usage: PYTHONPATH=src python3 scripts/verify_report.py [--max-p 600] [--jobs 8]
 """

@@ -10,16 +10,26 @@ for |i| <= p/2, extended periodically as abar_i = a_{[i]_p}.
 Two access layers exist on purpose:
 
 * :func:`generate` runs the counting formula on any canonical parameter
-  and reports the raw outcome, including the value at t = 1: 1 + a_g
-  when 2g = p (none is a lens surgery; the first is (8, 3)), and 1
-  otherwise, as a_i over one period Z/p sum to e*(k*k2 - p*m) = 1.  Sweeps
-  and lattice views work on this layer so anomalies stay observable.
+  and reports the raw outcome, including the value at t = 1,
+  Delta(1) = 1 + [2g = p]*a_g: the window counts sum to k*k2 = p*m + e,
+  so the a_i over one period Z/p sum to e*(k*k2 - p*m) = 1, and a_-g..a_g
+  cover Z/p once, but for 2g = p, which counts the residue p/2 twice
+  (none is a lens surgery; the first is (8, 3)).  Sweeps and lattice
+  views work on this layer so anomalies stay observable.
 * :func:`polynomial` is the strict layer: it refuses, with
   :class:`IntegrityError`, any output that is asymmetric or not
   normalized, and is what the `poly` command and the oracle tests use.
 
 Under both, the kernel :func:`_period` takes a pair as plain ints, p, k
-and its invariants: the sweeps build no SurgeryParams for it.
+and its invariants, and hands back its checked window counts with g and
+the top terms a_g, a_{g-1}, a_{g-2}: the one place they are read off the
+counts.
+
+Symmetry.  The counts w of :func:`_residue_values` give a_i at
+x_i = -i*step mod p, and step = e*k2 (mod p), as q2 = k2^2 and
+k*k2 = e: a unit, never 0.  So the x_i run through every residue once,
+a_i = a_{-i} for all i says exactly that w is symmetric about 0, and
+a_i's count is also w[i*s mod p] for s = min(step, p - step).
 """
 
 from __future__ import annotations
@@ -91,7 +101,7 @@ class SymmetricLaurentPolynomial:
 
 
 class GeneratedPolynomial(NamedTuple):
-    """Raw generator outcome: the symmetrized polynomial and its t=1 value, 1 + [2g = p]*a_g."""
+    """Raw generator outcome: the symmetrized polynomial and its t=1 value (module docstring)."""
 
     poly: SymmetricLaurentPolynomial
     delta_one: int
@@ -143,9 +153,6 @@ def _residue_values(p: int, k: int, inv: DerivedInvariants) -> tuple[bytes | arr
       step adds more marks than it costs.  The CLI's largest pair,
       (4000037, 685377), has k/2 < _step_marks(16 MB) and never doubles:
       a step there would add temporaries of tens of MB.
-    * Since q2 = k2^2 and k*k2 = e (mod p), step = e*k2 (mod p), a unit,
-      never 0: the starts x_i run through every residue once, so
-      a_i = a_-i for all i says exactly that ``w`` is symmetric about 0.
 
     >>> _residue_values(7, 2, SurgeryParams(7, 2).inv)  # a_0 = -(2 - 1), a_1 = -(w[3] - 1)
     (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
@@ -184,27 +191,28 @@ def _residue_values(p: int, k: int, inv: DerivedInvariants) -> tuple[bytes | arr
     return w, q2 * k % p, e, m
 
 
-def _period(p: int, k: int, inv: DerivedInvariants) -> tuple[bytes | array, int, int, int]:
+def _period(p: int, k: int, inv: DerivedInvariants) -> tuple:
     """(w, step, e, m) of :func:`_residue_values`, once a_i = a_{-i} is
-    checked across the whole period.
+    checked across the whole period (module docstring), then its
+    :func:`_top_terms` (g, a_g, a_{g-1}, a_{g-2}).
 
     A failure would be an implementation bug: IntegrityError at the
     first bad i.
 
-    >>> _period(7, 2, SurgeryParams(7, 2).inv)
-    (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1)
+    >>> _period(7, 2, SurgeryParams(7, 2).inv)  # t - 1 + t^-1
+    (b'\\x02\\x01\\x01\\x00\\x00\\x01\\x01', 4, -1, 1, 1, 1, -1, 1)
     """
-    w, step, e, m = period = _residue_values(p, k, inv)
+    w, step, e, m = _residue_values(p, k, inv)
     if w[1:(p + 1) // 2] != w[:p // 2:-1]:  # w[x] against w[p - x]
         bad = next(i for i in range(1, p // 2 + 1) if w[-i * step % p] != w[i * step % p])
         raise IntegrityError(p, k, "a_i != a_-i", index=bad)
-    return period
+    return (w, step, e, m) + _top_terms(w, step, e, m)
 
 
-def _gather(w: bytes | array, step: int, e: int, m: int) -> GeneratedPolynomial:
-    """The polynomial of a checked period, from a_0..a_g alone (g as
-    :func:`_top_terms` finds it), with its value at t = 1."""
-    p, g = len(w), _top_terms(w, step, e, m)[0]
+def _gather(w: bytes | array, step: int, e: int, m: int, g: int) -> GeneratedPolynomial:
+    """The polynomial of a checked period of genus g, from a_0..a_g
+    alone, with its value at t = 1."""
+    p = len(w)
     # a comprehension gathers faster than map(w.__getitem__, map(mod, ...))
     half = [e * (w[x % p] - m) for x in range(0, -step * (g + 1), -step)]  # a_0..a_g
     delta_one = 2 * sum(half) - half[0]  # sum(coeffs)
@@ -224,11 +232,11 @@ def _top_terms(w: bytes | array, step: int, e: int, m: int) -> tuple[int, int, i
     otherwise.  A period with m = 0 (k = 1) whose counts are all 0 but
     w[0] is the constant a_0, found by one ``count`` and no scan.
 
-    >>> _top_terms(*_period(7, 2, SurgeryParams(7, 2).inv))  # t - 1 + t^-1: a_{g-2} = a_-1
+    >>> _top_terms(*_period(7, 2, SurgeryParams(7, 2).inv)[:4])  # a_{g-2} = a_-1
     (1, 1, -1, 1)
-    >>> _top_terms(*_period(19, 7, SurgeryParams(19, 7).inv))
+    >>> _top_terms(*_period(19, 7, SurgeryParams(19, 7).inv)[:4])
     (5, 1, -1, 0)
-    >>> _top_terms(*_period(13, 1, SurgeryParams(13, 1).inv))  # the constant 1
+    >>> _top_terms(*_period(13, 1, SurgeryParams(13, 1).inv)[:4])  # the constant 1
     (0, 1, 0, 0)
     """
     p = len(w)
@@ -260,22 +268,22 @@ def _alternation(w: bytes | array, step: int, e: int, m: int, g: int) -> tuple[b
     a_0..a_g decide it, by symmetry, but for one case: a_0 = 0 puts the
     two copies of the first nonzero a_i (i > 0) side by side, with one sign.
 
-    The period is symmetric, so a_i's count is w[i*s mod p] with s =
-    min(step, p - step): a stride of s through g*s bytes of copies of w
-    reads a_0..a_g.  For a 1-byte period with g > _TOP the scan stops
-    after the top _TOP terms, and ``translate`` deletes the
-    zero terms of a_0..a_g and marks the others by sign: two marks in a
-    row alike are two nonzero terms in a row with one sign.
+    a_i's count is w[i*s mod p] (module docstring), so a stride of s
+    through g*s bytes of copies of w reads a_0..a_g.  For a 1-byte period
+    with g > _TOP the scan stops after the top _TOP terms, and
+    ``translate`` deletes the zero terms of a_0..a_g and marks the others
+    by sign: two marks in a row alike are two nonzero terms in a row with
+    one sign.
 
-    >>> _alternation(*_period(7, 2, SurgeryParams(7, 2).inv), 1)  # t - 1 + t^-1
+    >>> _alternation(*_period(7, 2, SurgeryParams(7, 2).inv)[:5])  # t - 1 + t^-1
     (True, True)
-    >>> _alternation(*_period(8, 3, SurgeryParams(8, 3).inv), 4)  # a_4..a_0 = 2, -1, 0, 1, -1
+    >>> _alternation(*_period(8, 3, SurgeryParams(8, 3).inv)[:5])  # a_4..a_0 = 2, -1, 0, 1, -1
     (True, False)
-    >>> _alternation(*_period(11, 3, SurgeryParams(11, 3).inv), 3)  # a_3..a_0 = 1, -1, 0, 1
+    >>> _alternation(*_period(11, 3, SurgeryParams(11, 3).inv)[:5])  # a_3..a_0 = 1, -1, 0, 1
     (True, False)
-    >>> _alternation(*_period(19, 7, SurgeryParams(19, 7).inv), 5)  # a_5..a_0 = 1, -1, 0, 1, -1, 1
+    >>> _alternation(*_period(19, 7, SurgeryParams(19, 7).inv)[:5])  # a_5..a_0 = 1, -1, 0, 1, -1, 1
     (True, False)
-    >>> _alternation(*_period(15, 4, SurgeryParams(15, 4).inv), 7)  # stops at a_5: 1, -1, -1
+    >>> _alternation(*_period(15, 4, SurgeryParams(15, 4).inv)[:5])  # stops at a_5: 1, -1, -1
     (False, False)
 
     Hand-made periods, step a unit: t^2 - t - t^-1 + t^-2 (a_0 = 0) as
@@ -310,11 +318,11 @@ def generate(params: SurgeryParams) -> GeneratedPolynomial:
     """Run the generator and symmetrize, without the normalization gate:
     the checked period (:func:`_period`), gathered, with the t = 1 value
     reported verbatim."""
-    return _gather(*_period(params.p, params.k, params.inv))
+    return _gather(*_period(params.p, params.k, params.inv)[:5])
 
 
 def polynomial(params: SurgeryParams) -> SymmetricLaurentPolynomial:
-    """Strict generator: the polynomial, or IntegrityError if 2g = p (then Delta(1) != 1).
+    """Strict generator: the polynomial, or IntegrityError if Delta(1) != 1 (2g = p).
 
     >>> polynomial(SurgeryParams(7, 2)).coeffs
     (1, -1, 1)

@@ -260,10 +260,6 @@ def _add_window_flags(sub) -> None:
                          help="window bound (default: fundamental window)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 @functools.cache  # built on the first main call, then reused
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The full parser, and each command's own parser by its name."""
@@ -331,7 +327,7 @@ def _stdout_closed() -> bool:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with the full parser's pass over
+    """The full parser's ``parse_args(argv)``, with its pass over
     ``argv`` skipped where it would only hand ``argv[1:]`` to a command."""
     parser, commands = _parsers()
     sub = commands.get(argv[0]) if argv else None

@@ -23,8 +23,10 @@ rule once: the tracer, the SVG shading and :func:`covered_translates` all
 read their translates off its table.
 
 >>> params, gen = SurgeryParams(19, 7), generate(SurgeryParams(19, 7))
->>> row = build_view(params, "A", Window(0, 18, 0, 0), gen).rows[0]
->>> row == tuple(a_entry(params, params.inv, gen.poly, y, 0) for y in range(19))
+>>> view = build_view(params, "A", Window(0, 18, 0, 0), gen)
+>>> start = next(view.row_starts())
+>>> view.period[start:start + 19] == tuple(a_entry(params, params.inv, gen.poly, y, 0)
+...                                       for y in range(19))
 True
 """
 
@@ -109,8 +111,7 @@ class LatticeView(NamedTuple):
     its start (i0 + u*(j0 + m)) mod p repeats every p rows, so ``starts``
     holds the first min(height, p) of them (none when the window has no
     rows), and ``period`` repeats row 0 over max(starts) + width cells, as
-    far as the slices reach.  ``rows`` materializes them, rows[m][n] being
-    the entry at (i0+n, j0+m), rows listed by increasing j.
+    far as the slices reach: entry n of row j0+m is the cell (i0+n, j0+m).
     """
 
     kind: str
@@ -121,11 +122,6 @@ class LatticeView(NamedTuple):
     def row_starts(self) -> Iterator[int]:
         """The start of every row, j0 up to j1: ``starts`` over and over."""
         return islice(cycle(self.starts), self.window.height())
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        width = self.window.width()
-        return tuple(self.period[s:s + width] for s in self.row_starts())
 
 
 def build_view(

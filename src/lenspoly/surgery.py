@@ -4,11 +4,11 @@ A lens surgery parameter is a coprime pair (p, k) with p >= 2.  The class
 k lives in (Z/p)^* and has four equivalent representatives k, -k, k^-1,
 -k^-1; we normalize to the smallest positive representative in (0, p/2].
 :class:`SurgeryParams` checks that and derives (k2, e, m, q, q2, c) once,
-as ``params.inv``.  :func:`_canonical_walk` yields the canonical (k, k2)
-of one p, each validated once, which the sweeps take as plain ints with
-:func:`_invariants`.  Everything in this module is plain, exact integer
-arithmetic -- Python integers are unbounded, so there is no overflow to
-worry about even far beyond p = 10^6.
+as ``params.inv``.  :func:`_canonical_walk` yields the canonical k of one
+p, each with its invariants, which the sweeps take as plain ints.
+Everything in this module is plain, exact integer arithmetic -- Python
+integers are unbounded, so there is no overflow to worry about even far
+beyond p = 10^6.
 
 Conventions used throughout the package:
 
@@ -97,30 +97,25 @@ class DerivedInvariants(NamedTuple):
     c: int
 
 
-def _k2(p: int, k: int) -> int:
-    # |[k^-1]_p|: the one place the inverse class is taken
-    r = pow(k, -1, p)
-    return r if 2 * r <= p else p - r
-
-
-def _canonical_walk(p: int) -> Iterator[tuple[int, int]]:
-    """The canonical k of one p, ascending, each with its k2: gcd(p, k) = 1,
-    1 <= k <= p/2 and k <= k2, one per class orbit {±k, ±k^-1 mod p}.
+def _canonical_walk(p: int) -> Iterator[tuple[int, DerivedInvariants]]:
+    """The canonical k of one p, ascending, each with its invariants:
+    gcd(p, k) = 1, 1 <= k <= p/2 and k <= k2, one per class orbit
+    {±k, ±k^-1 mod p}.
 
     The orbit meets (0, p/2] in at most k and k2 = |[k^-1]_p|, so as k
     walks upward, a coprime k is canonical unless a smaller k marked it
-    as its k2.  The sweeps' pairs and the resume's k all come from here.
+    as its k2.  The sweeps' pairs and the resume's all come from here.
 
-    >>> list(_canonical_walk(11))
+    >>> [(k, inv.k2) for k, inv in _canonical_walk(11)]
     [(1, 1), (2, 5), (3, 4)]
     """
     partnered = bytearray(p // 2 + 1)
     for k in range(1, p // 2 + 1):
         if not partnered[k] and gcd(k, p) == 1:
-            k2 = _k2(p, k)
-            assert k <= k2
-            partnered[k2] = 1
-            yield k, k2
+            inv = _invariants(p, k)
+            assert k <= inv[0]
+            partnered[inv[0]] = 1  # k2
+            yield k, inv
 
 
 def _checked_params(p: int, k: int, inv: DerivedInvariants) -> SurgeryParams:
@@ -131,13 +126,13 @@ def _checked_params(p: int, k: int, inv: DerivedInvariants) -> SurgeryParams:
 
 
 def _canonical_params(p: int) -> list[SurgeryParams]:
-    """The canonical parameters of one p, ascending in k, each derived
-    once from its walk's k2.
+    """The canonical parameters of one p, ascending in k, each with the
+    invariants of its walk.
 
     >>> [params.k for params in _canonical_params(11)]
     [1, 2, 3]
     """
-    return [_checked_params(p, k, _invariants(p, k, k2)) for k, k2 in _canonical_walk(p)]
+    return [_checked_params(p, k, inv) for k, inv in _canonical_walk(p)]
 
 
 def canonicalize_dual_class(p: int, k0: int) -> SurgeryParams:
@@ -153,7 +148,7 @@ def canonicalize_dual_class(p: int, k0: int) -> SurgeryParams:
     if gcd(p, k0) != 1:
         raise InvalidParameterError(f"gcd({p}, {k0}) != 1: not a surgery parameter")
     k = abs(reduce_mod(k0, p))
-    return SurgeryParams(p, min(k, _k2(p, k)))
+    return SurgeryParams(p, min(k, _invariants(p, k).k2))
 
 
 def derive_invariants(params: SurgeryParams) -> DerivedInvariants:
@@ -162,16 +157,18 @@ def derive_invariants(params: SurgeryParams) -> DerivedInvariants:
     >>> derive_invariants(SurgeryParams(19, 7))
     DerivedInvariants(k2=8, e=-1, m=3, q=-8, q2=7, c=-33)
     """
-    return _invariants(params.p, params.k, _k2(params.p, params.k))
+    return _invariants(params.p, params.k)
 
 
-def _invariants(p: int, k: int, k2: int) -> DerivedInvariants:
-    """:func:`derive_invariants` of (p, k), its k2 already taken."""
-    half = (p - 1) // 2  # [i]_p = (i + half) % p - half
-    e = (k * k2 + half) % p - half
-    assert e in (-1, 1)
+def _invariants(p: int, k: int) -> DerivedInvariants:
+    """:func:`derive_invariants` of (p, k): k2 and e from one inverse r of
+    k mod p, as k2 = r, e = 1 when 2r <= p, else k2 = p - r, e = -1."""
+    k2, e = pow(k, -1, p), 1
+    if 2 * k2 > p:
+        k2, e = p - k2, -1
     m = (k * k2 - e) // p
     assert m >= 0 and m * p == k * k2 - e
+    half = (p - 1) // 2  # [i]_p = (i + half) % p - half
     q = (k * k + half) % p - half
     q2 = (k2 * k2 + half) % p - half
     # (k-1)(k+1-p) is even: k-1 and k+1 have equal parity, and when both

@@ -7,29 +7,22 @@ progress: rows come in ascending (p, k), one flushed batch per p, so a
 resume keeps the rows of every complete p, drops the rest and continues.
 
 A :class:`SweepRecord` is one report row: its fields are the columns, in
-order.  Each pair comes from the canonical walk of its p, which validates
-it once, as plain ints (p, k and its invariants), and its row is read off
-its checked period, the window counts of
-:func:`lenspoly.alexander._period`, gathering nothing: flatness is a
-``translate`` of 1-byte counts (else ``min``/``max``), and alternation a
-scan of the top 16 terms, then, for 1-byte counts, one strided read of
-a_0..a_g (6,216 of the 31,932 pairs with p <= 640 get that far).
-``verify`` works by p too, but it checks every pair's period and reads
-only its top three coefficients off it; it builds a SurgeryParams and
-the record only for a pair with the pattern (1, -1, nonzero) or with
-k = 2, as no other pair is the hypothesis of the theorem or of either
-direction of the corollary.  A resume matches rows, decoding none.
+order.  Each pair comes, with its invariants, from the canonical walk of
+its p, as plain ints, and its row is read off its checked period
+(:func:`lenspoly.alexander._period`: the window counts, g and the top
+terms), gathering nothing.  ``verify`` works by p too, but builds the
+record only of a pair whose top terms can hold a violation.  A resume
+matches rows, decoding none.
 
-With more than one job, each worker process has its own pipe and is
-handed chunks of 4 consecutive p on demand, two ahead; the coordinator
-blocks only on the pipes and passes the results on in p order.  A
-worker's exception is raised in the coordinator, and a worker that dies
-ends the run with ChildProcessError (exit 3 in the CLI); either way the
-report resumes from its last complete p.  A sweep's worker hands back
-finished rows: for its p it returns the batch's report text, the batch's
-counts for the summary and the time its records took, so the coordinator
-only writes text and adds counts, and receives no record.  Each row is
-one ``%``-format of its int columns and one lookup of its bools' text.
+With more than one job the p are spread over worker processes
+(:func:`_map_over_p`).  A worker's exception is raised in the
+coordinator, and a worker that dies ends the run with ChildProcessError
+(exit 3 in the CLI); either way the report resumes from its last
+complete p.  A sweep's worker hands back finished rows: for its p it
+returns the batch's report text, the batch's counts for the summary and
+the time its records took, so the coordinator only writes text and adds
+counts, and receives no record.  Each row is one ``%``-format of its int
+columns and one lookup of its bools' text.
 
 Report files carry no timing: each worker times the records of its p
 (computing them, not serializing or counting them), and the per-p and
@@ -43,14 +36,15 @@ import json
 import os
 import re
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
-from .alexander import _alternation, _is_flat, _period, _top_terms
+from .alexander import _alternation, _is_flat, _period
 from .surgery import (InvalidParameterError, SurgeryParams, _canonical_params, _canonical_walk,
-                      _checked_params, _invariants)
+                      _checked_params)
 
 _R = TypeVar("_R")
 
@@ -158,20 +152,16 @@ def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
         yield from _canonical_params(p)
 
 
-def compute_record(
-    params: SurgeryParams, period: tuple | None = None, top: tuple | None = None
-) -> SweepRecord:
-    """The report row of one parameter (:func:`_row`); its period of
-    :func:`_period` and top terms may be passed when the caller has them."""
+def compute_record(params: SurgeryParams, period: tuple | None = None) -> SweepRecord:
+    """The report row of one parameter (:func:`_row`); its
+    :func:`_period` may be passed when the caller has it."""
     p, k, inv = params.p, params.k, params.inv
-    return _row(p, k, inv.k2, period or _period(p, k, inv), top)
+    return _row(p, k, inv.k2, period or _period(p, k, inv))
 
 
-def _row(p: int, k: int, k2: int, period: tuple, top: tuple | None) -> SweepRecord:
-    """The report row of (p, k), read off its checked period ``(w, step,
-    e, m)`` and that period's :func:`_top_terms` (scanned when None)."""
-    w, step, e, m = period
-    g, top0, top1, top2 = top or _top_terms(w, step, e, m)
+def _row(p: int, k: int, k2: int, period: tuple) -> SweepRecord:
+    """The report row of (p, k), read off its :func:`_period`."""
+    w, step, e, m, g, top0, top1, top2 = period
     trivial = g == 0 and top0 == 1  # a_g is a_0 when g = 0
     flat = _is_flat(w, m)  # w holds the count of every a_i, |i| <= p/2
     alternating, strictly = _alternation(w, step, e, m, g)
@@ -181,16 +171,14 @@ def _row(p: int, k: int, k2: int, period: tuple, top: tuple | None) -> SweepReco
         # +-1, the signs alternate and the top one is 1
         flat and strictly and top0 == 1,
         trivial or (top0 == 1 and top1 == -1),  # top_sign_ok
-        p < 3 * k2,  # lemma_hypothesis, in the closed form of check_lemma
-        True, True,  # lemma_bound_ok, lemma_zeros_ok: always (see check_lemma)
+        p < 3 * k2, True, True,  # the lemma's hypothesis, then its conclusions (check_lemma)
     ))
 
 
 def _records_for_p(p: int) -> tuple[list[SweepRecord], int]:
     """The records of one p, and the wall-clock microseconds they took."""
     start = time.perf_counter_ns()
-    records = [_row(p, k, k2, _period(p, k, _invariants(p, k, k2)), None)
-               for k, k2 in _canonical_walk(p)]
+    records = [_row(p, k, inv[0], _period(p, k, inv)) for k, inv in _canonical_walk(p)]
     return records, (time.perf_counter_ns() - start) // 1000
 
 
@@ -272,10 +260,10 @@ def _map_over_p(
     one.
 
     Results are yielded in ascending p regardless of job count, which is
-    what makes the reports deterministic.  Each worker has two chunks of
-    4 consecutive p in flight and is sent the next as soon as it returns
-    one, so it never waits for work.  Every worker is stopped when the
-    generator ends or is closed.
+    what makes the reports deterministic.  Each worker, on its own pipe,
+    has two chunks of 4 consecutive p in flight and is sent the next as
+    soon as it returns one, so it never waits for work.  Every worker is
+    stopped when the generator ends or is closed.
     """
     ps = range(start_p, max_p + 1)
     chunks = [ps[i:i + 4] for i in range(0, len(ps), 4)]
@@ -320,17 +308,15 @@ def _map_over_p(
 
 
 def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
-    """The theorem and corollary violations of one p: every pair's period
-    is generated and checked and its top terms read once, and only a pair
-    that meets the trigger or has k = 2 gets its record, from that same
-    period and those same top terms."""
+    """The theorem and corollary violations of one p, as in :func:`verify`:
+    a record is built only from the period of a pair that meets the
+    trigger or has k = 2."""
     theorem: list[Violation] = []
     corollary: list[Violation] = []
-    for k, k2 in _canonical_walk(p):
-        period = _period(p, k, inv := _invariants(p, k, k2))
-        top = _top_terms(*period)
-        if k == 2 or _top_trigger(*top[1:]):
-            th, co = _violations(compute_record(_checked_params(p, k, inv), period, top))
+    for k, inv in _canonical_walk(p):
+        period = _period(p, k, inv)
+        if k == 2 or _top_trigger(*period[5:]):
+            th, co = _violations(compute_record(_checked_params(p, k, inv), period))
             theorem += th
             corollary += co
     return theorem, corollary
@@ -349,7 +335,8 @@ def verify(max_p: int, jobs: int = 1) -> tuple[list[Violation], list[Violation]]
     and its top three coefficients are read off it.  A pair without the
     pattern and with k != 2 is the hypothesis of neither statement, so it
     can hold no violation; only the other pairs (225 of the 3,272 with
-    p <= 200) get a full record, which the violation predicates read.
+    p <= 200) get a SurgeryParams and a full record, which the violation
+    predicates read.
     """
     _check_range(max_p, jobs)
     theorem: list[Violation] = []
@@ -367,10 +354,6 @@ def verify_theorem(max_p: int, jobs: int = 1) -> list[Violation]:
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-
-def _serialize_row(record: SweepRecord, fmt: str) -> str:
-    return _serialize_batch([record], fmt)
 
 
 def _serialize_batch(records: list[SweepRecord], fmt: str) -> str:
@@ -391,13 +374,15 @@ def _parse_row(line: str, fmt: str) -> SweepRecord:
 def _replace_file(path: str, text: str) -> None:
     """Write text to path through a temporary file and a rename, so a
     killed process leaves either the old file or the new one; an OSError
-    names path."""
+    names path, and leaves no temporary file behind."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with suppress(OSError):
+            os.remove(tmp)
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
@@ -409,10 +394,10 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
 
     Every complete line must be exactly a row of this format (a CSV
     report starts with its header), and the rows must run through the
-    canonical pairs in ascending (p, k) from (2, 1) on, walked by their
-    k alone (:func:`_canonical_walk`).  A kill can cut only the line being
-    written, so a last line without a newline must be the start of the
-    next line due: the header, or the row of the next canonical pair,
+    canonical pairs in ascending (p, k) from (2, 1) on, as
+    :func:`_canonical_walk` yields them.  A kill can cut only the line
+    being written, so a last line without a newline must be the start of
+    the next line due: the header, or the row of the next canonical pair,
     the only record a resume computes.  The rows of a p cut short by a
     kill, and of every p > max_p, are checked and then left past the
     offset.  Anything else raises CheckpointError; the file is only read.
@@ -422,13 +407,14 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                                "rerun with --from-scratch")
 
     offset = cut = 0
-    p, ks, batch = 2, [k for k, _ in _canonical_walk(2)], []  # batch: the rows of p so far
+    p, pairs, batch = 2, list(_canonical_walk(2)), []  # batch: the rows of p so far
     with open(out_path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             is_header = n == 1 and fmt == "csv"
             if not line.endswith(b"\n"):  # the last line, cut short by a kill?
-                params = SurgeryParams(p, ks[len(batch)])
-                due = _CSV_HEADER + "\n" if is_header else _serialize_row(compute_record(params), fmt)
+                params = _checked_params(p, *pairs[len(batch)])
+                due = (_CSV_HEADER + "\n" if is_header
+                       else _serialize_batch([compute_record(params)], fmt))
                 if not due.encode().startswith(line):
                     raise refuse(f"its last line {n} has no newline and is not the start of "
                                  + ("the header" if is_header else f"the row {params}"))
@@ -443,15 +429,16 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                 record = _parse_row(line[:-1].decode(), fmt)
             except ValueError as exc:
                 raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
-            if record[:2] != (p, ks[len(batch)]):
+            k = pairs[len(batch)][0]
+            if record[:2] != (p, k):
                 raise refuse(f"line {n} holds {record[:2]}, but the next canonical pair is "
-                             f"p = {p}, k = {ks[len(batch)]}")
+                             f"p = {p}, k = {k}")
             batch.append(record)
-            if len(batch) == len(ks):
+            if len(batch) == len(pairs):
                 if p <= max_p:
                     _tally(summary, batch)
                     summary.resumed_from, cut = p, offset
-                p, ks, batch = p + 1, [k for k, _ in _canonical_walk(p + 1)], []
+                p, pairs, batch = p + 1, list(_canonical_walk(p + 1)), []
     return cut
 
 

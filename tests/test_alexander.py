@@ -465,7 +465,7 @@ def test_flat_two_byte_periods_match_oracle():
     flat = 0
     for params in enumerate_params(700):
         if params.k >= 256:
-            w, step, e, m = _period(params.p, params.k, params.inv)
+            w, step, e, m = _period(params.p, params.k, params.inv)[:4]
             assert slot_bytes(w) == 2, params
             assert _is_flat(w, m) == is_flat_full(generate(params).poly.coeffs), params
             flat += _is_flat(w, m)
@@ -494,10 +494,9 @@ def test_alternation_matches_scan_up_to_640():
     pairs whose top terms alternate."""
     copied = 0
     for params in enumerate_params(640):
-        period = _period(params.p, params.k, params.inv)
-        g = _top_terms(*period)[0]
-        assert _alternation(*period, g) == alternation_scan(*period, g), params
-        w, step = period[:2]
+        period = _period(params.p, params.k, params.inv)[:5]
+        w, g = period[0], period[4]
+        assert _alternation(*period) == alternation_scan(*period), params
         copied += g > lenspoly.alexander._TOP and isinstance(w, bytes)
     assert copied > 10000
 
@@ -508,9 +507,8 @@ def test_alternation_matches_scan_near_1200():
     widths = Counter()
     for p in range(1190, 1201):
         for params in _canonical_params(p):
-            period = _period(params.p, params.k, params.inv)
-            g = _top_terms(*period)[0]
-            assert _alternation(*period, g) == alternation_scan(*period, g), params
+            period = _period(params.p, params.k, params.inv)[:5]
+            assert _alternation(*period) == alternation_scan(*period), params
             widths[slot_bytes(period[0])] += 1
     assert widths.keys() == {1, 2}
 
@@ -662,19 +660,19 @@ def test_top_coefficient():
 
 
 def test_top_terms_match_top_coefficient_up_to_300():
-    """The period reader's (g, a_g, a_{g-1}, a_{g-2}) equals the g and
+    """The checked period's (g, a_g, a_{g-1}, a_{g-2}) equals the g and
     top_coefficient(poly, n) for n = 0, 1, 2 of the loop oracle's
     polynomial, whose g is found by its own scan, on every canonical pair
     with p <= 300, where g = 0 (k = 1), g = 1 and g = 2 all occur."""
     genera = set()
     for params in enumerate_params(300):
         poly = generate_full_period(params).poly
-        top = _top_terms(*_period(params.p, params.k, params.inv))
+        top = _period(params.p, params.k, params.inv)[4:]
         assert top == (poly.g, *(top_coefficient(poly, n) for n in range(3))), params
         genera.add(top[0])
     assert {0, 1, 2} <= genera
     # g = 1: a_{g-2} is a_-1 = a_1 = 1, not 0
-    assert _top_terms(*_period(5, 2, SurgeryParams(5, 2).inv)) == (1, 1, -1, 1)
+    assert _period(5, 2, SurgeryParams(5, 2).inv)[4:] == (1, 1, -1, 1)
 
 
 class CountedPeriod(bytes):
@@ -693,7 +691,7 @@ def test_top_terms_read_k1_periods_once():
     a_{p/2}.  Its answer is unchanged."""
     for p in range(2, 201):
         params = SurgeryParams(p, 1)
-        w, step, e, m = _period(params.p, params.k, params.inv)
+        w, step, e, m = _period(params.p, params.k, params.inv)[:4]
         counted = CountedPeriod(w)
         assert _top_terms(counted, step, e, m) == (0, 1, 0, 0), p
         assert counted.reads <= 1, (p, counted.reads)

@@ -201,19 +201,6 @@ def test_curve_and_matrix_generate_once(capsys, monkeypatch, tmp_path, command):
     assert calls == {"generate": 1, "derive_invariants": 1}
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_matrix_never_materializes_rows(capsys, monkeypatch, fmt):
-    """matrix renders each row as a slice of the view's encoded period,
-    so it never reads LatticeView.rows."""
-    def rows(view):
-        raise AssertionError("LatticeView.rows was read")
-
-    monkeypatch.setattr(lenspoly.lattice.LatticeView, "rows", property(rows))
-    for kind in ("A", "dA"):
-        assert run_cli(capsys, "matrix", "-p", "101", "-k", "30", "--kind", kind,
-                       "--format", fmt)[0] == 0, kind
-
-
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -602,7 +589,7 @@ def test_command_parser_route_equals_full_parser(capsys, argv):
     """``main`` reads a call that starts with a known command through that
     command's parser alone; every argv gives what the full parser gives,
     the same Namespace or the same exit code, stdout and stderr."""
-    full = _parse_outcome(capsys, lenspoly.cli.build_parser().parse_args, argv)
+    full = _parse_outcome(capsys, lenspoly.cli._parsers()[0].parse_args, argv)
     assert _parse_outcome(capsys, lenspoly.cli._parse_args, argv) == full
     assert isinstance(full[0], dict) == (argv in _PARSED_WHOLE)
 
@@ -611,7 +598,7 @@ def test_command_parsed_whole_skips_the_full_parser(monkeypatch):
     def full_parse(*_):
         raise AssertionError("the full parser ran")
 
-    monkeypatch.setattr(lenspoly.cli.build_parser(), "parse_args", full_parse)
+    monkeypatch.setattr(lenspoly.cli._parsers()[0], "parse_args", full_parse)
     for argv in _PARSED_WHOLE:
         assert lenspoly.cli._parse_args(list(argv)).command == argv[0]
     with pytest.raises(AssertionError, match="the full parser ran"):
@@ -729,6 +716,15 @@ def test_io_failure_exit_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "curve", "-p", "11", "-k", "2", "--svg", str(tmp_path))
     assert code == 3
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_failed_replace_leaves_no_temporary_file(capsys, tmp_path):
+    """A sweep whose timing side file cannot be renamed into place (the
+    path is a directory) exits 3 and leaves no temporary file behind."""
+    out = tmp_path / "x.csv"
+    os.mkdir(f"{out}.timing.json")
+    assert run_cli(capsys, "sweep", "--max-p", "5", "--out", str(out))[0] == 3
+    assert sorted(os.listdir(tmp_path)) == ["x.csv", "x.csv.timing.json"]
 
 
 @pytest.mark.parametrize("flags", [(), ("--from-scratch",)], ids=["resume", "from-scratch"])

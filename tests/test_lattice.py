@@ -131,6 +131,13 @@ def test_da_case_split_matches_interval_tests_on_every_residue():
             assert da_entry(params, inv, i, 0) == da_by_signed_intervals(params, inv, i, 0), (params, i)
 
 
+def view_rows(view):
+    """Every row of a view, j0 up to j1, each sliced out of its period:
+    row m's entry n is the cell (i0 + n, j0 + m)."""
+    width = view.window.width()
+    return tuple(view.period[s:s + width] for s in view.row_starts())
+
+
 def view_windows(params, rng):
     """Fundamental, negative, wider-than-p and empty windows, windows at
     least 3p + 1 wide (the repeated row slice must reach the last column
@@ -172,8 +179,8 @@ def test_build_view_da_equals_difference():
                 assert trace_curves(params, w, gen, table) == trace_curves(params, w), (params, w)
             width, height = max(0, w.i1 - w.i0 + 1), max(0, w.j1 - w.j0 + 1)
             for view in (a, da):
-                assert [len(row) for row in view.rows] == [width] * height, (params, w)
-            for j, a_row, da_row in zip(range(w.j0, w.j1 + 1), a.rows, da.rows):
+                assert [len(row) for row in view_rows(view)] == [width] * height, (params, w)
+            for j, a_row, da_row in zip(range(w.j0, w.j1 + 1), view_rows(a), view_rows(da)):
                 for n, i in enumerate(range(w.i0, w.i1 + 1)):
                     assert a_row[n] == a_entry(params, inv, poly, i, j), (params, i, j)
                     assert da_row[n] == da_entry(params, inv, i, j), (params, i, j)
@@ -235,7 +242,7 @@ def test_index_identity():
     for params in [*enumerate_params(200), *(q for q in lspace if q.p > 200)]:
         gen = generate(params)
         p, inv = params.p, params.inv
-        row = build_view(params, "A", Window(0, p - 1, 0, 0), gen).rows[0]
+        row = view_rows(build_view(params, "A", Window(0, p - 1, 0, 0), gen))[0]
         assert row == tuple(a_entry(params, inv, gen.poly, y, 0) for y in range(p)), params
 
     for params in enumerate_params(60):
@@ -246,7 +253,7 @@ def test_index_identity():
             assert non_zero_region(params, gen).istar == istar, params
         w = fundamental_window(params)
         view = build_view(params, "A", w, gen)
-        for j, row in zip(range(w.j0, w.j1 + 1), view.rows):
+        for j, row in zip(range(w.j0, w.j1 + 1), view_rows(view)):
             for i, v in zip(range(w.i0, w.i1 + 1), row):
                 s = (j + (i - istar) * inv.k2) % p
                 expected = gen.poly.coeffs[s] if s <= 2 * g else 0
@@ -568,20 +575,6 @@ def test_trace_curves_trivial_and_empty():
     assert covered_translates(SurgeryParams(11, 2), Window(-1, 6, 0, -1)) == []
 
 
-def test_trace_curves_never_build_view_rows(monkeypatch):
-    """The tracer slices each row out of the view's period as it reaches
-    it and never materializes every row at once through ``rows``."""
-
-    def refused(view):
-        raise AssertionError("LatticeView.rows read")
-
-    monkeypatch.setattr(lenspoly.lattice.LatticeView, "rows", property(refused))
-    params = SurgeryParams(101, 30)
-    window = fundamental_window(params)
-    assert trace_curves(params, window) == trace_curves_union_find(params, window)
-    assert trace_curves(params, Window(3, 2, 0, 1)) == []
-
-
 def test_trace_curves_share_one_int_per_column():
     """Every arrow of a column holds the same int object for its i, even
     above 256, where CPython caches no int."""
@@ -635,7 +628,7 @@ def test_single_component_per_covered_translate():
 
 
 def test_trace_curves_match_union_find_fundamental():
-    for params in enumerate_params(60):
+    for params in [*enumerate_params(60), SurgeryParams(101, 30)]:
         window = fundamental_window(params)
         assert trace_curves(params, window) == trace_curves_union_find(params, window), params
 
@@ -1016,7 +1009,7 @@ def test_ascii_view_matches_per_cell():
             for kind in ("A", "dA"):
                 view = build_view(params, kind, window, gen)
                 expected = "" if window.is_empty() else "\n".join(
-                    " ".join(cell_char(v) for v in row) for row in reversed(view.rows))
+                    " ".join(cell_char(v) for v in row) for row in reversed(view_rows(view)))
                 assert ascii_view(view) == expected, (params, kind, window)
 
 

@@ -127,13 +127,13 @@ def test_canonical_params_against_brute_force_orbit():
     """For every p <= 400, the enumeration yields exactly the brute-force
     canonical k of the coprime classes, ascending, each with the
     invariants derive_invariants gives, which match reduce_mod, and the
-    walk yields the same k, each with that k2."""
+    walk yields the same k, each with those invariants."""
     self_paired = set()
     for p in range(2, 401):
         pairs = _canonical_params(p)
         expected = sorted({brute_force_canonical_k(p, k) for k in range(1, p) if math.gcd(k, p) == 1})
         assert [params.k for params in pairs] == expected, p
-        assert list(_canonical_walk(p)) == [(params.k, params.inv.k2) for params in pairs], p
+        assert list(_canonical_walk(p)) == [(params.k, params.inv) for params in pairs], p
         for params in pairs:
             k, inv = params.k, params.inv
             assert (params.p, inv) == (p, derive_invariants(params)), params

@@ -33,7 +33,6 @@ from lenspoly.sweep import (
     _records_for_p,
     _resume_point,
     _serialize_batch,
-    _serialize_row,
     _theorem_trigger,
     _violations,
     _violations_for_p,
@@ -294,7 +293,7 @@ def test_verify_builds_records_only_for_candidates(monkeypatch):
     assert calls == candidates
     # k = 2 gets its record whatever its top coefficients read
     calls.clear()
-    monkeypatch.setattr(lenspoly.sweep, "_top_terms", lambda w, step, e, m: (0, 0, 0, 0))
+    monkeypatch.setattr(lenspoly.alexander, "_top_terms", lambda w, step, e, m: (0, 0, 0, 0))
     verify(200)
     assert calls == [(p, 2) for p in range(5, 201, 2)]
 
@@ -545,7 +544,7 @@ def test_row_format_matches_generic_encoders(fmt):
     records += [SweepRecord(11, 2, 5, -1, 1, 2, -1, 1, *bools)
                 for bools in itertools.product((False, True), repeat=8)]
     for record in records:
-        assert _serialize_row(record, fmt) == row_oracle(record, fmt), record
+        assert _serialize_batch([record], fmt) == row_oracle(record, fmt), record
     assert _serialize_batch(records, fmt) == "".join(row_oracle(r, fmt) for r in records)
 
 
@@ -656,25 +655,27 @@ def test_resume_keeping_every_row_rewrites_nothing(tmp_path):
     assert out.read_bytes() == clean.read_bytes()
 
 
-def test_resume_derives_invariants_only_for_a_torn_row(tmp_path, monkeypatch):
-    """A resume walks the canonical pairs by their k alone: it derives no
-    invariants for the rows it checks, and once for the row due after a
-    torn last line."""
+def test_resume_takes_invariants_from_the_walk(tmp_path, monkeypatch):
+    """A resume derives each pair's invariants once, in the canonical walk
+    of its p, up to the p after the last complete one, and nowhere else:
+    the row due after a torn last line takes the walk's."""
     out, _ = _sweep(tmp_path, "r.csv", max_p=40)
     whole = out.read_text()
+    walked = [(p, params.k) for p in range(2, 42) for params in _canonical_params(p)]
     calls = []
-    derive = lenspoly.surgery.derive_invariants
+    derive = lenspoly.surgery._invariants
 
-    def counted(params):
-        calls.append((params.p, params.k))
-        return derive(params)
-    monkeypatch.setattr(lenspoly.surgery, "derive_invariants", counted)
+    def counted(p, k):
+        calls.append((p, k))
+        return derive(p, k)
+    monkeypatch.setattr(lenspoly.surgery, "_invariants", counted)
     assert _resume_point(str(out), "csv", 40, SweepSummary()) == len(whole)
-    assert calls == []
+    assert calls == walked
+    calls.clear()
     lines = whole.splitlines(keepends=True)
     out.write_text("".join(lines[:-4]) + lines[-4][:9])  # the row of (40, 7) cut short
     assert _resume_point(str(out), "csv", 40, SweepSummary()) == len("".join(lines[:-6]))
-    assert calls == [(40, 7)]
+    assert calls == [pair for pair in walked if pair[0] <= 40]
 
 
 @pytest.mark.parametrize("fmt, pair, old, new", [
@@ -744,18 +745,17 @@ def test_resume_refuses_tail_that_is_not_the_next_line(tmp_path, fmt, rows, tail
     ids=[f"{prefix}{p}" for prefix in ("", "verify-") for p in (2, 3, 8, 101, 600)],
 )
 def test_records_check_canonicity_once(monkeypatch, worker, p):
-    """k2 is taken once per canonical pair, when the enumeration of p
-    validates it with its SurgeryParams, by the sweep's worker and by
-    verify's, which builds some of the records from those same
-    SurgeryParams."""
+    """Each canonical pair's invariants are derived once, when the walk of
+    p yields it, by the sweep's worker and by verify's, which builds some
+    of the records from those same invariants."""
     pairs = len(_canonical_params(p))
     calls = []
-    fn = lenspoly.surgery._k2
+    fn = lenspoly.surgery._invariants
 
     def counted(*args):
         calls.append(args)
         return fn(*args)
-    monkeypatch.setattr(lenspoly.surgery, "_k2", counted)
+    monkeypatch.setattr(lenspoly.surgery, "_invariants", counted)
     worker(p)
     assert len(calls) == pairs
 
@@ -766,17 +766,18 @@ def test_records_check_canonicity_once(monkeypatch, worker, p):
     ids=[f"{prefix}{p}" for prefix in ("", "verify-") for p in (2, 3, 8, 101, 600)],
 )
 def test_records_scan_top_terms_once(monkeypatch, worker, p):
-    """Each canonical pair's top terms are scanned once, by the sweep's
-    worker and by verify's, which tests the trigger on them and hands the
-    same terms to the records it builds (k = 2 and the trigger pairs)."""
+    """Each canonical pair's top terms are scanned once, when its period
+    is checked, by the sweep's worker and by verify's, which tests the
+    trigger on them and hands the same period to the records it builds
+    (k = 2 and the trigger pairs)."""
     pairs = len(_canonical_params(p))
     calls = []
-    fn = lenspoly.sweep._top_terms
+    fn = lenspoly.alexander._top_terms
 
     def counted(*args):
         calls.append(args)
         return fn(*args)
-    monkeypatch.setattr(lenspoly.sweep, "_top_terms", counted)
+    monkeypatch.setattr(lenspoly.alexander, "_top_terms", counted)
     worker(p)
     assert len(calls) == pairs
 
@@ -784,32 +785,28 @@ def test_records_scan_top_terms_once(monkeypatch, worker, p):
 @pytest.mark.parametrize("worker", [_records_for_p, _violations_for_p], ids=["sweep", "verify"])
 def test_workers_read_the_values_of_canonical_params(monkeypatch, worker):
     """Each worker, walking the pairs of p as plain ints, hands the kernel
-    the (p, k, inv) of _canonical_params(p) and gets the same period and
-    top terms, pair by pair, for every p <= 300; the sweep's rows carry
-    that k, k2, e, m, g and those top terms."""
+    the (p, k, inv) of _canonical_params(p) and gets the same period, its
+    top terms those _top_terms reads off its counts, pair by pair, for
+    every p <= 300; the sweep's rows carry that k, k2, e, m, g and those
+    top terms."""
     seen = []
 
     def period(*pair):
-        seen.append([pair, _period(*pair)])
+        seen.append((pair, _period(*pair)))
         return seen[-1][1]
-
-    def top_terms(*period):
-        seen[-1].append(_top_terms(*period))
-        return seen[-1][2]
     monkeypatch.setattr(lenspoly.sweep, "_period", period)
-    monkeypatch.setattr(lenspoly.sweep, "_top_terms", top_terms)
     for p in range(2, 301):
         seen.clear()
         out = worker(p)
         want = []
         for params in _canonical_params(p):
             w = _period(params.p, params.k, params.inv)
-            want.append([(p, params.k, params.inv), w, _top_terms(*w)])
+            assert w[4:] == _top_terms(*w[:4]), params
+            want.append(((p, params.k, params.inv), w))
         assert seen == want, p
         if worker is _records_for_p:
             assert [(r.k, r.k2, r.e, r.m, r.g, r.alpha1, r.alpha2) for r in out[0]] == [
-                (k, inv.k2, inv.e, inv.m, top[0], top[2], top[3])
-                for (_, k, inv), _, top in want], p
+                (k, inv.k2, inv.e, inv.m, w[4], w[6], w[7]) for (_, k, inv), w in want], p
 
 
 def test_map_over_p_caps_workers(monkeypatch):
