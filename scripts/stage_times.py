@@ -21,10 +21,6 @@ time of that p.  The stages, in the order they run:
   sweep        _rows_for_p("csv", p): the sweep's whole worker
   verify       _violations_for_p(p): verify's whole worker
 
-A checkout whose _canonical_walk still yields (k, k2) runs the stages as
-its workers did: enumerate adds _invariants(p, k, k2), kernel reads no
-top terms, and record is _row(p, k, k2, period, top).
-
 It times whatever ``lenspoly`` is on the path.  ``--against DIR`` also
 imports the ``lenspoly`` package under DIR (another checkout's ``src``)
 under another name and runs every p on both, the order swapped from one
@@ -66,11 +62,7 @@ def stage_times(code: tuple, p: int) -> tuple[int, list[int]]:
     def lap():
         clock.append(perf_counter_ns())
 
-    walks_k2 = hasattr(surgery, "_k2")  # the walk yields k2, and _period no top terms
-    if walks_k2:
-        pairs = [(k, surgery._invariants(p, k, k2)) for k, k2 in surgery._canonical_walk(p)]
-    else:
-        pairs = list(surgery._canonical_walk(p))
+    pairs = list(surgery._canonical_walk(p))
     lap()
     periods = [alexander._period(p, k, inv) for k, inv in pairs]
     lap()
@@ -80,11 +72,7 @@ def stage_times(code: tuple, p: int) -> tuple[int, list[int]]:
     lap()
     [alexander._alternation(*period[:4], top[0]) for period, top in zip(periods, tops)]
     lap()
-    if walks_k2:
-        records = [sweep._row(p, k, inv.k2, period, top)
-                   for (k, inv), period, top in zip(pairs, periods, tops)]
-    else:
-        records = [sweep._row(p, k, inv.k2, period) for (k, inv), period in zip(pairs, periods)]
+    records = [sweep._row(p, k, inv.k2, period) for (k, inv), period in zip(pairs, periods)]
     lap()
     sweep._tally(sweep.SweepSummary(), records)
     lap()

@@ -54,8 +54,7 @@ class SurgeryParams:
     minimal representative of its class orbit {±k, ±k^-1 mod p} within
     (0, p/2], that is 2k <= p and k <= k2 (see :func:`_canonical_walk`).
     Validation derives the invariants once and keeps them as ``inv``;
-    ``repr``, ``==`` and ``hash`` ignore it.  :func:`_checked_params`
-    builds a pair of the walk without this check, as the walk has made it.
+    ``repr``, ``==`` and ``hash`` ignore it.
     """
 
     p: int
@@ -116,23 +115,6 @@ def _canonical_walk(p: int) -> Iterator[tuple[int, DerivedInvariants]]:
             assert k <= inv[0]
             partnered[inv[0]] = 1  # k2
             yield k, inv
-
-
-def _checked_params(p: int, k: int, inv: DerivedInvariants) -> SurgeryParams:
-    """The SurgeryParams of a pair :func:`_canonical_walk` checked, not validated again."""
-    params = object.__new__(SurgeryParams)
-    params.__dict__.update(p=p, k=k, inv=inv)
-    return params
-
-
-def _canonical_params(p: int) -> list[SurgeryParams]:
-    """The canonical parameters of one p, ascending in k, each with the
-    invariants of its walk.
-
-    >>> [params.k for params in _canonical_params(11)]
-    [1, 2, 3]
-    """
-    return [_checked_params(p, k, inv) for k, inv in _canonical_walk(p)]
 
 
 def canonicalize_dual_class(p: int, k0: int) -> SurgeryParams:

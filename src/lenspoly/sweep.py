@@ -12,7 +12,7 @@ its p, as plain ints, and its row is read off its checked period
 (:func:`lenspoly.alexander._period`: the window counts, g and the top
 terms), gathering nothing.  ``verify`` works by p too, but builds the
 record only of a pair whose top terms can hold a violation.  A resume
-matches rows, decoding none.
+matches rows, decoding none, each against its pair's walk.
 
 With more than one job the p are spread over worker processes
 (:func:`_map_over_p`).  A worker's exception is raised in the
@@ -43,8 +43,7 @@ from itertools import islice, product
 from typing import Callable, Iterator, NamedTuple, TypeVar, get_type_hints
 
 from .alexander import _alternation, _is_flat, _period
-from .surgery import (InvalidParameterError, SurgeryParams, _canonical_params, _canonical_walk,
-                      _checked_params)
+from .surgery import InvalidParameterError, SurgeryParams, _canonical_walk
 
 _R = TypeVar("_R")
 
@@ -149,14 +148,14 @@ def enumerate_params(max_p: int) -> Iterator[SurgeryParams]:
     """
     _check_range(max_p, 1)
     for p in range(2, max_p + 1):
-        yield from _canonical_params(p)
+        for k, _ in _canonical_walk(p):
+            yield SurgeryParams(p, k)
 
 
-def compute_record(params: SurgeryParams, period: tuple | None = None) -> SweepRecord:
-    """The report row of one parameter (:func:`_row`); its
-    :func:`_period` may be passed when the caller has it."""
+def compute_record(params: SurgeryParams) -> SweepRecord:
+    """The report row of one parameter (:func:`_row`)."""
     p, k, inv = params.p, params.k, params.inv
-    return _row(p, k, inv.k2, period or _period(p, k, inv))
+    return _row(p, k, inv.k2, _period(p, k, inv))
 
 
 def _row(p: int, k: int, k2: int, period: tuple) -> SweepRecord:
@@ -316,7 +315,7 @@ def _violations_for_p(p: int) -> tuple[list[Violation], list[Violation]]:
     for k, inv in _canonical_walk(p):
         period = _period(p, k, inv)
         if k == 2 or _top_trigger(*period[5:]):
-            th, co = _violations(compute_record(_checked_params(p, k, inv), period))
+            th, co = _violations(_row(p, k, inv[0], period))
             theorem += th
             corollary += co
     return theorem, corollary
@@ -335,8 +334,7 @@ def verify(max_p: int, jobs: int = 1) -> tuple[list[Violation], list[Violation]]
     and its top three coefficients are read off it.  A pair without the
     pattern and with k != 2 is the hypothesis of neither statement, so it
     can hold no violation; only the other pairs (225 of the 3,272 with
-    p <= 200) get a SurgeryParams and a full record, which the violation
-    predicates read.
+    p <= 200) get a full record, which the violation predicates read.
     """
     _check_range(max_p, jobs)
     theorem: list[Violation] = []
@@ -394,11 +392,11 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
 
     Every complete line must be exactly a row of this format (a CSV
     report starts with its header), and the rows must run through the
-    canonical pairs in ascending (p, k) from (2, 1) on, as
-    :func:`_canonical_walk` yields them.  A kill can cut only the line
-    being written, so a last line without a newline must be the start of
-    the next line due: the header, or the row of the next canonical pair,
-    the only record a resume computes.  The rows of a p cut short by a
+    canonical pairs in ascending (p, k) from (2, 1) on, each with the
+    k2, e and m that :func:`_canonical_walk` derives for it.  A kill can
+    cut only the line being written, so a last line without a newline
+    must be the start of the next line due: the header, or the row of the
+    next canonical pair, the only record a resume computes.  The rows of a p cut short by a
     kill, and of every p > max_p, are checked and then left past the
     offset.  Anything else raises CheckpointError; the file is only read.
     """
@@ -411,13 +409,13 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
     with open(out_path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             is_header = n == 1 and fmt == "csv"
+            k, inv = pairs[len(batch)]
             if not line.endswith(b"\n"):  # the last line, cut short by a kill?
-                params = _checked_params(p, *pairs[len(batch)])
                 due = (_CSV_HEADER + "\n" if is_header
-                       else _serialize_batch([compute_record(params)], fmt))
+                       else _serialize_batch([_row(p, k, inv[0], _period(p, k, inv))], fmt))
                 if not due.encode().startswith(line):
                     raise refuse(f"its last line {n} has no newline and is not the start of "
-                                 + ("the header" if is_header else f"the row {params}"))
+                                 + ("the header" if is_header else f"the row of ({p}, {k})"))
                 break
             offset += len(line)
             if is_header:
@@ -429,10 +427,9 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                 record = _parse_row(line[:-1].decode(), fmt)
             except ValueError as exc:
                 raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
-            k = pairs[len(batch)][0]
-            if record[:2] != (p, k):
-                raise refuse(f"line {n} holds {record[:2]}, but the next canonical pair is "
-                             f"p = {p}, k = {k}")
+            if record[:5] != (p, k, *inv[:3]):
+                raise refuse(f"line {n} holds (p, k, k2, e, m) = {record[:5]}, but the next "
+                             f"canonical pair is p = {p}, k = {k}, with k2, e, m = {inv[:3]}")
             batch.append(record)
             if len(batch) == len(pairs):
                 if p <= max_p:

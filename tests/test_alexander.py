@@ -32,12 +32,11 @@ from lenspoly.alexander import (
 )
 from lenspoly.surgery import (
     SurgeryParams,
-    _canonical_params,
     canonicalize_dual_class,
     derive_invariants,
 )
 from lenspoly.sweep import enumerate_params
-from test_sweep import is_alternating_full, is_flat_full
+from test_sweep import canonical_params, is_alternating_full, is_flat_full
 
 
 def coefficient_naive(p, k, i):
@@ -506,7 +505,7 @@ def test_alternation_matches_scan_near_1200():
     pair with 1190 <= p <= 1200, with 1- and 2-byte slots."""
     widths = Counter()
     for p in range(1190, 1201):
-        for params in _canonical_params(p):
+        for params in canonical_params(p):
             period = _period(params.p, params.k, params.inv)[:5]
             assert _alternation(*period) == alternation_scan(*period), params
             widths[slot_bytes(period[0])] += 1

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lenspoly.surgery import (
     InvalidParameterError,
     SurgeryParams,
-    _canonical_params,
     _canonical_walk,
     canonicalize_dual_class,
     derive_invariants,
@@ -124,16 +123,17 @@ def test_params_store_their_invariants():
 
 
 def test_canonical_params_against_brute_force_orbit():
-    """For every p <= 400, the enumeration yields exactly the brute-force
+    """For every p <= 400, the walk yields exactly the brute-force
     canonical k of the coprime classes, ascending, each with the
-    invariants derive_invariants gives, which match reduce_mod, and the
-    walk yields the same k, each with those invariants."""
+    invariants that SurgeryParams validates it with and derive_invariants
+    gives, which match reduce_mod."""
     self_paired = set()
     for p in range(2, 401):
-        pairs = _canonical_params(p)
+        walk = list(_canonical_walk(p))
+        pairs = [SurgeryParams(p, k) for k, _ in walk]
         expected = sorted({brute_force_canonical_k(p, k) for k in range(1, p) if math.gcd(k, p) == 1})
         assert [params.k for params in pairs] == expected, p
-        assert list(_canonical_walk(p)) == [(params.k, params.inv) for params in pairs], p
+        assert walk == [(params.k, params.inv) for params in pairs], p
         for params in pairs:
             k, inv = params.k, params.inv
             assert (params.p, inv) == (p, derive_invariants(params)), params
@@ -144,7 +144,7 @@ def test_canonical_params_against_brute_force_orbit():
                 self_paired.add((p, k))
     # the smallest p have the one class k = 1, and a self-paired orbit
     # (k2 = k) marks its own k
-    assert [[params.k for params in _canonical_params(p)] for p in (2, 3, 4, 6)] == [[1]] * 4
+    assert [[k for k, _ in _canonical_walk(p)] for p in (2, 3, 4, 6)] == [[1]] * 4
     assert {(5, 2), (10, 3)} <= self_paired
 
 

@@ -20,7 +20,7 @@ import lenspoly.sweep
 from lenspoly.alexander import IntegrityError, _period, _top_terms, generate
 from lenspoly.cli import _encode_json
 from lenspoly.lattice import check_lemma
-from lenspoly.surgery import SurgeryParams, _canonical_params, reduce_mod
+from lenspoly.surgery import SurgeryParams, _canonical_walk, reduce_mod
 from lenspoly.sweep import (
     CSV_COLUMNS,
     CheckpointError,
@@ -32,6 +32,7 @@ from lenspoly.sweep import (
     _parse_row,
     _records_for_p,
     _resume_point,
+    _row,
     _serialize_batch,
     _theorem_trigger,
     _violations,
@@ -44,6 +45,12 @@ from lenspoly.sweep import (
     verify,
     verify_theorem,
 )
+
+
+def canonical_params(p):
+    """The canonical pairs of p, in the walk's order, each a SurgeryParams
+    that validates itself and derives its own invariants."""
+    return [SurgeryParams(p, k) for k, _ in _canonical_walk(p)]
 
 
 def brute_force_orbit_count(max_p):
@@ -187,7 +194,7 @@ def test_record_predicates_match_definitions_up_to_300():
     wide = 0
     for params in enumerate_params(300):
         period = _period(params.p, params.k, params.inv)
-        r = compute_record(params, period)
+        r = _row(params.p, params.k, params.inv.k2, period)
         assert r == record_full_coeffs(params), params
         assert sum(period[0]) == params.k * r.k2, params
         out = generate(params)
@@ -275,19 +282,19 @@ def test_verify_with_jobs_matches_serial():
 
 
 def test_verify_builds_records_only_for_candidates(monkeypatch):
-    """verify(200) builds the records of the 225 pairs that meet the
-    trigger or have k = 2, and of no other of the 3,272 pairs; with a
-    reader that never fires, of the k = 2 pairs alone."""
+    """verify(200) builds, through _row, the records of the 225 pairs that
+    meet the trigger or have k = 2, and of no other of the 3,272 pairs;
+    with a reader that never fires, of the k = 2 pairs alone."""
     records = [compute_record(params) for params in enumerate_params(200)]
     assert len(records) == 3272
     candidates = [(r.p, r.k) for r in records if _theorem_trigger(r) or r.k == 2]
     calls = []
-    fn = lenspoly.sweep.compute_record
+    fn = lenspoly.sweep._row
 
-    def counted(params, *given):
-        calls.append((params.p, params.k))
-        return fn(params, *given)
-    monkeypatch.setattr(lenspoly.sweep, "compute_record", counted)
+    def counted(p, k, *given):
+        calls.append((p, k))
+        return fn(p, k, *given)
+    monkeypatch.setattr(lenspoly.sweep, "_row", counted)
     verify(200)
     assert len(calls) == 225
     assert calls == candidates
@@ -472,7 +479,7 @@ def test_stage_times_script():
                           *flags)
         assert proc.returncode == 0, proc.stderr
         head, *rows = proc.stdout.splitlines()
-        pairs = sum(len(_canonical_params(p)) for p in range(2, 31))
+        pairs = sum(len(canonical_params(p)) for p in range(2, 31))
         assert head == f"p 2..30: {pairs} pairs, best of 2 per p"
         assert [row.split()[0] for row in rows] == [
             "enumerate", "kernel", "top_terms", "flat", "alternation", "record", "tally", "csv",
@@ -661,7 +668,7 @@ def test_resume_takes_invariants_from_the_walk(tmp_path, monkeypatch):
     the row due after a torn last line takes the walk's."""
     out, _ = _sweep(tmp_path, "r.csv", max_p=40)
     whole = out.read_text()
-    walked = [(p, params.k) for p in range(2, 42) for params in _canonical_params(p)]
+    walked = [(p, params.k) for p in range(2, 42) for params in canonical_params(p)]
     calls = []
     derive = lenspoly.surgery._invariants
 
@@ -718,6 +725,30 @@ def test_resume_refuses_rows_that_are_not_exact(tmp_path, fmt, pair, old, new):
     assert out.read_bytes() == damaged
 
 
+@pytest.mark.parametrize("fmt, old, new", [
+    ("csv", "5,2,2,-1,1,", "5,2,3,-1,1,"),  # k2
+    ("csv", "5,2,2,-1,1,", "5,2,2,1,1,"),   # e
+    ("csv", "5,2,2,-1,1,", "5,2,2,-1,0,"),  # m
+    ("jsonl", '"k2":2,', '"k2":3,'),
+    ("jsonl", '"e":-1,', '"e":1,'),
+    ("jsonl", '"m":1,', '"m":0,'),
+])
+def test_resume_refuses_rows_with_wrong_invariants(tmp_path, fmt, old, new):
+    """A row of the right (p, k) whose k2, e or m is not the one the walk
+    derives for that pair is refused, and the report left untouched."""
+    out, _ = _sweep(tmp_path, "r", max_p=5, report_format=fmt)
+    lines = out.read_text().splitlines(keepends=True)
+    n = lines.index(_serialize_batch([compute_record(SurgeryParams(5, 2))], fmt))
+    assert old in lines[n]
+    lines[n] = lines[n].replace(old, new, 1)
+    out.write_text("".join(lines))
+    damaged = out.read_bytes()
+    with pytest.raises(CheckpointError, match=f"line {n + 1} holds .*"
+                                              r"p = 5, k = 2, with k2, e, m = \(2, -1, 1\)"):
+        run_sweep(SweepConfig(max_p=7, out_path=str(out), report_format=fmt))
+    assert out.read_bytes() == damaged
+
+
 @pytest.mark.parametrize("fmt, rows, tail", [
     ("csv", 0, "p,k,k2,f"),  # not the header
     ("csv", 1, "2,1,1"),     # a prefix of (2, 1), but (3, 1) is due
@@ -748,7 +779,7 @@ def test_records_check_canonicity_once(monkeypatch, worker, p):
     """Each canonical pair's invariants are derived once, when the walk of
     p yields it, by the sweep's worker and by verify's, which builds some
     of the records from those same invariants."""
-    pairs = len(_canonical_params(p))
+    pairs = len(canonical_params(p))
     calls = []
     fn = lenspoly.surgery._invariants
 
@@ -770,7 +801,7 @@ def test_records_scan_top_terms_once(monkeypatch, worker, p):
     is checked, by the sweep's worker and by verify's, which tests the
     trigger on them and hands the same period to the records it builds
     (k = 2 and the trigger pairs)."""
-    pairs = len(_canonical_params(p))
+    pairs = len(canonical_params(p))
     calls = []
     fn = lenspoly.alexander._top_terms
 
@@ -785,10 +816,11 @@ def test_records_scan_top_terms_once(monkeypatch, worker, p):
 @pytest.mark.parametrize("worker", [_records_for_p, _violations_for_p], ids=["sweep", "verify"])
 def test_workers_read_the_values_of_canonical_params(monkeypatch, worker):
     """Each worker, walking the pairs of p as plain ints, hands the kernel
-    the (p, k, inv) of _canonical_params(p) and gets the same period, its
-    top terms those _top_terms reads off its counts, pair by pair, for
-    every p <= 300; the sweep's rows carry that k, k2, e, m, g and those
-    top terms."""
+    the (p, k, inv) that SurgeryParams(p, k) validates and derives on its
+    own, for each canonical k, and gets the same period, its top terms
+    those _top_terms reads off its counts, pair by pair, for every
+    p <= 300; the sweep's rows carry that k, k2, e, m, g and those top
+    terms."""
     seen = []
 
     def period(*pair):
@@ -799,7 +831,7 @@ def test_workers_read_the_values_of_canonical_params(monkeypatch, worker):
         seen.clear()
         out = worker(p)
         want = []
-        for params in _canonical_params(p):
+        for params in canonical_params(p):
             w = _period(params.p, params.k, params.inv)
             assert w[4:] == _top_terms(*w[:4]), params
             want.append(((p, params.k, params.inv), w))
