@@ -244,73 +244,47 @@ def _cmd_verify(args) -> int:
     return 1 if theorem or corollary else 0
 
 
-def _add_param_flags(sub) -> None:
-    sub.add_argument("-p", type=int, required=True, help="surgery order p (>= 2)")
-    sub.add_argument("-k", type=int, required=True,
-                     help="dual class k (any coprime representative; normalized)")
-
-
-def _add_format_flag(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _add_window_flags(sub) -> None:
-    for flag in ("--i0", "--i1", "--j0", "--j1"):
-        sub.add_argument(flag, type=int, default=None,
-                         help="window bound (default: fundamental window)")
-
-
 @functools.cache  # built on the first main call, then reused
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each command's own parser by its name."""
+    """The full parser, and each command's own parser by its name.  Each
+    group of shared flags is declared once, in a parent parser."""
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("-p", type=int, required=True, help="surgery order p (>= 2)")
+    pair.add_argument("-k", type=int, required=True,
+                      help="dual class k (any coprime representative; normalized)")
+    pair.add_argument("--format", choices=("text", "json"), default="text")
+    window = argparse.ArgumentParser(add_help=False)
+    for flag in ("--i0", "--i1", "--j0", "--j1"):
+        window.add_argument(flag, type=int, default=None,
+                            help="window bound (default: fundamental window)")
+    span = argparse.ArgumentParser(add_help=False)
+    span.add_argument("--max-p", type=int, required=True)
+    span.add_argument("--jobs", type=int, default=1)
+
     parser = argparse.ArgumentParser(
         prog="lenspoly",
         description="Lens surgery polynomials, lattice curves, and verification sweeps",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sub = subparsers.add_parser("invariants", help="derived invariants of (p, k)")
-    _add_param_flags(sub)
-    _add_format_flag(sub)
-    sub.set_defaults(func=_cmd_invariants)
+    def command(name, about, func, *parents):
+        sub = subparsers.add_parser(name, help=about, parents=parents)
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subparsers.add_parser("poly", help="the generated polynomial (strict)")
-    _add_param_flags(sub)
-    _add_format_flag(sub)
-    sub.set_defaults(func=_cmd_poly)
-
-    sub = subparsers.add_parser("matrix", help="an A or dA window")
-    _add_param_flags(sub)
-    _add_format_flag(sub)
-    _add_window_flags(sub)
-    sub.add_argument("--kind", choices=("A", "dA"), default="A")
-    sub.set_defaults(func=_cmd_matrix)
-
-    sub = subparsers.add_parser("curve", help="trace and render non-zero curves")
-    _add_param_flags(sub)
-    _add_format_flag(sub)
-    _add_window_flags(sub)
-    sub.add_argument("--svg", metavar="PATH", default=None, help="also write an SVG file")
-    sub.set_defaults(func=_cmd_curve)
-
-    sub = subparsers.add_parser("lemma", help="whether the lemma's hypothesis holds, in closed form")
-    _add_param_flags(sub)
-    _add_format_flag(sub)
-    sub.set_defaults(func=_cmd_lemma)
-
-    sub = subparsers.add_parser("sweep", help="run a parameter sweep and write a report")
-    sub.add_argument("--max-p", type=int, required=True)
-    sub.add_argument("--jobs", type=int, default=1)
+    command("invariants", "derived invariants of (p, k)", _cmd_invariants, pair)
+    command("poly", "the generated polynomial (strict)", _cmd_poly, pair)
+    command("matrix", "an A or dA window", _cmd_matrix, pair, window).add_argument(
+        "--kind", choices=("A", "dA"), default="A")
+    command("curve", "trace and render non-zero curves", _cmd_curve, pair, window).add_argument(
+        "--svg", metavar="PATH", default=None, help="also write an SVG file")
+    command("lemma", "whether the lemma's hypothesis holds, in closed form", _cmd_lemma, pair)
+    sub = command("sweep", "run a parameter sweep and write a report", _cmd_sweep, span)
     sub.add_argument("--out", required=True, help="report path")
     sub.add_argument("--from-scratch", action="store_true",
                      help="overwrite an existing report instead of resuming it")
     sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sub.set_defaults(func=_cmd_sweep)
-
-    sub = subparsers.add_parser("verify", help="check the theorem and corollary over a range")
-    sub.add_argument("--max-p", type=int, required=True)
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.set_defaults(func=_cmd_verify)
+    command("verify", "check the theorem and corollary over a range", _cmd_verify, span)
 
     return parser, subparsers.choices
 

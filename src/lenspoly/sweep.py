@@ -393,12 +393,13 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
     Every complete line must be exactly a row of this format (a CSV
     report starts with its header), and the rows must run through the
     canonical pairs in ascending (p, k) from (2, 1) on, each with the
-    k2, e and m that :func:`_canonical_walk` derives for it.  A kill can
-    cut only the line being written, so a last line without a newline
-    must be the start of the next line due: the header, or the row of the
-    next canonical pair, the only record a resume computes.  The rows of a p cut short by a
-    kill, and of every p > max_p, are checked and then left past the
-    offset.  Anything else raises CheckpointError; the file is only read.
+    k2, e and m that :func:`_canonical_walk` derives for it and the lemma
+    columns :func:`_row` writes.  A kill can cut only the line being
+    written, so a last line without a newline must be the start of the
+    next line due: the header, or the row of the next canonical pair, the
+    only record a resume computes.  The rows of a p cut short by a kill,
+    and of every p > max_p, are checked and then left past the offset.
+    Anything else raises CheckpointError; the file is only read.
     """
     def refuse(why: str) -> CheckpointError:
         return CheckpointError(f"report {out_path} cannot be resumed: {why}; "
@@ -427,9 +428,11 @@ def _resume_point(out_path: str, fmt: str, max_p: int, summary: SweepSummary) ->
                 record = _parse_row(line[:-1].decode(), fmt)
             except ValueError as exc:
                 raise refuse(f"line {n} is not a {fmt} report row ({exc})") from exc
-            if record[:5] != (p, k, *inv[:3]):
-                raise refuse(f"line {n} holds (p, k, k2, e, m) = {record[:5]}, but the next "
-                             f"canonical pair is p = {p}, k = {k}, with k2, e, m = {inv[:3]}")
+            lemma = (p < 3 * inv[0], True, True)  # as _row writes them
+            if record[:5] != (p, k, *inv[:3]) or record[-3:] != lemma:
+                raise refuse(f"line {n} holds (p, k, k2, e, m) = {record[:5]} with lemma "
+                             f"columns {record[-3:]}, but the next canonical pair is p = {p}, "
+                             f"k = {k}, with k2, e, m = {inv[:3]} and lemma columns {lemma}")
             batch.append(record)
             if len(batch) == len(pairs):
                 if p <= max_p:

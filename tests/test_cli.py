@@ -548,7 +548,29 @@ def test_usage_errors_exit_2(capsys):
         assert captured.err.splitlines()[-1] == last_line
 
 
-_MATRIX = ["matrix", "-p", "11", "-k", "2"]
+@pytest.mark.parametrize("command, digest", [
+    ("", "9a654a07270361b8fc49174d11d2a66ef22df4355d0de82689b7a2a55c0f07cb"),
+    ("invariants", "d3ead2345273032c195edbaa5eadd1b1843f8c9ed9f137fee7c2716a839eba64"),
+    ("poly", "3d7363dd83d050285eb93ac3cd0fafb0c719a6f72b0a87768e86411a3b5983c2"),
+    ("matrix", "195ca94c1430f0569b52608c8472a97f0c45ae3823e8509831134aedff944ca2"),
+    ("curve", "f57f8b01b78f89d982d2fe7c4b8af06f428b20f8231c1aebd988c6ce954b6a99"),
+    ("lemma", "d3fdf52f70589bb59182e2669f67cc71b6a0ffec3c52d8fcc7a3a293f509f52a"),
+    ("sweep", "04d92bff19efe62e462084d038e3bf68070ab9cd440728793c9e69bacea78324"),
+    ("verify", "de57a3faf4270d4477b89263b912cc01144634c89b109fb89edb5de3ddc31bab"),
+], ids=["lenspoly", "invariants", "poly", "matrix", "curve", "lemma", "sweep", "verify"])
+def test_help_text_pinned(capsys, monkeypatch, command, digest):
+    """Refactor guard: ``lenspoly -h`` and each ``lenspoly <command> -h``
+    on stdout, byte for byte, as argparse wraps it at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "-h"] if command else ["-h"])
+    assert exc_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+_MATRIX =["matrix", "-p", "11", "-k", "2"]
 _WINDOW = ["--i0", "-3", "--i1", "0", "--j0", "0", "--j1", "1"]
 # argvs the two parsing routes must read alike: the first group is parsed
 # whole by its command's parser, the rest exit or take the full parser
@@ -557,9 +579,12 @@ _PARSED_WHOLE = [
     [*_MATRIX, "--format=json", "--kind=dA"], [*_MATRIX, *_WINDOW],
     ["matrix", "-p", "13", "-k", "3", "-p", "11"],
     ["curve", "-p", "7", "-k", "2", "--svg", "out.svg", "--format", "json"],
+    ["curve", "-p", "11", "-k", "2", "--i0", "1"],
     ["invariants", "-p", "19", "-k", "7"], ["poly", "-k", "2", "-p", "7"],
+    ["poly", "-p", "7", "-k", "2", "--format", "json"],
     ["lemma", "-p", "11", "-k", "2", "--format", "json"],
     ["sweep", "--max-p", "10", "--out", "r.csv", "--from-scratch", "--format", "jsonl"],
+    ["sweep", "--jobs", "2", "--max-p", "10", "--out", "r.csv"],
     ["verify", "--max-p", "10", "--jobs", "2"],
 ]
 _ROUTE_ARGVS = _PARSED_WHOLE + [
@@ -570,6 +595,11 @@ _ROUTE_ARGVS = _PARSED_WHOLE + [
     [*_MATRIX, "stray"], ["stray", *_MATRIX], [*_MATRIX, "--bogus"], [*_MATRIX, "-x"],
     ["sweep", "--max-p", "10", "--out", "r.csv", "--checkpoint", "x"],
     ["verify", "--max-p", "10", "--jobs"],
+    # shared flags on the commands the cases above do not reach
+    ["invariants", "-p", "19", "-k", "7", "--format", "xml"], ["lemma", "-k", "2"],
+    ["poly", "-p", "7", "-k", "2", "--i0", "1"], ["verify", "--max-p", "x"],
+    ["sweep", "--out", "r.csv", "--jobs", "2"], ["sweep", "--max-p", "10", "--out", "r.csv",
+                                                "--format", "json"],
 ]
 
 

@@ -732,10 +732,18 @@ def test_resume_refuses_rows_that_are_not_exact(tmp_path, fmt, pair, old, new):
     ("jsonl", '"k2":2,', '"k2":3,'),
     ("jsonl", '"e":-1,', '"e":1,'),
     ("jsonl", '"m":1,', '"m":0,'),
+    # the lemma columns, (True, True, True) for (5, 2): 5 < 3*2
+    ("csv", ",1,1,1\n", ",0,1,1\n"),  # lemma_hypothesis
+    ("csv", ",1,1,1\n", ",1,0,1\n"),  # lemma_bound_ok
+    ("csv", ",1,1,1\n", ",1,1,0\n"),  # lemma_zeros_ok
+    ("jsonl", '"lemma_hypothesis":true', '"lemma_hypothesis":false'),
+    ("jsonl", '"lemma_bound_ok":true', '"lemma_bound_ok":false'),
+    ("jsonl", '"lemma_zeros_ok":true', '"lemma_zeros_ok":false'),
 ])
 def test_resume_refuses_rows_with_wrong_invariants(tmp_path, fmt, old, new):
     """A row of the right (p, k) whose k2, e or m is not the one the walk
-    derives for that pair is refused, and the report left untouched."""
+    derives for that pair, or whose lemma columns are not the ones the
+    walk fixes, is refused, and the report left untouched."""
     out, _ = _sweep(tmp_path, "r", max_p=5, report_format=fmt)
     lines = out.read_text().splitlines(keepends=True)
     n = lines.index(_serialize_batch([compute_record(SurgeryParams(5, 2))], fmt))
